@@ -76,9 +76,7 @@ from .window import (
     DEFAULT_WAVELENGTH,
     DetectionGeometry,
     FidelityEstimate,
-    PositionalDetection,
     estimate_fidelity,
-    positional_detection_operator,
 )
 
 __version__ = "0.1.0"

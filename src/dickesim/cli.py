@@ -77,7 +77,7 @@ def _angle(value, what: str, degrees: bool) -> float:
 
 def _system_size(cfg: dict) -> int:
     n = cfg.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"'n' must be a positive integer, got {n!r}")
     return n
 
@@ -318,7 +318,7 @@ def _parse_sweep(spec: str, degrees: bool) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"cannot parse sweep {spec!r}: {exc}") from exc
-    if count < 2 or start < 0 or stop < start:
+    if count < 2 or not 0.0 <= start <= stop < np.inf:
         raise ConfigError(f"sweep needs 0 <= START <= STOP and COUNT >= 2, got {spec!r}")
     values = np.linspace(start, stop, count)
     return np.deg2rad(values) if degrees else values

@@ -24,28 +24,41 @@ Sampling model (all of it overridable through :class:`DetectionGeometry`):
 
 The wavelength and detector arrangement are free parameters of the model;
 defaults use a 493 nm dipole transition typical of trapped ions.
+
+Computation: after ``m`` detections only the ``C(n, m) 2**m`` kets with
+exactly ``m`` emitters out of ``e`` can carry amplitude, so each sample
+carries only that level (layout in ``core._level_tables``), never the dense
+``3**n`` register.  Samples are propagated together in chunks of at most
+``_CHUNK_ENTRIES`` entries (samples times widest level), which bounds the
+transient memory whatever the sample count.  The random draws keep their
+per-sample order, so a seeded estimate agrees to round-off with applying
+the dense detection kernel one sample at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
 from .cascade import _as_config, dicke_coefficients
-from .core import (
-    EmitterRegister,
-    Polarizer,
-    SymmetricState,
-    _detection_kernel,
-    _ground_free_info,
-)
-from .errors import DimensionMismatchError, ZeroStateError
+from .core import SymmetricState, _level_detection
+from .errors import DimensionMismatchError, TooLargeError, ZeroStateError
 
 DEFAULT_WAVELENGTH = 493e-9
 
 #: Register norm below which a sample counts as annihilated by cancellation.
 ANNIHILATION_TOL = 1e-12
+
+#: Largest system :func:`estimate_fidelity` accepts.  Work per sample grows
+#: as ``n * 3**n`` and the widest level as ``3**n / sqrt(n)``.
+WINDOW_SIZE_LIMIT = 12
+
+#: Samples times widest level propagated together.  Each of the kernel's few
+#: complex buffers then holds at most this many entries (32 KiB), whatever
+#: the sample count; from n = 8 on a chunk is a single sample.
+_CHUNK_ENTRIES = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +78,10 @@ class DetectionGeometry:
         Nominal unit direction of each detector (normalized on construction).
     window_halfangle : float
         Angular half-width (radians) of each detector's azimuthal window.
+
+    ``transverse_basis`` is derived on construction: two unit vectors, shape
+    ``(2, 3)``, spanning the plane orthogonal to the emitter line, along
+    which the jitter is drawn.
     """
 
     emitter_positions: np.ndarray
@@ -72,6 +89,7 @@ class DetectionGeometry:
     wavelength: float
     detector_directions: np.ndarray
     window_halfangle: float
+    transverse_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.emitter_positions, dtype=float)
@@ -83,17 +101,21 @@ class DetectionGeometry:
                 f"detector_directions {dirs.shape} must match emitter_positions {pos.shape}")
         if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(dirs)):
             raise ValueError("positions and directions must be finite")
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
-        if self.window_halfangle < 0:
-            raise ValueError("window_halfangle must be >= 0")
-        if self.transverse_sigma < 0:
-            raise ValueError("transverse_sigma must be >= 0")
+        # written so that NaN fails every check
+        if not 0.0 < self.wavelength < np.inf:
+            raise ValueError("wavelength must be positive and finite")
+        if not 0.0 <= self.window_halfangle < np.inf:
+            raise ValueError("window_halfangle must be finite and >= 0")
+        if not 0.0 <= self.transverse_sigma < np.inf:
+            raise ValueError("transverse_sigma must be finite and >= 0")
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(norms == 0):
             raise ValueError("detector directions must be nonzero")
         object.__setattr__(self, "emitter_positions", pos)
         object.__setattr__(self, "detector_directions", dirs / norms[:, None])
+        basis = _transverse_basis(pos)
+        basis.setflags(write=False)
+        object.__setattr__(self, "transverse_basis", basis)
 
     @property
     def n(self) -> int:
@@ -124,9 +146,12 @@ class DetectionGeometry:
                    window_halfangle)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FidelityEstimate:
-    """Monte-Carlo mean with its standard error (sample std / sqrt(count))."""
+    """Monte-Carlo mean with its standard error (sample std / sqrt(count)).
+
+    Slotted: sweeps and pooled checks keep many of these records.
+    """
 
     mean_fidelity: float
     standard_error: float
@@ -134,42 +159,7 @@ class FidelityEstimate:
     excluded_count: int = 0
 
 
-@dataclass(frozen=True, eq=False)
-class PositionalDetection:
-    """One detection with per-emitter far-field phases attached."""
-
-    polarizer: Polarizer
-    phases: np.ndarray
-
-    def apply(self, register: EmitterRegister) -> EmitterRegister:
-        out = _detection_kernel(
-            register.amps, register.n,
-            self.polarizer.alpha * self.phases,
-            self.polarizer.beta * self.phases,
-        )
-        return EmitterRegister(register.n, out)
-
-
-def positional_detection_operator(polarizer: Polarizer,
-                                  direction: np.ndarray,
-                                  positions: np.ndarray,
-                                  wavelength: float) -> PositionalDetection:
-    """Detection operator with emitter ``j`` weighted by ``exp(i k r_j . nhat)``.
-
-    Reduces to the plain detection operator (up to a global phase) whenever
-    the per-emitter phases coincide, e.g. for a direction orthogonal to the
-    line the emitters sit on.
-    """
-    direction = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-    positions = np.asarray(positions, dtype=float)
-    k = 2.0 * np.pi / wavelength
-    phases = np.exp(1j * k * positions @ direction)
-    return PositionalDetection(polarizer, phases)
-
-
-def _transverse_basis(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _transverse_basis(positions: np.ndarray) -> np.ndarray:
     """Two unit vectors spanning the plane orthogonal to the emitter line."""
     centered = positions - positions.mean(axis=0)
     if np.allclose(centered, 0.0):
@@ -183,12 +173,7 @@ def _transverse_basis(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t1 = np.cross(axis, seed)
     t1 /= np.linalg.norm(t1)
     t2 = np.cross(axis, t1)
-    return t1, t2
-
-
-def _rotate_about_z(v: np.ndarray, angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1], v[2]])
+    return np.array([t1, t2])
 
 
 def estimate_fidelity(config, geometry: DetectionGeometry,
@@ -211,6 +196,8 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
 
     Raises
     ------
+    TooLargeError
+        If the configuration has more than ``WINDOW_SIZE_LIMIT`` emitters.
     DimensionMismatchError
         If configuration, geometry, and target sizes disagree.
     ZeroStateError
@@ -218,6 +205,9 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     """
     config = _as_config(config)
     n = len(config)
+    if n > WINDOW_SIZE_LIMIT:
+        raise TooLargeError(
+            f"window Monte Carlo limited to n <= {WINDOW_SIZE_LIMIT}, got {n}")
     if geometry.n != n:
         raise DimensionMismatchError(
             f"geometry has {geometry.n} emitters, configuration has {n}")
@@ -231,38 +221,58 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     target_qubit = target.to_qubit_amplitudes()
 
     rng = np.random.default_rng(seed)
-    t1, t2 = _transverse_basis(geometry.emitter_positions)
-    free, _, qubit_idx = _ground_free_info(n)
-    k = geometry.wavenumber
-    halfwidth = geometry.window_halfangle
-    sigma = geometry.transverse_sigma
-
+    widest = max(comb(n, m) << m for m in range(n + 1))
+    chunk = max(1, _CHUNK_ENTRIES // widest)
+    components = np.array([[p.alpha, p.beta] for p in config])
     fidelities = np.empty(samples)
     kept = 0
-    excluded = 0
-    for _ in range(samples):
-        g1 = rng.normal(0.0, 1.0, size=n) * sigma
-        g2 = rng.normal(0.0, 1.0, size=n) * sigma
-        positions = (geometry.emitter_positions
-                     + np.outer(g1, t1) + np.outer(g2, t2))
-        amps = EmitterRegister.ground(n).amps
-        for i, polarizer in enumerate(config):
-            delta = rng.uniform(-1.0, 1.0) * halfwidth
-            nhat = _rotate_about_z(geometry.detector_directions[i], delta)
-            phases = np.exp(1j * k * (positions @ nhat))
-            amps = _detection_kernel(amps, n, polarizer.alpha * phases,
-                                     polarizer.beta * phases)
-        psi = amps[free]
-        nrm = np.linalg.norm(psi)
-        if nrm < ANNIHILATION_TOL:
-            excluded += 1
-            continue
-        overlap = np.vdot(target_qubit[qubit_idx], psi) / nrm
-        fidelities[kept] = abs(overlap) ** 2
-        kept += 1
+    for start in range(0, samples, chunk):
+        psi = _sample_outputs(components, geometry, rng,
+                              min(chunk, samples - start))
+        nrm = np.linalg.norm(psi, axis=1)
+        alive = nrm >= ANNIHILATION_TOL
+        overlap = (psi[alive] * target_qubit.conj()).sum(axis=1) / nrm[alive]
+        fidelities[kept:kept + overlap.size] = np.abs(overlap) ** 2
+        kept += overlap.size
 
     if kept == 0:
         raise ZeroStateError("every sample was annihilated")
     values = fidelities[:kept]
     stderr = float(values.std(ddof=1) / np.sqrt(kept)) if kept > 1 else 0.0
-    return FidelityEstimate(float(values.mean()), stderr, kept, excluded)
+    return FidelityEstimate(float(values.mean()), stderr, kept, samples - kept)
+
+
+def _sample_outputs(components: np.ndarray, geometry: DetectionGeometry,
+                    rng: np.random.Generator, count: int) -> np.ndarray:
+    """Unnormalized cascade outputs of ``count`` samples, shape ``(count, 2**n)``.
+
+    ``components[i]`` holds detector ``i``'s polarizer ``(alpha, beta)``.
+    Columns are qubit indices (bit ``j`` set = emitter ``j`` in ``-``).
+    """
+    n = geometry.n
+    normals = np.empty((count, 2 * n))
+    deviates = np.empty((count, n))
+    for row in range(count):
+        # the per-sample draw calls of the one-sample-at-a-time cascade
+        normals[row, :n] = rng.normal(0.0, 1.0, size=n)
+        normals[row, n:] = rng.normal(0.0, 1.0, size=n)
+        for i in range(n):
+            deviates[row, i] = rng.uniform(-1.0, 1.0)
+    sigma = geometry.transverse_sigma
+    t1, t2 = geometry.transverse_basis
+    positions = (geometry.emitter_positions
+                 + (normals[:, :n, None] * sigma) * t1
+                 + (normals[:, n:, None] * sigma) * t2)
+    # detector axis second, emitter axis last: path[s, i, j] is emitter j's
+    # path length along detector i's direction, rotated about z by its deviate
+    delta = deviates * geometry.window_halfangle
+    c, s = np.cos(delta)[..., None], np.sin(delta)[..., None]
+    vx, vy, vz = geometry.detector_directions.T[..., None]
+    px, py, pz = positions.transpose(2, 0, 1)[:, :, None, :]
+    path = (c * vx - s * vy) * px + (s * vx + c * vy) * py + vz * pz
+    phases = np.exp(1j * geometry.wavenumber * path)
+    levels = np.ones((count, 1, 1), dtype=complex)
+    for i in range(n):
+        levels = _level_detection(levels,
+                                  phases[:, i, :, None] * components[i])
+    return levels[:, 0, :]

@@ -105,3 +105,91 @@ def w_qubit(n, phi):
 
 def qubit_fidelity(a, b):
     return abs(np.vdot(a, b)) ** 2
+
+
+# --- level-restricted layout, spelled out ket by ket -----------------------
+
+def _level_kets(n, m):
+    """Dense register index of every entry of a level-``m`` array.
+
+    Rows are the sets of ``m`` de-excited emitters in ascending bitmask
+    order; bit ``p`` of the column puts the set's ``p``-th smallest emitter
+    in ``-`` (level 2) instead of ``+`` (level 1).
+    """
+    sets = [mask for mask in range(2 ** n) if bin(mask).count("1") == m]
+    kets = np.empty((len(sets), 2 ** m), dtype=int)
+    for row, mask in enumerate(sets):
+        emitters = [j for j in range(n) if mask >> j & 1]
+        for col in range(2 ** m):
+            kets[row, col] = sum((1 + (col >> p & 1)) * 3 ** j
+                                 for p, j in enumerate(emitters))
+    return kets
+
+
+def level_from_dense(amps, n, m):
+    """Level-``m`` array of a dense register; everything off the level must vanish."""
+    kets = _level_kets(n, m)
+    rest = np.ones(3 ** n, dtype=bool)
+    rest[kets.ravel()] = False
+    assert not amps[rest].any(), "register has amplitude off level m"
+    return amps[kets]
+
+
+def dense_from_level(level, n):
+    """Dense ``3**n`` register holding a level-restricted array."""
+    m = level.shape[1].bit_length() - 1
+    amps = np.zeros(3 ** n, dtype=complex)
+    amps[_level_kets(n, m)] = level
+    return amps
+
+
+# --- dense reference for the window Monte Carlo ----------------------------
+
+def dense_estimate_fidelity(config, geometry, target=None, samples=1000, seed=0):
+    """Window Monte Carlo on the full ``3**n`` register, one sample at a time.
+
+    Same random stream as ``estimate_fidelity`` (per sample: n + n transverse
+    normals, then one scalar uniform per detector), with every detection
+    applied by the dense kernel behind ``apply_detection``.
+    """
+    from dickesim.core import _detection_kernel, _ground_free_info
+
+    config = ds.PolarizerConfig(tuple(config))
+    n = len(config)
+    if target is None:
+        target = ds.dicke_coefficients(config)
+    target_qubit = target.to_qubit_amplitudes()
+    rng = np.random.default_rng(seed)
+    t1, t2 = geometry.transverse_basis
+    free, _, qubit_idx = _ground_free_info(n)
+    k = geometry.wavenumber
+    halfwidth = geometry.window_halfangle
+    sigma = geometry.transverse_sigma
+    fidelities = []
+    excluded = 0
+    for _ in range(samples):
+        g1 = rng.normal(0.0, 1.0, size=n) * sigma
+        g2 = rng.normal(0.0, 1.0, size=n) * sigma
+        positions = (geometry.emitter_positions
+                     + np.outer(g1, t1) + np.outer(g2, t2))
+        amps = ds.EmitterRegister.ground(n).amps
+        for i, polarizer in enumerate(config):
+            delta = rng.uniform(-1.0, 1.0) * halfwidth
+            v = geometry.detector_directions[i]
+            c, s = np.cos(delta), np.sin(delta)
+            nhat = np.array([c * v[0] - s * v[1], s * v[0] + c * v[1], v[2]])
+            phases = np.exp(1j * k * (positions @ nhat))
+            amps = _detection_kernel(amps, n, polarizer.alpha * phases,
+                                     polarizer.beta * phases)
+        psi = amps[free]
+        nrm = np.linalg.norm(psi)
+        if nrm < 1e-12:
+            excluded += 1
+            continue
+        overlap = np.vdot(target_qubit[qubit_idx], psi) / nrm
+        fidelities.append(abs(overlap) ** 2)
+    if not fidelities:
+        raise ds.ZeroStateError("every sample was annihilated")
+    values = np.array(fidelities)
+    stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+    return ds.FidelityEstimate(float(values.mean()), stderr, len(values), excluded)

@@ -370,6 +370,41 @@ def test_malformed_geometry_values(tmp_path, capsys):
         assert code == 2, patch
 
 
+def test_non_finite_geometry_is_a_config_error(tmp_path, capsys):
+    for key in ("window_halfangle", "transverse_sigma"):
+        for bad in (float("nan"), float("inf")):
+            payload = _fidelity_config()
+            payload["geometry"][key] = bad
+            cfg = _write(tmp_path, "f.json", payload)
+            code, out = _run(capsys, ["fidelity", "--config", cfg])
+            assert code == 2, (key, bad)
+            assert "NaN" not in out
+    cfg = _write(tmp_path, "f.json", _fidelity_config())
+    for spec in ("nan:1:3", "0:nan:3", "0:inf:3"):
+        code, out = _run(capsys, ["fidelity", "--config", cfg, "--sweep", spec])
+        assert code == 2, spec
+        assert "nan" not in out.lower()
+
+
+def test_boolean_system_size_is_a_config_error(tmp_path, capsys):
+    for flag in (True, False):
+        cfg = _write(tmp_path, "c.json", {"n": flag, "polarizers": [{"theta": 0.0}]})
+        code, _ = _run(capsys, ["simulate", "--config", cfg])
+        assert code == 2
+
+
+def test_fidelity_above_size_limit_is_a_config_error(tmp_path, capsys):
+    from dickesim.window import WINDOW_SIZE_LIMIT
+
+    n = WINDOW_SIZE_LIMIT + 1
+    payload = _theta_config([0.0] * n, samples=1)
+    payload["geometry"] = {}
+    cfg = _write(tmp_path, "f.json", payload)
+    code, out = _run(capsys, ["fidelity", "--config", cfg])
+    assert code == 2
+    assert out == ""
+
+
 def test_bad_sweep_spec(tmp_path, capsys):
     cfg = _write(tmp_path, "f.json", _fidelity_config())
     code, _ = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "oops"])

@@ -1,8 +1,17 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 import dickesim as ds
-from conftest import random_polarizer
+from conftest import (
+    dense_estimate_fidelity,
+    dense_from_level,
+    level_from_dense,
+    random_config,
+)
+from dickesim.core import _level_detection
+from dickesim.window import _CHUNK_ENTRIES, WINDOW_SIZE_LIMIT
 
 
 def _chain_positions(n, spacing):
@@ -11,48 +20,71 @@ def _chain_positions(n, spacing):
 
 
 # ---------------------------------------------------------------------------
-# positional operator
+# level-restricted detection kernel against the dense register
 # ---------------------------------------------------------------------------
 
-def test_positional_operator_with_common_phase_matches_plain_detection():
+def _positional_weights(polarizer, direction, positions, wavelength):
+    """Emitter ``j``'s (+, -) components times ``exp(i k r_j . nhat)``, batch of one."""
+    phases = np.exp(1j * 2 * np.pi / wavelength * (positions @ direction))
+    return (phases[:, None] * [polarizer.alpha, polarizer.beta])[None], phases
+
+
+def _cascade_levels(config):
+    """Dense registers after each plain detection of ``config``, level-restricted."""
+    n = len(config)
+    reg = ds.EmitterRegister.ground(n)
+    levels = [level_from_dense(reg.amps, n, 0)]
+    for p in config:
+        reg = ds.apply_detection(reg, p)
+        levels.append(level_from_dense(reg.amps, n, len(levels)))
+    return levels
+
+
+def test_level_detection_with_common_phase_matches_plain_detection():
     rng = np.random.default_rng(51)
-    p = random_polarizer(rng)
+    config = random_config(rng, 3)
     positions = np.tile([1.3e-6, -0.4e-6, 2.0e-6], (3, 1))  # all emitters coincide
-    op = ds.positional_detection_operator(p, np.array([0.0, 0.0, 1.0]),
-                                          positions, 493e-9)
-    weighted = op.apply(ds.EmitterRegister.ground(3))
-    plain = ds.apply_detection(ds.EmitterRegister.ground(3), p)
     phase = np.exp(1j * 2 * np.pi / 493e-9 * 2.0e-6)
-    np.testing.assert_allclose(weighted.amps, phase * plain.amps, atol=1e-12)
+    plain = _cascade_levels(config)
+    for m, p in enumerate(config):
+        weights, phases = _positional_weights(p, np.array([0.0, 0.0, 1.0]),
+                                              positions, 493e-9)
+        np.testing.assert_allclose(phases, phase, atol=1e-12)
+        weighted = _level_detection(plain[m][None], weights)[0]
+        np.testing.assert_allclose(weighted, phase * plain[m + 1], atol=1e-12)
 
 
-def test_positional_operator_orthogonal_direction_is_exact_identity():
+def test_level_detection_orthogonal_direction_is_exact_identity():
     rng = np.random.default_rng(52)
-    p = random_polarizer(rng)
+    config = random_config(rng, 4)
     positions = _chain_positions(4, 5e-6)
-    op = ds.positional_detection_operator(p, np.array([0.0, 1.0, 0.0]),
-                                          positions, 493e-9)
-    np.testing.assert_array_equal(op.phases, np.ones(4))
-    weighted = op.apply(ds.EmitterRegister.ground(4))
-    plain = ds.apply_detection(ds.EmitterRegister.ground(4), p)
-    np.testing.assert_array_equal(weighted.amps, plain.amps)
+    plain = _cascade_levels(config)
+    levels = np.ones((1, 1, 1), dtype=complex)
+    for m, p in enumerate(config):
+        weights, phases = _positional_weights(p, np.array([0.0, 1.0, 0.0]),
+                                              positions, 493e-9)
+        np.testing.assert_array_equal(phases, np.ones(4))
+        levels = _level_detection(levels, weights)
+        np.testing.assert_array_equal(levels[0], plain[m + 1])
 
 
-def test_positional_operator_half_wavelength_flips_sign():
+def test_level_detection_half_wavelength_flips_sign():
     wavelength = 493e-9
+    p = ds.Polarizer(0.6, 0.8j)
     positions = np.array([[0.0, 0.0, 0.0], [wavelength / 2, 0.0, 0.0]])
-    op = ds.positional_detection_operator(ds.Polarizer.sigma_plus(),
-                                          np.array([1.0, 0.0, 0.0]),
+    weights, phases = _positional_weights(p, np.array([1.0, 0.0, 0.0]),
                                           positions, wavelength)
-    assert op.phases[0] == pytest.approx(1.0)
-    assert op.phases[1] == pytest.approx(-1.0)
-
-
-def test_positional_operator_requires_unit_direction():
-    with pytest.raises(ValueError):
-        ds.positional_detection_operator(ds.Polarizer.sigma_plus(),
-                                         np.array([0.0, 2.0, 0.0]),
-                                         _chain_positions(2, 5e-6), 493e-9)
+    assert phases[0] == pytest.approx(1.0)
+    assert phases[1] == pytest.approx(-1.0)
+    weighted = dense_from_level(
+        _level_detection(np.ones((1, 1, 1), dtype=complex), weights)[0], 2)
+    plain = ds.apply_detection(ds.EmitterRegister.ground(2), p).amps
+    for ket in ("+e", "-e"):     # emitter 0 keeps its sign
+        idx = ds.ket_index(ket)
+        assert weighted[idx] == pytest.approx(plain[idx], abs=1e-12)
+    for ket in ("e+", "e-"):     # emitter 1 sits half a wavelength further on
+        idx = ds.ket_index(ket)
+        assert weighted[idx] == pytest.approx(-plain[idx], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +113,22 @@ def test_geometry_validation():
         ds.DetectionGeometry(pos, 0.0, 493e-9, np.zeros((2, 3)), 0.0)
     with pytest.raises(ValueError):
         ds.DetectionGeometry(pos[:1], 0.0, 493e-9, dirs, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ds.DetectionGeometry(pos, bad, 493e-9, dirs, 0.0)
+        with pytest.raises(ValueError):
+            ds.DetectionGeometry(pos, 0.0, 493e-9, dirs, bad)
+        with pytest.raises(ValueError):
+            ds.DetectionGeometry(pos, 0.0, bad, dirs, 0.0)
+
+
+def test_transverse_basis_is_fixed_at_construction():
+    geo = ds.DetectionGeometry.linear_chain(3)
+    t1, t2 = geo.transverse_basis
+    axis = np.array([1.0, 0.0, 0.0])
+    np.testing.assert_allclose([t1 @ axis, t2 @ axis, t1 @ t2], 0.0, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(geo.transverse_basis, axis=1), 1.0)
+    assert not geo.transverse_basis.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +193,45 @@ def test_every_sample_annihilated_raises():
     geo = ds.DetectionGeometry(positions, 0.0, wavelength, directions, 0.0)
     with pytest.raises(ds.ZeroStateError):
         ds.estimate_fidelity(config, geo, samples=5, seed=1)
+    with pytest.raises(ds.ZeroStateError):
+        dense_estimate_fidelity(config, geo, samples=5, seed=1)
+
+
+def _window_cases():
+    rng = np.random.default_rng(60)
+    for n in range(1, 8):
+        yield pytest.param(random_config(rng, n), None, id=f"random{n}")
+        if n > 1:
+            yield pytest.param(ds.ghz_config(n, 0.4), None, id=f"ghz{n}")
+            yield pytest.param(ds.w_config(n, 0.2), None, id=f"w{n}")
+            yield pytest.param(ds.ghz_config(n, 0.0),
+                               ds.dicke_coefficients(ds.w_config(n, 0.3)),
+                               id=f"ghz{n}-vs-w")
+
+
+@pytest.mark.parametrize("config, target", _window_cases())
+def test_estimate_matches_dense_reference(config, target):
+    n = len(config)
+    geo = ds.DetectionGeometry.linear_chain(n, transverse_sigma=20e-9,
+                                            window_halfangle=np.deg2rad(2.0))
+    # two full chunks and a partial one
+    chunk = _CHUNK_ENTRIES // max(comb(n, m) << m for m in range(n + 1))
+    samples = 2 * max(1, chunk) + 1
+    got = ds.estimate_fidelity(config, geo, target=target, samples=samples,
+                               seed=100 + n)
+    want = dense_estimate_fidelity(config, geo, target=target, samples=samples,
+                                   seed=100 + n)
+    assert got.mean_fidelity == pytest.approx(want.mean_fidelity, abs=1e-12)
+    assert got.standard_error == pytest.approx(want.standard_error, abs=1e-12)
+    assert (got.sample_count, got.excluded_count) == (want.sample_count,
+                                                      want.excluded_count)
+
+
+def test_size_guard_rejects_systems_above_the_limit():
+    n = WINDOW_SIZE_LIMIT + 1
+    geo = ds.DetectionGeometry.linear_chain(n)
+    with pytest.raises(ds.TooLargeError):
+        ds.estimate_fidelity(ds.ghz_config(n, 0.0), geo, samples=1)
 
 
 def test_mismatched_sizes_are_rejected():
