@@ -29,7 +29,6 @@ from .core import (
     fidelity,
     ket_index,
     ket_string,
-    make_polarizer,
     project_symmetric,
     same_orientation,
 )

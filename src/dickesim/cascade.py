@@ -14,12 +14,21 @@ final normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, cycle, repeat
 from math import comb, factorial
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LinearAngle, Polarizer, SymmetricState
+from .core import (
+    LinearAngle,
+    Polarizer,
+    SymmetricState,
+    _level_detection,
+    _level_kets,
+    _sqrt_binomials,
+)
 from .errors import InvalidKetError, ZeroStateError
 
 
@@ -87,8 +96,7 @@ def dicke_coefficients(config) -> SymmetricState:
     config = _as_config(config)
     n = len(config)
     q = _product_polynomial(config)
-    raw = q / np.sqrt([comb(n, k) for k in range(n + 1)])
-    return SymmetricState.from_raw(n, raw)
+    return SymmetricState.from_raw(n, q / _sqrt_binomials(n))
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +131,26 @@ def build_pyramid(config) -> list[PyramidLevel]:
     level m-1, branching every still-excited emitter into ``+`` (weight
     ``alpha_m``) and ``-`` (weight ``beta_m``).  Amplitudes of coinciding
     kets add coherently, which is where the multipath interference lives.
+    Kets whose amplitude is exactly zero are left out.
+
+    The levels are computed by the level-restricted kernel of the window
+    Monte Carlo, with every emitter weighted alike.
     """
     config = _as_config(config)
     n = len(config)
-    levels = [PyramidLevel(0, {"e" * n: 1.0 + 0.0j})]
+    kets = _level_kets(n)
+    level = np.ones((1, 1, 1), dtype=complex)
+    levels = [PyramidLevel(0, {kets[0][0]: 1.0 + 0.0j})]
     for m, p in enumerate(config, start=1):
-        terms: dict[str, complex] = {}
-        for ket, amp in levels[-1].terms.items():
-            for j, ch in enumerate(ket):
-                if ch != "e":
-                    continue
-                plus = ket[:j] + "+" + ket[j + 1:]
-                minus = ket[:j] + "-" + ket[j + 1:]
-                terms[plus] = terms.get(plus, 0.0) + p.alpha * amp
-                terms[minus] = terms.get(minus, 0.0) + p.beta * amp
-        terms = {k: v for k, v in terms.items() if v != 0.0}
-        if not terms:
+        weights = np.broadcast_to(np.array([p.alpha, p.beta]), (1, n, 2))
+        level = _level_detection(level, weights)
+        amps = level.ravel()
+        nonzero = amps != 0.0
+        if not nonzero.any():
             raise ZeroStateError(f"cascade annihilated the state at step {m}")
-        levels.append(PyramidLevel(m, terms))
+        levels.append(PyramidLevel(
+            m, dict(zip(compress(kets[m], nonzero.tolist()),
+                        amps[nonzero].tolist()))))
     return levels
 
 
@@ -165,23 +175,65 @@ def pyramid_text(levels: Sequence[PyramidLevel]) -> str:
     return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
+def _edge_table(n: int) -> tuple[tuple[frozenset, tuple, list, list], ...]:
+    """Every possible edge of an ``n``-emitter pyramid, one entry per step.
+
+    Entry ``m - 1`` holds the level-``m - 1`` kets as a set and in sorted
+    order, then the parent and the child of each edge in the order of
+    :func:`pyramid_edges`: parents sorted, and for each parent its excited
+    emitters in ascending order, ``+`` child before ``-`` child.  Every ket
+    is the shared string object of :func:`core._level_kets`.
+    """
+    kets = _level_kets(n)
+    table = []
+    for m in range(1, n + 1):
+        canonical = {ket: ket for ket in kets[m]}
+        parents = tuple(sorted(kets[m - 1]))
+        flat_parents, children = [], []
+        for ket in parents:
+            for j, ch in enumerate(ket):
+                if ch == "e":
+                    children.append(canonical[ket[:j] + "+" + ket[j + 1:]])
+                    children.append(canonical[ket[:j] + "-" + ket[j + 1:]])
+            flat_parents.extend([ket] * (2 * (n - m + 1)))
+        table.append((frozenset(parents), parents, flat_parents, children))
+    return tuple(table)
+
+
 def pyramid_edges(config, levels: Sequence[PyramidLevel] | None = None,
                   ) -> list[tuple[int, str, str, complex]]:
     """Transition list ``(level, parent_ket, child_ket, weight)``.
 
     ``level`` is the step of the child ket and ``weight`` is the polarizer
     component applied on that edge (``alpha_m`` for an ``e -> +`` transition,
-    ``beta_m`` for ``e -> -``).
+    ``beta_m`` for ``e -> -``).  Parents are the kets of ``levels`` in sorted
+    order, each with one edge pair per excited emitter.
+
+    Raises
+    ------
+    InvalidKetError
+        If a ket of ``levels[m - 1]`` is not a ket with ``m - 1`` emitters
+        out of ``e``.
     """
     config = _as_config(config)
+    n = len(config)
     if levels is None:
         levels = build_pyramid(config)
     edges: list[tuple[int, str, str, complex]] = []
-    for m, p in enumerate(config, start=1):
-        for ket in sorted(levels[m - 1].terms):
-            for j, ch in enumerate(ket):
-                if ch != "e":
-                    continue
-                edges.append((m, ket, ket[:j] + "+" + ket[j + 1:], p.alpha))
-                edges.append((m, ket, ket[:j] + "-" + ket[j + 1:], p.beta))
+    for (m, p), (known, parents, flat_parents, children) in zip(
+            enumerate(config, start=1), _edge_table(n)):
+        terms = levels[m - 1].terms
+        if not terms.keys() <= known:
+            foreign = next(ket for ket in terms if ket not in known)
+            raise InvalidKetError(
+                f"ket {foreign!r} is not a step-{m - 1} ket of {n} emitters")
+        if len(terms) < len(parents):
+            # absent parents, e.g. structural zeros of sigma+/- polarizers
+            keep = np.repeat([ket in terms for ket in parents],
+                             2 * (n - m + 1)).tolist()
+            flat_parents = compress(flat_parents, keep)
+            children = compress(children, keep)
+        edges.extend(zip(repeat(m), flat_parents, children,
+                         cycle((p.alpha, p.beta))))
     return edges

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -70,9 +71,15 @@ def _parse_complex(value, what: str) -> complex:
 
 
 def _angle(value, what: str, degrees: bool) -> float:
-    if not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(np.deg2rad(value)) if degrees else float(value)
+    try:
+        angle = float(value)
+    except OverflowError:  # an integer beyond the float range
+        angle = math.inf
+    if not math.isfinite(angle):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return float(np.deg2rad(angle)) if degrees else angle
 
 
 def _system_size(cfg: dict) -> int:

@@ -110,11 +110,6 @@ class LinearAngle:
                          np.exp(1j * self.theta) / np.sqrt(2.0))
 
 
-def make_polarizer(alpha: complex, beta: complex) -> Polarizer:
-    """Build a normalized polarizer from arbitrary complex components."""
-    return Polarizer(alpha, beta)
-
-
 def same_orientation(p: Polarizer, q: Polarizer) -> bool:
     """Projective equality test: ``|p.alpha*q.beta - q.alpha*p.beta|`` small.
 
@@ -151,15 +146,12 @@ class DickeIndex:
 
     @property
     def ket_amplitude(self) -> float:
-        return 1.0 / np.sqrt(self.multiplicity)
+        return 1.0 / _sqrt_binomials(self.n)[self.k]
 
     def basis_vector(self) -> np.ndarray:
         """Qubit amplitudes (length ``2**n``, bit ``j`` set = emitter j in -)."""
-        psi = np.zeros(2 ** self.n, dtype=complex)
-        for idx in range(2 ** self.n):
-            if _bit_counts(self.n)[idx] == self.k:
-                psi[idx] = self.ket_amplitude
-        return psi
+        return np.where(_bit_counts(self.n) == self.k,
+                        complex(self.ket_amplitude), 0j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,9 +212,8 @@ class SymmetricState:
         Bit ``j`` of the index is 1 when emitter ``j`` sits in ``-``;
         every ket with ``k`` set bits receives ``d_k / sqrt(C(n, k))``.
         """
-        counts = _bit_counts(self.n)
-        weights = self.coeffs / np.sqrt([comb(self.n, k) for k in range(self.n + 1)])
-        return weights[counts]
+        weights = self.coeffs / _sqrt_binomials(self.n)
+        return weights[_bit_counts(self.n)]
 
 
 def fidelity(a: SymmetricState, b: SymmetricState) -> float:
@@ -267,6 +258,18 @@ def _ground_free_info(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _sqrt_binomials(n: int) -> np.ndarray:
+    """``sqrt(C(n, k))`` for ``k = 0..n`` as floats.
+
+    Each binomial is rounded to float before the root: from n = 68 on they
+    exceed int64, and numpy would otherwise fall back to an object array.
+    """
+    roots = np.sqrt([float(comb(n, k)) for k in range(n + 1)])
+    roots.setflags(write=False)
+    return roots
+
+
+@lru_cache(maxsize=None)
 def _bit_counts(n: int) -> np.ndarray:
     counts = np.array([bin(i).count("1") for i in range(2 ** n)])
     counts.setflags(write=False)
@@ -307,6 +310,28 @@ def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
             a.setflags(write=False)
         tables.append((src, emitter))
     return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def _level_kets(n: int) -> tuple[tuple[str, ...], ...]:
+    """Ket strings of every level in the layout of :func:`_level_tables`.
+
+    Entry ``m`` spells the ``C(n, m) * 2**m`` entries of a level-``m`` array
+    in row-major order, so ``zip(_level_kets(n)[m], level.ravel())`` pairs
+    each ket with its amplitude.  The strings are shared by every caller;
+    callers that store kets should store these objects, not copies.
+    """
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    kets = []
+    for m in range(n + 1):
+        sets = bits[bits.sum(axis=1) == m].astype(bool)  # ascending bitmask order
+        # position of each emitter within its set; bit p of the column is
+        # the level of the set's p-th smallest emitter
+        pos = np.where(sets, np.cumsum(sets, axis=1) - 1, 0)
+        minus = (np.arange(2 ** m)[None, :, None] >> pos[:, None, :]) & 1
+        chars = np.where(sets[:, None, :], np.where(minus, "-", "+"), "e")
+        kets.append(tuple(chars.view(f"<U{n}").ravel().tolist()))
+    return tuple(kets)
 
 
 def _level_detection(levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -447,7 +472,8 @@ def project_symmetric(register: EmitterRegister) -> SymmetricState:
         raise ZeroStateError("register is the zero vector")
     raw = np.zeros(n + 1, dtype=complex)
     for k in range(n + 1):
-        raw[k] = amps[free[minus == k]].sum() / np.sqrt(comb(n, k))
+        raw[k] = amps[free[minus == k]].sum()
+    raw /= _sqrt_binomials(n)
     kept = float(np.vdot(raw, raw).real)
     if 1.0 - kept / total > RESIDUAL_TOL:
         raise AsymmetricResidueError(

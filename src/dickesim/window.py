@@ -44,7 +44,12 @@ import numpy as np
 
 from .cascade import _as_config, dicke_coefficients
 from .core import SymmetricState, _level_detection
-from .errors import DimensionMismatchError, TooLargeError, ZeroStateError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    TooLargeError,
+    ZeroStateError,
+)
 
 DEFAULT_WAVELENGTH = 493e-9
 
@@ -81,7 +86,7 @@ class DetectionGeometry:
 
     ``transverse_basis`` is derived on construction: two unit vectors, shape
     ``(2, 3)``, spanning the plane orthogonal to the emitter line, along
-    which the jitter is drawn.
+    which the jitter is drawn.  Invalid values raise ``ConfigError``.
     """
 
     emitter_positions: np.ndarray
@@ -92,26 +97,35 @@ class DetectionGeometry:
     transverse_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.emitter_positions, dtype=float)
-        dirs = np.asarray(self.detector_directions, dtype=float)
+        try:
+            pos = np.asarray(self.emitter_positions, dtype=float)
+            dirs = np.asarray(self.detector_directions, dtype=float)
+            wavelength = float(self.wavelength)
+            window = float(self.window_halfangle)
+            sigma = float(self.transverse_sigma)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"geometry values must be numeric: {exc}") from exc
         if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError(f"emitter_positions must be (n, 3), got {pos.shape}")
+            raise ConfigError(f"emitter_positions must be (n, 3), got {pos.shape}")
         if dirs.shape != pos.shape:
-            raise ValueError(
+            raise ConfigError(
                 f"detector_directions {dirs.shape} must match emitter_positions {pos.shape}")
         if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(dirs)):
-            raise ValueError("positions and directions must be finite")
+            raise ConfigError("positions and directions must be finite")
         # written so that NaN fails every check
-        if not 0.0 < self.wavelength < np.inf:
-            raise ValueError("wavelength must be positive and finite")
-        if not 0.0 <= self.window_halfangle < np.inf:
-            raise ValueError("window_halfangle must be finite and >= 0")
-        if not 0.0 <= self.transverse_sigma < np.inf:
-            raise ValueError("transverse_sigma must be finite and >= 0")
+        if not 0.0 < wavelength < np.inf:
+            raise ConfigError("wavelength must be positive and finite")
+        if not 0.0 <= window < np.inf:
+            raise ConfigError("window_halfangle must be finite and >= 0")
+        if not 0.0 <= sigma < np.inf:
+            raise ConfigError("transverse_sigma must be finite and >= 0")
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(norms == 0):
-            raise ValueError("detector directions must be nonzero")
+            raise ConfigError("detector directions must be nonzero")
         object.__setattr__(self, "emitter_positions", pos)
+        object.__setattr__(self, "wavelength", wavelength)
+        object.__setattr__(self, "window_halfangle", window)
+        object.__setattr__(self, "transverse_sigma", sigma)
         object.__setattr__(self, "detector_directions", dirs / norms[:, None])
         basis = _transverse_basis(pos)
         basis.setflags(write=False)
@@ -198,6 +212,8 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     ------
     TooLargeError
         If the configuration has more than ``WINDOW_SIZE_LIMIT`` emitters.
+    ConfigError
+        If ``samples`` is not a positive integer.
     DimensionMismatchError
         If configuration, geometry, and target sizes disagree.
     ZeroStateError
@@ -211,8 +227,10 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     if geometry.n != n:
         raise DimensionMismatchError(
             f"geometry has {geometry.n} emitters, configuration has {n}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ConfigError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ConfigError(f"samples must be >= 1, got {samples}")
     if target is None:
         target = dicke_coefficients(config)
     if target.n != n:

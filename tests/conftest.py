@@ -15,7 +15,7 @@ import dickesim as ds
 
 def random_polarizer(rng):
     v = rng.normal(size=4)
-    return ds.make_polarizer(complex(v[0], v[1]), complex(v[2], v[3]))
+    return ds.Polarizer(complex(v[0], v[1]), complex(v[2], v[3]))
 
 
 def random_config(rng, n):
@@ -193,3 +193,41 @@ def dense_estimate_fidelity(config, geometry, target=None, samples=1000, seed=0)
     values = np.array(fidelities)
     stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     return ds.FidelityEstimate(float(values.mean()), stderr, len(values), excluded)
+
+
+# --- string-slicing reference for the pyramid -------------------------------
+
+def reference_pyramid(config):
+    """Pyramid levels as ``{ket: amplitude}`` dicts, expanded ket by ket.
+
+    Each level applies polarizer m to every ket of the previous level by
+    slicing ``+`` and ``-`` into each ``e`` position; exactly-zero sums are
+    dropped.
+    """
+    n = len(config)
+    levels = [{"e" * n: 1.0 + 0.0j}]
+    for p in config:
+        terms = {}
+        for ket, amp in levels[-1].items():
+            for j, ch in enumerate(ket):
+                if ch != "e":
+                    continue
+                plus = ket[:j] + "+" + ket[j + 1:]
+                minus = ket[:j] + "-" + ket[j + 1:]
+                terms[plus] = terms.get(plus, 0.0) + p.alpha * amp
+                terms[minus] = terms.get(minus, 0.0) + p.beta * amp
+        levels.append({k: v for k, v in terms.items() if v != 0.0})
+    return levels
+
+
+def reference_pyramid_edges(config, level_terms):
+    """Edge list ``(step, parent, child, weight)`` over the sorted parents of each level."""
+    edges = []
+    for m, p in enumerate(config, start=1):
+        for ket in sorted(level_terms[m - 1]):
+            for j, ch in enumerate(ket):
+                if ch != "e":
+                    continue
+                edges.append((m, ket, ket[:j] + "+" + ket[j + 1:], p.alpha))
+                edges.append((m, ket, ket[:j] + "-" + ket[j + 1:], p.beta))
+    return edges

@@ -1,10 +1,18 @@
-from math import comb, factorial
+import cmath
+from math import comb, factorial, lgamma
 
 import numpy as np
 import pytest
 
 import dickesim as ds
-from conftest import enumerate_paths, oracle_forward, random_config, random_polarizer
+from conftest import (
+    enumerate_paths,
+    oracle_forward,
+    random_config,
+    random_polarizer,
+    reference_pyramid,
+    reference_pyramid_edges,
+)
 
 
 def test_all_plus_configuration():
@@ -72,6 +80,21 @@ def test_coefficient_vanishing_bounds():
                 assert coeffs[k] == 0.0
 
 
+@pytest.mark.parametrize("n", [68, 96, 200])
+def test_identical_polarizers_give_binomial_product_state_at_large_n(n):
+    # n identical polarizers give d_k = sqrt(C(n, k)) alpha^(n-k) beta^k,
+    # normalized since |alpha|^2 + |beta|^2 = 1; spelled out in log space
+    # because C(n, k) exceeds int64 from n = 68 on
+    p = random_polarizer(np.random.default_rng(n))
+    log_d = np.array([0.5 * (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1))
+                      + (n - k) * cmath.log(p.alpha) + k * cmath.log(p.beta)
+                      for k in range(n + 1)])
+    expected = np.exp(log_d)
+    expected /= np.linalg.norm(expected)
+    state = ds.dicke_coefficients(ds.PolarizerConfig((p,) * n))
+    np.testing.assert_allclose(state.coeffs, expected, rtol=1e-10, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # pyramid
 # ---------------------------------------------------------------------------
@@ -114,17 +137,61 @@ def test_pyramid_final_level_reproduces_closed_form():
 
 def test_pyramid_levels_match_register_cascade():
     rng = np.random.default_rng(30)
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
+    for n in [2, 3, 4, 5, 6, 7] * 2:
         config = random_config(rng, n)
         levels = ds.build_pyramid(config)
         reg = ds.EmitterRegister.ground(n)
         for m, p in enumerate(config, start=1):
             reg = ds.apply_detection(reg, p)
-            for idx in range(3 ** n):
-                ket = ds.ket_string(idx, n)
-                assert levels[m].terms.get(ket, 0.0) == pytest.approx(
-                    reg.amps[idx], abs=1e-12)
+            dense = np.zeros(3 ** n, dtype=complex)
+            for ket, amp in levels[m].terms.items():
+                dense[ds.ket_index(ket)] = amp
+            scale = max(1.0, np.abs(reg.amps).max())
+            np.testing.assert_allclose(dense, reg.amps, rtol=0, atol=1e-12 * scale)
+
+
+def test_pyramid_matches_string_reference():
+    rng = np.random.default_rng(31)
+    for n in range(1, 9):
+        for trial in range(3):
+            pols = list(random_config(rng, n))
+            if trial:
+                # sigma+/- polarizers leave structural zeros in the levels
+                for i in rng.choice(n, size=(n + 1) // 2, replace=False):
+                    pols[i] = (ds.Polarizer.sigma_plus() if rng.random() < 0.5
+                               else ds.Polarizer.sigma_minus())
+            config = ds.PolarizerConfig(tuple(pols))
+            want = reference_pyramid(config)
+            levels = ds.build_pyramid(config)
+            assert [level.step for level in levels] == list(range(n + 1))
+            for level, terms in zip(levels, want):
+                assert level.terms.keys() == terms.keys()
+                scale = max(abs(amp) for amp in terms.values())
+                for ket, amp in terms.items():
+                    assert abs(level.terms[ket] - amp) <= 1e-13 * scale
+            assert ds.pyramid_edges(config, levels) == reference_pyramid_edges(
+                config, want)
+            assert ds.pyramid_edges(config) == ds.pyramid_edges(config, levels)
+
+
+def test_pyramid_edges_share_the_pyramid_ket_strings():
+    # one string object per ket keeps the memory of a large pyramid and its
+    # edge list to the kets themselves
+    config = random_config(np.random.default_rng(32), 5)
+    levels = ds.build_pyramid(config)
+    kets = {id(ket) for level in levels for ket in level.terms}
+    for _, parent, child, _ in ds.pyramid_edges(config, levels):
+        assert id(parent) in kets and id(child) in kets
+
+
+def test_pyramid_edges_reject_foreign_parent_kets():
+    config = ds.PolarizerConfig.from_angles([0.0, 1.0, 2.0])
+    levels = ds.build_pyramid(config)
+    for bad in ("+e", "eeee", "e+x", "+++"):
+        forged = list(levels)
+        forged[1] = ds.PyramidLevel(1, {**levels[1].terms, bad: 1.0 + 0.0j})
+        with pytest.raises(ds.InvalidKetError):
+            ds.pyramid_edges(config, forged)
 
 
 def test_pyramid_final_level_matches_path_enumeration():

@@ -409,3 +409,23 @@ def test_bad_sweep_spec(tmp_path, capsys):
     cfg = _write(tmp_path, "f.json", _fidelity_config())
     code, _ = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "oops"])
     assert code == 2
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf"),
+                                   True, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "true", "huge-int"])
+def test_non_finite_or_boolean_theta_is_a_config_error(tmp_path, capsys, theta):
+    cfg = _write(tmp_path, "c.json", {"n": 3, "polarizers": [
+        {"theta": theta}, {"theta": 1.0}, {"theta": 2.0}]})
+    for verb in ("simulate", "classify", "pyramid"):
+        code, out = _run(capsys, [verb, "--config", cfg])
+        assert code == 2, verb
+        assert out == ""
+
+
+def test_boolean_window_halfangle_is_a_config_error(tmp_path, capsys):
+    payload = _fidelity_config()
+    payload["geometry"]["window_halfangle"] = True
+    code, out = _run(capsys, ["fidelity", "--config", _write(tmp_path, "f.json", payload)])
+    assert code == 2
+    assert out == ""

@@ -13,18 +13,18 @@ from conftest import enumerate_paths, ghz_qubit, qubit_fidelity, random_config, 
 # ---------------------------------------------------------------------------
 
 def test_make_polarizer_passes_through_normalized():
-    p = ds.make_polarizer(1.0, 0.0)
+    p = ds.Polarizer(1.0, 0.0)
     assert p.alpha == 1.0 and p.beta == 0.0
 
 
 def test_make_polarizer_rescales():
-    p = ds.make_polarizer(2.0, 0.0)
+    p = ds.Polarizer(2.0, 0.0)
     assert p.alpha == pytest.approx(1.0) and p.beta == 0.0
 
 
 def test_make_polarizer_matches_linear_angle():
     theta = np.pi / 4
-    p = ds.make_polarizer(np.exp(-1j * theta), np.exp(1j * theta))
+    p = ds.Polarizer(np.exp(-1j * theta), np.exp(1j * theta))
     q = ds.LinearAngle(theta).to_polarizer()
     assert p.alpha == pytest.approx(np.exp(-1j * theta) / np.sqrt(2))
     assert p.beta == pytest.approx(np.exp(1j * theta) / np.sqrt(2))
@@ -34,12 +34,12 @@ def test_make_polarizer_matches_linear_angle():
 
 def test_make_polarizer_rejects_zero_vector():
     with pytest.raises(ds.ZeroVectorError):
-        ds.make_polarizer(0.0, 0.0)
+        ds.Polarizer(0.0, 0.0)
 
 
 def test_make_polarizer_rejects_nonfinite():
     with pytest.raises(ValueError):
-        ds.make_polarizer(np.nan, 1.0)
+        ds.Polarizer(np.nan, 1.0)
 
 
 def test_polarizer_unit_norm_random():

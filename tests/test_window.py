@@ -103,23 +103,28 @@ def test_linear_chain_geometry_defaults():
 def test_geometry_validation():
     pos = _chain_positions(2, 5e-6)
     dirs = np.tile([0.0, 1.0, 0.0], (2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ds.ConfigError):
         ds.DetectionGeometry(pos, -1e-9, 493e-9, dirs, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ds.ConfigError):
         ds.DetectionGeometry(pos, 0.0, 0.0, dirs, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ds.ConfigError):
         ds.DetectionGeometry(pos, 0.0, 493e-9, dirs, -0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ds.ConfigError):
         ds.DetectionGeometry(pos, 0.0, 493e-9, np.zeros((2, 3)), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ds.ConfigError):
         ds.DetectionGeometry(pos[:1], 0.0, 493e-9, dirs, 0.0)
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ds.ConfigError):
             ds.DetectionGeometry(pos, bad, 493e-9, dirs, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ds.ConfigError):
             ds.DetectionGeometry(pos, 0.0, 493e-9, dirs, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ds.ConfigError):
             ds.DetectionGeometry(pos, 0.0, bad, dirs, 0.0)
+    for bad in ("wide", None):
+        with pytest.raises(ds.ConfigError):
+            ds.DetectionGeometry(pos, 0.0, 493e-9, dirs, bad)
+    with pytest.raises(ds.ConfigError):
+        ds.DetectionGeometry([["a", 0.0, 0.0]] * 2, 0.0, 493e-9, dirs, 0.0)
 
 
 def test_transverse_basis_is_fixed_at_construction():
@@ -243,5 +248,15 @@ def test_mismatched_sizes_are_rejected():
     wrong_target = ds.SymmetricState.from_raw(4, [1, 0, 0, 0, 1])
     with pytest.raises(ds.DimensionMismatchError):
         ds.estimate_fidelity(config, geo3, target=wrong_target, samples=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ds.ConfigError):
         ds.estimate_fidelity(config, geo3, samples=0)
+
+
+@pytest.mark.parametrize("samples", [2.5, "3", True, None],
+                         ids=["float", "str", "bool", "none"])
+def test_non_integer_samples_are_a_config_error(samples):
+    config = ds.ghz_config(3, 0.0)
+    geo = ds.DetectionGeometry.linear_chain(3)
+    with pytest.raises(ds.ConfigError):
+        ds.estimate_fidelity(config, geo, samples=samples)
+    assert ds.estimate_fidelity(config, geo, samples=np.int64(2)).sample_count == 2
