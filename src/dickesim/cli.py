@@ -63,22 +63,27 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _parse_complex(value, what: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
-        raise ConfigError(f"{what} must be a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
-
-
-def _angle(value, what: str, degrees: bool) -> float:
+def _real(value, what: str) -> float:
+    """A finite JSON number as a float; booleans are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
-        angle = float(value)
+        x = float(value)
     except OverflowError:  # an integer beyond the float range
-        angle = math.inf
-    if not math.isfinite(angle):
+        raise ConfigError(f"{what} is beyond the float range") from None
+    if not math.isfinite(x):
         raise ConfigError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _parse_complex(value, what: str) -> complex:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{what} must be a [re, im] pair, got {value!r}")
+    return complex(_real(value[0], f"{what} re"), _real(value[1], f"{what} im"))
+
+
+def _angle(value, what: str, degrees: bool) -> float:
+    angle = _real(value, what)
     return float(np.deg2rad(angle)) if degrees else angle
 
 
@@ -138,15 +143,15 @@ def _parse_geometry(cfg: dict, degrees: bool) -> DetectionGeometry:
 
     window = _angle(geo.get("window_halfangle", 0.0), "window_halfangle", degrees)
     try:
-        sigma = float(geo.get("transverse_sigma", 0.0))
-        wavelength = float(geo.get("wavelength", DEFAULT_WAVELENGTH))
+        sigma = _real(geo.get("transverse_sigma", 0.0), "transverse_sigma")
+        wavelength = _real(geo.get("wavelength", DEFAULT_WAVELENGTH), "wavelength")
 
         if "emitter_positions" in geo:
             positions = np.asarray(geo["emitter_positions"], dtype=float)
             if positions.shape != (n, 3):
                 raise ConfigError(f"emitter_positions must be {n} [x,y,z] triples")
         else:
-            spacing = float(geo.get("spacing", 5e-6))
+            spacing = _real(geo.get("spacing", 5e-6), "spacing")
             xs = (np.arange(n) - (n - 1) / 2.0) * spacing
             positions = np.column_stack([xs, np.zeros(n), np.zeros(n)])
 
@@ -161,7 +166,7 @@ def _parse_geometry(cfg: dict, degrees: bool) -> DetectionGeometry:
         return DetectionGeometry(positions, sigma, wavelength, directions, window)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid geometry: {exc}") from exc
 
 

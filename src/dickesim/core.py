@@ -277,13 +277,30 @@ def _bit_counts(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _level_sets(n: int) -> tuple[np.ndarray, ...]:
+    """The rows of every level: sets of de-excited emitters, by size.
+
+    Entry ``m`` is a read-only boolean array of shape ``(C(n, m), n)``; row
+    ``r`` is the ``r``-th set of ``m`` emitters in ascending bitmask order,
+    and column ``j`` is True when emitter ``j`` is in the set.  This fixes
+    the row order shared by :func:`_level_tables` and :func:`_level_kets`.
+    """
+    members = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    size = members.sum(axis=1)
+    sets = tuple(members[size == m] for m in range(n + 1))
+    for rows in sets:
+        rows.setflags(write=False)
+    return sets
+
+
+@lru_cache(maxsize=None)
 def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Gather tables carrying a level-restricted register from level m to m+1.
 
     After ``m`` detections only kets with exactly ``m`` emitters out of ``e``
     can be nonzero.  Level ``m`` is stored as an array of shape
-    ``(C(n, m), 2**m)``: rows are the sets of de-excited emitters in
-    ascending bitmask order, and bit ``p`` of the column is 1 when the
+    ``(C(n, m), 2**m)``: rows are the sets of :func:`_level_sets` (in
+    ascending bitmask order), and bit ``p`` of the column is 1 when the
     ``p``-th smallest emitter of the set sits in ``-`` (else ``+``).  Level
     ``n`` therefore has a single row whose columns are the qubit indices of
     :meth:`SymmetricState.to_qubit_amplitudes`.
@@ -293,19 +310,17 @@ def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     set's ``p``-th smallest emitter and ``src[p]`` the level-``m`` row of the
     set without it.
     """
-    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-    # sets by size, ties in ascending bitmask order; rank = row within level
-    order = np.argsort(bits.sum(axis=1), kind="stable")
-    counts = [comb(n, m) for m in range(n + 1)]
-    starts = np.cumsum([0] + counts)
-    rank = np.empty(2 ** n, dtype=np.intp)
-    rank[order] = np.arange(2 ** n) - np.repeat(starts[:-1], counts)
+    sets = _level_sets(n)
+    place = 1 << np.arange(n)
+    rank = np.empty(2 ** n, dtype=np.intp)  # bitmask -> row within its level
+    for rows in sets:
+        rank[rows @ place] = np.arange(len(rows))
     tables = []
     for m in range(n):
-        sets = order[starts[m + 1]:starts[m + 2]]
-        _, emitter = np.nonzero(bits[sets])
+        rows = sets[m + 1]
+        _, emitter = np.nonzero(rows)
         emitter = np.ascontiguousarray(emitter.reshape(-1, m + 1).T)
-        src = rank[sets ^ (1 << emitter)]
+        src = rank[(rows @ place) ^ (1 << emitter)]
         for a in (src, emitter):
             a.setflags(write=False)
         tables.append((src, emitter))
@@ -321,10 +336,8 @@ def _level_kets(n: int) -> tuple[tuple[str, ...], ...]:
     each ket with its amplitude.  The strings are shared by every caller;
     callers that store kets should store these objects, not copies.
     """
-    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
     kets = []
-    for m in range(n + 1):
-        sets = bits[bits.sum(axis=1) == m].astype(bool)  # ascending bitmask order
+    for m, sets in enumerate(_level_sets(n)):
         # position of each emitter within its set; bit p of the column is
         # the level of the set's p-th smallest emitter
         pos = np.where(sets, np.cumsum(sets, axis=1) - 1, 0)

@@ -97,13 +97,14 @@ class DetectionGeometry:
     transverse_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        scalars = (self.wavelength, self.window_halfangle, self.transverse_sigma)
+        if any(isinstance(x, (bool, np.bool_)) for x in scalars):
+            raise ConfigError("geometry values must be numeric, not booleans")
         try:
             pos = np.asarray(self.emitter_positions, dtype=float)
             dirs = np.asarray(self.detector_directions, dtype=float)
-            wavelength = float(self.wavelength)
-            window = float(self.window_halfangle)
-            sigma = float(self.transverse_sigma)
-        except (TypeError, ValueError) as exc:
+            wavelength, window, sigma = map(float, scalars)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"geometry values must be numeric: {exc}") from exc
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ConfigError(f"emitter_positions must be (n, 3), got {pos.shape}")

@@ -146,8 +146,7 @@ def test_pyramid_levels_match_register_cascade():
             dense = np.zeros(3 ** n, dtype=complex)
             for ket, amp in levels[m].terms.items():
                 dense[ds.ket_index(ket)] = amp
-            scale = max(1.0, np.abs(reg.amps).max())
-            np.testing.assert_allclose(dense, reg.amps, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(dense, reg.amps, rtol=0, atol=1e-12)
 
 
 def test_pyramid_matches_string_reference():

@@ -386,6 +386,31 @@ def test_non_finite_geometry_is_a_config_error(tmp_path, capsys):
         assert "nan" not in out.lower()
 
 
+@pytest.mark.parametrize("patch", [
+    {"wavelength": 10 ** 400}, {"transverse_sigma": 10 ** 400},
+    {"spacing": 10 ** 400}, {"wavelength": True}, {"transverse_sigma": False},
+    {"emitter_positions": [[10 ** 400, 0, 0]] + [[k * 1e-6, 0, 0] for k in range(3)]},
+    {"detector_directions": [[0, 10 ** 400, 0]] + [[0, 1, 0]] * 3},
+], ids=["huge-wavelength", "huge-sigma", "huge-spacing", "bool-wavelength",
+        "bool-sigma", "huge-position", "huge-direction"])
+def test_out_of_range_or_boolean_geometry_is_a_config_error(tmp_path, capsys, patch):
+    payload = _fidelity_config()
+    payload["geometry"].update(patch)
+    code, out = _run(capsys, ["fidelity", "--config", _write(tmp_path, "f.json", payload)])
+    assert code == 2, patch
+    assert out == ""
+
+
+@pytest.mark.parametrize("pair", [[10 ** 400, 0], [True, 0], [0, float("nan")]],
+                         ids=["huge-int", "bool", "nan"])
+def test_out_of_range_boolean_or_non_finite_alpha_is_a_config_error(tmp_path, capsys, pair):
+    cfg = _write(tmp_path, "c.json", {
+        "n": 1, "polarizers": [{"alpha": pair, "beta": [0.0, 1.0]}]})
+    code, out = _run(capsys, ["simulate", "--config", cfg])
+    assert code == 2
+    assert out == ""
+
+
 def test_boolean_system_size_is_a_config_error(tmp_path, capsys):
     for flag in (True, False):
         cfg = _write(tmp_path, "c.json", {"n": flag, "polarizers": [{"theta": 0.0}]})

@@ -125,6 +125,16 @@ def test_geometry_validation():
             ds.DetectionGeometry(pos, 0.0, 493e-9, dirs, bad)
     with pytest.raises(ds.ConfigError):
         ds.DetectionGeometry([["a", 0.0, 0.0]] * 2, 0.0, 493e-9, dirs, 0.0)
+    # integers beyond the float range and booleans are not geometry values
+    for bad in (10 ** 400, True):
+        with pytest.raises(ds.ConfigError):
+            ds.DetectionGeometry(pos, bad, 493e-9, dirs, 0.0)
+        with pytest.raises(ds.ConfigError):
+            ds.DetectionGeometry(pos, 0.0, bad, dirs, 0.0)
+        with pytest.raises(ds.ConfigError):
+            ds.DetectionGeometry(pos, 0.0, 493e-9, dirs, bad)
+    with pytest.raises(ds.ConfigError):
+        ds.DetectionGeometry([[10 ** 400, 0, 0], [0, 0, 0]], 0.0, 493e-9, dirs, 0.0)
 
 
 def test_transverse_basis_is_fixed_at_construction():
