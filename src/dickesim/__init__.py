@@ -20,7 +20,6 @@ from .core import (
     NORM_TOL,
     ORIENT_TOL,
     RESIDUAL_TOL,
-    DickeIndex,
     EmitterRegister,
     LinearAngle,
     Polarizer,
@@ -40,7 +39,6 @@ from .entanglement import (
     ClassPrediction,
     EntanglementReport,
     classify_from_config,
-    classify_from_state,
     entanglement_report,
     pair_concurrence,
     single_qubit_entropy,

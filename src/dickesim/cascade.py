@@ -83,20 +83,21 @@ def _product_polynomial(config: PolarizerConfig) -> np.ndarray:
 def dicke_coefficients(config) -> SymmetricState:
     """Closed-form symmetric expansion of the cascade output.
 
-    Returns the normalized final state.  The attached ``raw`` coefficients
-    are ``q_k / sqrt(C(n, k))`` and ``norm`` is the factor that normalized
-    them; the closed-form tangle relies on exactly this convention.
+    Returns the normalized final state, the coefficients
+    ``q_k / sqrt(C(n, k))`` scaled to unit norm.
 
     Raises
     ------
+    TooLargeError
+        If ``sqrt(C(n, k))`` leaves the float range (from n = 2054 on).
     ZeroStateError
         If every coefficient vanishes (cannot happen for valid polarizers,
         kept as a guard for degenerate inputs).
     """
     config = _as_config(config)
     n = len(config)
-    q = _product_polynomial(config)
-    return SymmetricState.from_raw(n, q / _sqrt_binomials(n))
+    roots = _sqrt_binomials(n)  # raises before the polynomial can overflow
+    return SymmetricState.from_raw(n, _product_polynomial(config) / roots)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import (
     ZeroTargetError,
 )
 from .synthesis import synthesize
-from .window import DEFAULT_WAVELENGTH, DetectionGeometry, estimate_fidelity
+from .window import DetectionGeometry, estimate_fidelity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,10 +51,18 @@ PYRAMID_SIZE_LIMIT = 6
 # configuration parsing
 # ---------------------------------------------------------------------------
 
+def _finite(text: str) -> float:
+    """A JSON float literal, finite: records echo the config as strict JSON."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return x
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -64,16 +73,13 @@ def _load_config(path: str) -> dict:
 
 
 def _real(value, what: str) -> float:
-    """A finite JSON number as a float; booleans are not numbers here."""
+    """A JSON number as a float; booleans are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
-        x = float(value)
+        return float(value)
     except OverflowError:  # an integer beyond the float range
         raise ConfigError(f"{what} is beyond the float range") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return x
 
 
 def _parse_complex(value, what: str) -> complex:
@@ -131,6 +137,7 @@ def _parse_target(cfg: dict) -> SymmetricState:
 
 
 def _parse_geometry(cfg: dict, degrees: bool) -> DetectionGeometry:
+    """``DetectionGeometry.linear_chain`` with the given keys replacing its defaults."""
     n = _system_size(cfg)
     geo = cfg.get("geometry")
     if not isinstance(geo, dict):
@@ -141,33 +148,18 @@ def _parse_geometry(cfg: dict, degrees: bool) -> DetectionGeometry:
     if unknown:
         raise ConfigError(f"unknown geometry keys: {sorted(unknown)}")
 
-    window = _angle(geo.get("window_halfangle", 0.0), "window_halfangle", degrees)
-    try:
-        sigma = _real(geo.get("transverse_sigma", 0.0), "transverse_sigma")
-        wavelength = _real(geo.get("wavelength", DEFAULT_WAVELENGTH), "wavelength")
-
-        if "emitter_positions" in geo:
-            positions = np.asarray(geo["emitter_positions"], dtype=float)
-            if positions.shape != (n, 3):
-                raise ConfigError(f"emitter_positions must be {n} [x,y,z] triples")
-        else:
-            spacing = _real(geo.get("spacing", 5e-6), "spacing")
-            xs = (np.arange(n) - (n - 1) / 2.0) * spacing
-            positions = np.column_stack([xs, np.zeros(n), np.zeros(n)])
-
-        if "detector_directions" in geo:
-            directions = np.asarray(geo["detector_directions"], dtype=float)
-            if directions.shape != (n, 3):
-                raise ConfigError(f"detector_directions must be {n} [x,y,z] triples")
-        else:
-            ring = 2.0 * np.pi * np.arange(n) / n
-            directions = np.column_stack([np.zeros(n), np.cos(ring), np.sin(ring)])
-
-        return DetectionGeometry(positions, sigma, wavelength, directions, window)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid geometry: {exc}") from exc
+    scalars = {key: _real(geo[key], key)
+               for key in ("spacing", "transverse_sigma", "wavelength") if key in geo}
+    if "window_halfangle" in geo:
+        scalars["window_halfangle"] = _angle(geo["window_halfangle"],
+                                             "window_halfangle", degrees)
+    arrays = {key: geo[key]
+              for key in ("emitter_positions", "detector_directions") if key in geo}
+    geometry = replace(DetectionGeometry.linear_chain(n, **scalars), **arrays)
+    for key in arrays:
+        if getattr(geometry, key).shape != (n, 3):
+            raise ConfigError(f"{key} must be {n} [x,y,z] triples")
+    return geometry
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +250,6 @@ def _cmd_synthesize(args) -> int:
 def _cmd_classify(args) -> int:
     cfg = _load_config(args.config)
     config = _parse_polarizers(cfg, args.degrees)
-    if len(config) != 3:
-        raise WrongArityError(f"classify needs n=3, got n={len(config)}")
     prediction = classify_from_config(config)
     state = dicke_coefficients(config)
     report = entanglement_report(state)
@@ -304,21 +294,8 @@ def _resolve_sampling(cfg: dict, args) -> tuple[int, int]:
     samples = args.samples if args.samples is not None else cfg.get("samples")
     if samples is None:
         raise ConfigError("'samples' must be given in the config or via --samples")
-    if not isinstance(samples, int) or samples < 1:
-        raise ConfigError(f"samples must be a positive integer, got {samples!r}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
     return samples, seed
-
-
-def _estimate_dict(est) -> dict:
-    return {
-        "mean_fidelity": est.mean_fidelity,
-        "standard_error": est.standard_error,
-        "sample_count": est.sample_count,
-        "excluded_count": est.excluded_count,
-    }
 
 
 def _parse_sweep(spec: str, degrees: bool) -> np.ndarray:
@@ -347,13 +324,9 @@ def _cmd_fidelity(args) -> int:
         lines = ["window_halfangle,mean_fidelity,standard_error,"
                  "sample_count,excluded_count"]
         for window in _parse_sweep(args.sweep, args.degrees):
-            geo = DetectionGeometry(geometry.emitter_positions,
-                                    geometry.transverse_sigma,
-                                    geometry.wavelength,
-                                    geometry.detector_directions,
-                                    float(window))
-            est = estimate_fidelity(config, geo, target=target,
-                                    samples=samples, seed=seed)
+            est = estimate_fidelity(config,
+                                    replace(geometry, window_halfangle=float(window)),
+                                    target=target, samples=samples, seed=seed)
             lines.append(f"{window:.15g},{est.mean_fidelity:.15g},"
                          f"{est.standard_error:.15g},{est.sample_count},"
                          f"{est.excluded_count}")
@@ -364,7 +337,7 @@ def _cmd_fidelity(args) -> int:
                             samples=samples, seed=seed)
     record = _base_record("fidelity", cfg, args)
     record["system_size"] = len(config)
-    record["fidelity_estimate"] = _estimate_dict(est)
+    record["fidelity_estimate"] = asdict(est)
     record["parameters"] = {
         "samples": samples,
         "seed": seed,

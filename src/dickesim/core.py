@@ -20,9 +20,9 @@ representation conventions are fixed once and for all:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, ldexp, sqrt
 from typing import Iterable
 
 import numpy as np
@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     NoExcitedPopulationError,
     ResidualExcitationError,
+    TooLargeError,
     ZeroStateError,
     ZeroVectorError,
 )
@@ -123,45 +124,9 @@ def same_orientation(p: Polarizer, q: Polarizer) -> bool:
 # symmetric states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DickeIndex:
-    """Index ``(n, k)`` of the symmetric basis state with ``k`` minus levels.
-
-    The state expands into ``C(n, k)`` computational kets, each carrying
-    amplitude ``1/sqrt(C(n, k))``.
-    """
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"system size must be >= 1, got {self.n}")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"excitation count {self.k} outside 0..{self.n}")
-
-    @property
-    def multiplicity(self) -> int:
-        return comb(self.n, self.k)
-
-    @property
-    def ket_amplitude(self) -> float:
-        return 1.0 / _sqrt_binomials(self.n)[self.k]
-
-    def basis_vector(self) -> np.ndarray:
-        """Qubit amplitudes (length ``2**n``, bit ``j`` set = emitter j in -)."""
-        return np.where(_bit_counts(self.n) == self.k,
-                        complex(self.ket_amplitude), 0j)
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetricState:
     """Normalized coefficients ``d_0 .. d_n`` over the symmetric basis.
-
-    ``raw`` and ``norm`` optionally record the unnormalized coefficients the
-    state was built from and the normalization factor applied to them
-    (``coeffs = norm * raw``).  Producers that need the normalization
-    constant downstream (for example the closed-form tangle) rely on these.
 
     Global phase is left untouched by construction; call
     :meth:`canonicalized` explicitly to rotate the first nonzero coefficient
@@ -170,8 +135,6 @@ class SymmetricState:
 
     n: int
     coeffs: np.ndarray
-    raw: np.ndarray | None = field(default=None, repr=False)
-    norm: float | None = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=complex)
@@ -185,14 +148,13 @@ class SymmetricState:
 
     @classmethod
     def from_raw(cls, n: int, raw: Iterable[complex]) -> "SymmetricState":
-        """Normalize raw coefficients, keeping them and the applied factor."""
+        """Normalize raw coefficients; raises ``ZeroStateError`` if all vanish."""
         r = np.asarray(list(raw) if not isinstance(raw, np.ndarray) else raw,
                        dtype=complex)
         nrm = np.linalg.norm(r)
         if nrm == 0.0:
             raise ZeroStateError("all coefficients vanish")
-        factor = 1.0 / nrm
-        return cls(n, r * factor, raw=r.copy(), norm=factor)
+        return cls(n, r * (1.0 / nrm))
 
     def canonicalized(self, tol: float = NORM_TOL) -> "SymmetricState":
         """Copy with the first nonzero coefficient made real and positive."""
@@ -202,9 +164,7 @@ class SymmetricState:
                 break
         else:
             raise ZeroStateError("no coefficient above tolerance")
-        raw = None if self.raw is None else self.raw * np.conj(phase)
-        return SymmetricState(self.n, self.coeffs * np.conj(phase),
-                              raw=raw, norm=self.norm)
+        return SymmetricState(self.n, self.coeffs * np.conj(phase))
 
     def to_qubit_amplitudes(self) -> np.ndarray:
         """Expand into the full ``2**n`` qubit register.
@@ -261,10 +221,21 @@ def _ground_free_info(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _sqrt_binomials(n: int) -> np.ndarray:
     """``sqrt(C(n, k))`` for ``k = 0..n`` as floats.
 
-    Each binomial is rounded to float before the root: from n = 68 on they
+    A binomial is rounded to float before the root: from n = 68 on they
     exceed int64, and numpy would otherwise fall back to an object array.
+    From n = 1030 on, binomials above ``2**1023`` are shifted right by
+    ``2 s`` bits first and the root scaled back by ``2**s``; smaller ones
+    keep their plain float root.  From n = 2054 on the largest root leaves
+    the float range, and ``TooLargeError`` is raised.
     """
-    roots = np.sqrt([float(comb(n, k)) for k in range(n + 1)])
+    def root(c: int) -> float:
+        s = max(0, c.bit_length() - 1022) // 2
+        return ldexp(sqrt(c >> 2 * s), s)
+
+    try:
+        roots = np.array([root(comb(n, k)) for k in range(n + 1)])
+    except OverflowError:
+        raise TooLargeError(f"sqrt(C({n}, k)) exceeds the float range") from None
     roots.setflags(write=False)
     return roots
 
@@ -417,8 +388,9 @@ def _detection_kernel(amps: np.ndarray, n: int,
 
     Emitter ``j``'s term ``alpha_j |+><e| + beta_j |-><e|`` moves amplitude
     from digit value 0 to values 1 and 2 of digit ``j``.  Shared by the
-    plain detection operator (uniform weights) and the position-dependent
-    one (far-field phase factors).
+    plain detection operator (uniform weights) and the dense per-sample
+    reference of the window Monte Carlo in the test suite (far-field phase
+    factors).
     """
     out = np.zeros_like(amps)
     for j, src in enumerate(_excited_slots(n)):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import _as_config, dicke_coefficients
-from .core import SymmetricState, same_orientation
+from .cascade import _as_config, _product_polynomial
+from .core import SymmetricState, _sqrt_binomials, same_orientation
 from .errors import WrongArityError, ZeroStateError
 
 #: Threshold separating numerically-zero tangle/entropy from generic nonzero
@@ -113,26 +113,27 @@ def tangle_hyperdeterminant(state) -> float:
 def tangle_closed_form(config) -> float:
     """Tangle of the three-detector cascade output, from the settings alone.
 
-    With polarizer components ``(alpha_i, beta_i)`` and ``N`` the factor
+    With polarizer components ``(alpha_i, beta_i)``, ``q_k`` the ``z**k``
+    coefficient of ``prod_i (alpha_i + beta_i z)`` and ``N`` the factor
     normalizing the closed-form coefficients ``q_k / sqrt(C(3, k))``,
 
         tau = (4/27) * N**4 * prod_{i<j} |alpha_i beta_j - alpha_j beta_i|**2
 
     The product vanishes exactly when two polarizers share an orientation.
-    The normalization convention matters: the per-ordering-class coefficients
-    attached by ``dicke_coefficients`` as ``raw`` are the ones that make the
-    formula agree with the hyperdeterminant (checked against it to 1e-8 in
-    the test suite, with the maximally-entangled recipe landing on 1).
+    The normalization convention matters: these per-ordering-class
+    coefficients are the ones that make the formula agree with the
+    hyperdeterminant (checked against it to 1e-8 in the test suite, with the
+    maximally-entangled recipe landing on 1).
     """
     config = _as_config(config)
     if len(config) != 3:
         raise WrongArityError(f"closed form needs exactly 3 polarizers, got {len(config)}")
-    state = dicke_coefficients(config)
+    norm = 1.0 / np.linalg.norm(_product_polynomial(config) / _sqrt_binomials(3))
     cross = 1.0
     for i, j in _PAIRS:
         pi, pj = config[i], config[j]
         cross *= abs(pi.alpha * pj.beta - pj.alpha * pi.beta) ** 2
-    tau = (4.0 / 27.0) * state.norm ** 4 * cross
+    tau = (4.0 / 27.0) * norm ** 4 * cross
     return float(np.clip(tau, 0.0, 1.0))
 
 
@@ -190,11 +191,6 @@ def entanglement_report(state) -> EntanglementReport:
     concurrences = {pair: pair_concurrence(psi, pair) for pair in _PAIRS}
     return EntanglementReport(tangle, entropies, concurrences,
                               _infer_class(tangle, entropies))
-
-
-def classify_from_state(state) -> str:
-    """Class of a three-qubit state from its measured entanglement content."""
-    return entanglement_report(state).inferred_class
 
 
 def classify_from_config(config) -> ClassPrediction:

@@ -214,7 +214,8 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     TooLargeError
         If the configuration has more than ``WINDOW_SIZE_LIMIT`` emitters.
     ConfigError
-        If ``samples`` is not a positive integer.
+        If ``samples`` is not a positive integer or ``seed`` not a
+        non-negative one.
     DimensionMismatchError
         If configuration, geometry, and target sizes disagree.
     ZeroStateError
@@ -232,6 +233,9 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
         raise ConfigError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if target is None:
         target = dicke_coefficients(config)
     if target.n != n:
@@ -272,11 +276,9 @@ def _sample_outputs(components: np.ndarray, geometry: DetectionGeometry,
     normals = np.empty((count, 2 * n))
     deviates = np.empty((count, n))
     for row in range(count):
-        # the per-sample draw calls of the one-sample-at-a-time cascade
-        normals[row, :n] = rng.normal(0.0, 1.0, size=n)
-        normals[row, n:] = rng.normal(0.0, 1.0, size=n)
-        for i in range(n):
-            deviates[row, i] = rng.uniform(-1.0, 1.0)
+        # the per-sample draw order of the one-sample-at-a-time cascade
+        normals[row] = rng.normal(0.0, 1.0, size=2 * n)
+        deviates[row] = rng.uniform(-1.0, 1.0, size=n)
     sigma = geometry.transverse_sigma
     t1, t2 = geometry.transverse_basis
     positions = (geometry.emitter_positions

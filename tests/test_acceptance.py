@@ -108,7 +108,7 @@ def test_criterion_5_operational_classification():
     for trial in range(1000):
         config = separated_config(rng, min_sep=1e-3)
         predicted = ds.classify_from_config(config).predicted_class
-        measured = ds.classify_from_state(ds.dicke_coefficients(config))
+        measured = ds.entanglement_report(ds.dicke_coefficients(config)).inferred_class
         if predicted != measured:
             failures.append(f"trial {trial}: {predicted} != {measured}")
     canonical = [(ds.ghz_config(3, 0.0), ds.GHZ_CLASS),
@@ -116,7 +116,7 @@ def test_criterion_5_operational_classification():
                  (ds.s_config(3, 0.0), ds.S_CLASS)]
     for config, expected in canonical:
         predicted = ds.classify_from_config(config).predicted_class
-        measured = ds.classify_from_state(ds.dicke_coefficients(config))
+        measured = ds.entanglement_report(ds.dicke_coefficients(config)).inferred_class
         if not predicted == measured == expected:
             failures.append(f"{expected}: got {predicted}/{measured}")
     _criterion(5, "orientation count vs state classification", failures)

@@ -80,11 +80,12 @@ def test_coefficient_vanishing_bounds():
                 assert coeffs[k] == 0.0
 
 
-@pytest.mark.parametrize("n", [68, 96, 200])
+@pytest.mark.parametrize("n", [68, 96, 200, 1030, 2000])
 def test_identical_polarizers_give_binomial_product_state_at_large_n(n):
     # n identical polarizers give d_k = sqrt(C(n, k)) alpha^(n-k) beta^k,
     # normalized since |alpha|^2 + |beta|^2 = 1; spelled out in log space
-    # because C(n, k) exceeds int64 from n = 68 on
+    # because C(n, k) exceeds int64 from n = 68 on and the float range from
+    # n = 1030 on
     p = random_polarizer(np.random.default_rng(n))
     log_d = np.array([0.5 * (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1))
                       + (n - k) * cmath.log(p.alpha) + k * cmath.log(p.beta)
@@ -93,6 +94,21 @@ def test_identical_polarizers_give_binomial_product_state_at_large_n(n):
     expected /= np.linalg.norm(expected)
     state = ds.dicke_coefficients(ds.PolarizerConfig((p,) * n))
     np.testing.assert_allclose(state.coeffs, expected, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 67, 500, 1029])
+def test_binomial_roots_are_plain_float_roots_below_the_float_range(n):
+    from dickesim.core import _sqrt_binomials
+
+    plain = np.sqrt([float(comb(n, k)) for k in range(n + 1)])
+    assert np.array_equal(_sqrt_binomials(n), plain)
+
+
+@pytest.mark.parametrize("n", [2054, 2500])
+def test_dicke_coefficients_beyond_the_float_range_are_too_large(n):
+    config = ds.PolarizerConfig((ds.LinearAngle(0.3).to_polarizer(),) * n)
+    with pytest.raises(ds.TooLargeError):
+        ds.dicke_coefficients(config)
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,61 @@ def test_fidelity_sweep_is_monotone_with_paired_seeds(tmp_path, capsys):
     assert means[0] >= means[1] >= means[2]
 
 
+def test_empty_geometry_is_the_default_linear_chain(tmp_path, capsys):
+    from dickesim.cli import _round15
+
+    payload = _fidelity_config()
+    payload["geometry"] = {}
+    record = _run_record(capsys, ["fidelity", "--config",
+                                  _write(tmp_path, "f.json", payload)])
+    chain = ds.DetectionGeometry.linear_chain(4)
+    assert record["parameters"] == _round15({
+        "samples": 50, "seed": 9,
+        "wavelength": chain.wavelength,
+        "transverse_sigma": chain.transverse_sigma,
+        "window_halfangle": chain.window_halfangle,
+        "emitter_positions": chain.emitter_positions.tolist(),
+        "detector_directions": chain.detector_directions.tolist(),
+    })
+
+
+def test_explicit_chain_arrays_match_the_spacing_shorthand(tmp_path, capsys):
+    payload = _fidelity_config(np.deg2rad(0.5), 5e-9, samples=40)
+    shorthand = _run_record(capsys, ["fidelity", "--config",
+                                     _write(tmp_path, "a.json", payload)])
+    chain = ds.DetectionGeometry.linear_chain(4, spacing=5e-6)
+    geometry = payload["geometry"]
+    del geometry["spacing"]
+    geometry["emitter_positions"] = chain.emitter_positions.tolist()
+    geometry["detector_directions"] = chain.detector_directions.tolist()
+    explicit = _run_record(capsys, ["fidelity", "--config",
+                                    _write(tmp_path, "b.json", payload)])
+    assert explicit["input"] != shorthand["input"]
+    del explicit["input"], shorthand["input"]
+    assert explicit == shorthand
+    # both arrays consistent with each other but not with n
+    geometry["emitter_positions"] = geometry["emitter_positions"][:3]
+    geometry["detector_directions"] = geometry["detector_directions"][:3]
+    code, out = _run(capsys, ["fidelity", "--config", _write(tmp_path, "c.json", payload)])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("seed", [-1, True, "x"], ids=["negative", "bool", "str"])
+def test_invalid_config_seed_is_a_config_error(tmp_path, capsys, seed):
+    cfg = _write(tmp_path, "f.json", _fidelity_config(seed=seed))
+    for extra in ([], ["--sweep", "0:1:2"]):
+        code, out = _run(capsys, ["fidelity", "--config", cfg, *extra])
+        assert code == 2, extra
+        assert out == ""
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "f.json", _fidelity_config())
+    code, out = _run(capsys, ["fidelity", "--config", cfg, "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # exit codes and validation
 # ---------------------------------------------------------------------------
@@ -407,6 +462,16 @@ def test_out_of_range_boolean_or_non_finite_alpha_is_a_config_error(tmp_path, ca
     cfg = _write(tmp_path, "c.json", {
         "n": 1, "polarizers": [{"alpha": pair, "beta": [0.0, 1.0]}]})
     code, out = _run(capsys, ["simulate", "--config", cfg])
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_number_anywhere_in_config_is_a_config_error(tmp_path, capsys, text):
+    # unused keys too: the record echoes the config, and must stay strict JSON
+    path = tmp_path / "c.json"
+    path.write_text('{"n": 1, "polarizers": [{"theta": 0.5}], "seed": %s}' % text)
+    code, out = _run(capsys, ["simulate", "--config", str(path)])
     assert code == 2
     assert out == ""
 

@@ -240,8 +240,6 @@ def test_symmetric_state_requires_normalized_coefficients():
         ds.SymmetricState(2, np.array([1.0, 1.0, 0.0]))
     state = ds.SymmetricState.from_raw(2, [3.0, 0.0, 4.0j])
     assert abs(np.linalg.norm(state.coeffs) - 1.0) <= 1e-12
-    assert state.norm == pytest.approx(0.2)
-    np.testing.assert_allclose(state.raw, [3.0, 0.0, 4.0j])
 
 
 def test_canonicalization_is_explicit_and_phase_only():
@@ -261,15 +259,13 @@ def test_qubit_expansion_little_endian():
     np.testing.assert_allclose(psi, [0.0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0.0])
 
 
-def test_dicke_index_expansion():
-    d = ds.DickeIndex(4, 2)
-    assert d.multiplicity == comb(4, 2)
-    vec = d.basis_vector()
+def test_dicke_basis_state_expansion():
+    vec = ds.SymmetricState(4, np.eye(5)[2]).to_qubit_amplitudes()
     support = np.nonzero(vec)[0]
-    assert len(support) == 6
+    assert len(support) == comb(4, 2) == 6
     np.testing.assert_allclose(vec[support], 1 / np.sqrt(6))
     with pytest.raises(ValueError):
-        ds.DickeIndex(3, 4)
+        ds.SymmetricState(3, np.eye(5)[4])
 
 
 # ---------------------------------------------------------------------------

@@ -149,12 +149,12 @@ def test_classify_from_config_examples():
     ) == ds.ClassPrediction(1, ds.S_CLASS)
 
 
-def test_classify_from_state_examples():
+def test_entanglement_report_class_examples():
     w_like = ds.dicke_coefficients(ds.PolarizerConfig.from_angles([0.0, 0.0, np.pi / 2]))
-    assert ds.classify_from_state(w_like) == ds.W_CLASS
+    assert ds.entanglement_report(w_like).inferred_class == ds.W_CLASS
     product = ds.SymmetricState.from_raw(3, [1.0, 0.0, 0.0, 0.0])
-    assert ds.classify_from_state(product) == ds.S_CLASS
-    assert ds.classify_from_state(ghz_qubit(3, 0.2)) == ds.GHZ_CLASS
+    assert ds.entanglement_report(product).inferred_class == ds.S_CLASS
+    assert ds.entanglement_report(ghz_qubit(3, 0.2)).inferred_class == ds.GHZ_CLASS
 
 
 def test_classifications_agree_on_separated_configurations():
@@ -162,7 +162,7 @@ def test_classifications_agree_on_separated_configurations():
     for _ in range(200):
         config = separated_config(rng)
         predicted = ds.classify_from_config(config).predicted_class
-        measured = ds.classify_from_state(ds.dicke_coefficients(config))
+        measured = ds.entanglement_report(ds.dicke_coefficients(config)).inferred_class
         assert predicted == measured == ds.GHZ_CLASS
 
 
@@ -174,10 +174,12 @@ def test_classification_tracks_forced_coincidences():
             q = random_polarizer(rng)
         two_equal = ds.PolarizerConfig((p, p, q))
         assert ds.classify_from_config(two_equal).predicted_class == ds.W_CLASS
-        assert ds.classify_from_state(ds.dicke_coefficients(two_equal)) == ds.W_CLASS
+        state = ds.dicke_coefficients(two_equal)
+        assert ds.entanglement_report(state).inferred_class == ds.W_CLASS
         all_equal = ds.PolarizerConfig((p, p, p))
         assert ds.classify_from_config(all_equal).predicted_class == ds.S_CLASS
-        assert ds.classify_from_state(ds.dicke_coefficients(all_equal)) == ds.S_CLASS
+        state = ds.dicke_coefficients(all_equal)
+        assert ds.entanglement_report(state).inferred_class == ds.S_CLASS
 
 
 def test_entropies_collapse_only_with_third_coincidence():

@@ -86,9 +86,10 @@ def test_recipes_classify_as_expected():
     assert ds.classify_from_config(ds.ghz_config(3, 0.3)).predicted_class == ds.GHZ_CLASS
     assert ds.classify_from_config(ds.w_config(3, 0.3)).predicted_class == ds.W_CLASS
     assert ds.classify_from_config(ds.s_config(3, 0.3)).predicted_class == ds.S_CLASS
-    assert ds.classify_from_state(ds.dicke_coefficients(ds.ghz_config(3, 0.3))) == ds.GHZ_CLASS
-    assert ds.classify_from_state(ds.dicke_coefficients(ds.w_config(3, 0.3))) == ds.W_CLASS
-    assert ds.classify_from_state(ds.dicke_coefficients(ds.s_config(3, 0.3))) == ds.S_CLASS
+    for recipe, expected in ((ds.ghz_config, ds.GHZ_CLASS), (ds.w_config, ds.W_CLASS),
+                             (ds.s_config, ds.S_CLASS)):
+        state = ds.dicke_coefficients(recipe(3, 0.3))
+        assert ds.entanglement_report(state).inferred_class == expected
 
 
 def test_recipe_preconditions():

@@ -270,3 +270,14 @@ def test_non_integer_samples_are_a_config_error(samples):
     with pytest.raises(ds.ConfigError):
         ds.estimate_fidelity(config, geo, samples=samples)
     assert ds.estimate_fidelity(config, geo, samples=np.int64(2)).sample_count == 2
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "x", None],
+                         ids=["negative", "bool", "float", "str", "none"])
+def test_invalid_seed_is_a_config_error(seed):
+    config = ds.ghz_config(3, 0.0)
+    geo = ds.DetectionGeometry.linear_chain(3)
+    with pytest.raises(ds.ConfigError):
+        ds.estimate_fidelity(config, geo, samples=2, seed=seed)
+    assert ds.estimate_fidelity(config, geo, samples=2,
+                                seed=np.int64(2 ** 40)).sample_count == 2
