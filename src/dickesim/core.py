@@ -20,15 +20,17 @@ representation conventions are fixed once and for all:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, ldexp, sqrt
+from math import comb, frexp, hypot, isfinite, ldexp, pi, sqrt
 from typing import Iterable
 
 import numpy as np
 
 from .errors import (
     AsymmetricResidueError,
+    ConfigError,
     DimensionMismatchError,
     NoExcitedPopulationError,
     ResidualExcitationError,
@@ -60,21 +62,22 @@ class Polarizer:
     """Normalized complex polarization vector ``alpha*s+ + beta*s-``.
 
     ``alpha`` and ``beta`` are the amplitudes on the two circular components.
-    Construction rescales to unit norm; the all-zero vector is rejected.
-    The physically meaningful content is projective: ``alpha/beta`` is the
-    orientation (see :func:`same_orientation`).
+    Construction rescales to unit norm; the all-zero vector is rejected and
+    a non-finite component is ``ConfigError``.  The physically meaningful
+    content is projective: ``alpha/beta`` is the orientation (see
+    :func:`same_orientation`).
     """
 
     alpha: complex
     beta: complex
 
     def __post_init__(self) -> None:
+        # scalar math, not numpy ufuncs: synthesis builds n of these per call
         a = complex(self.alpha)
         b = complex(self.beta)
-        if not (np.isfinite(a.real) and np.isfinite(a.imag)
-                and np.isfinite(b.real) and np.isfinite(b.imag)):
-            raise ValueError("polarizer components must be finite")
-        nrm = np.hypot(abs(a), abs(b))
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            raise ConfigError("polarizer components must be finite")
+        nrm = hypot(abs(a), abs(b))
         if nrm == 0.0:
             raise ZeroVectorError("polarizer components are both zero")
         object.__setattr__(self, "alpha", a / nrm)
@@ -95,14 +98,17 @@ class LinearAngle:
 
     Converts to the polarizer ``(e^{-i theta}, e^{i theta}) / sqrt(2)``.
     Orientation is invariant under ``theta -> theta + pi`` (the reduction
-    only changes a global phase).
+    only changes a global phase).  A non-finite angle is ``ConfigError``.
     """
 
     theta: float
 
     def __post_init__(self) -> None:
-        t = float(self.theta) % np.pi
-        if t == np.pi:  # tiny negative inputs can wrap onto pi itself
+        t = float(self.theta)
+        if not isfinite(t):
+            raise ConfigError(f"angle must be finite, got {t}")
+        t %= pi
+        if t == pi:  # tiny negative inputs can wrap onto pi itself
             t = 0.0
         object.__setattr__(self, "theta", t)
 
@@ -130,7 +136,8 @@ class SymmetricState:
 
     Global phase is left untouched by construction; call
     :meth:`canonicalized` explicitly to rotate the first nonzero coefficient
-    onto the positive real axis.
+    onto the positive real axis.  Coefficients that are not normalized
+    (non-finite ones included) are ``ConfigError``.
     """
 
     n: int
@@ -139,22 +146,24 @@ class SymmetricState:
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=complex)
         if self.n < 1:
-            raise ValueError(f"system size must be >= 1, got {self.n}")
+            raise ConfigError(f"system size must be >= 1, got {self.n}")
         if c.shape != (self.n + 1,):
-            raise ValueError(f"expected {self.n + 1} coefficients, got shape {c.shape}")
-        if abs(np.linalg.norm(c) - 1.0) > NORM_TOL:
-            raise ValueError("coefficients are not normalized; use from_raw()")
+            raise ConfigError(f"expected {self.n + 1} coefficients, got shape {c.shape}")
+        # written so that a NaN norm fails it
+        if not abs(np.linalg.norm(c) - 1.0) <= NORM_TOL:
+            raise ConfigError("coefficients are not normalized; use from_raw()")
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_raw(cls, n: int, raw: Iterable[complex]) -> "SymmetricState":
-        """Normalize raw coefficients; raises ``ZeroStateError`` if all vanish."""
+        """Normalize raw coefficients.
+
+        Raises ``ConfigError`` for a non-finite coefficient and
+        ``ZeroStateError`` if all vanish.
+        """
         r = np.asarray(list(raw) if not isinstance(raw, np.ndarray) else raw,
                        dtype=complex)
-        nrm = np.linalg.norm(r)
-        if nrm == 0.0:
-            raise ZeroStateError("all coefficients vanish")
-        return cls(n, r * (1.0 / nrm))
+        return cls(n, _unit_vector(r))
 
     def canonicalized(self, tol: float = NORM_TOL) -> "SymmetricState":
         """Copy with the first nonzero coefficient made real and positive."""
@@ -174,6 +183,25 @@ class SymmetricState:
         """
         weights = self.coeffs / _sqrt_binomials(self.n)
         return weights[_bit_counts(self.n)]
+
+
+def _unit_vector(v: np.ndarray) -> np.ndarray:
+    """``v`` rescaled to unit Euclidean norm, whatever its magnitude.
+
+    ``v`` is first scaled by a power of two that brings its largest entry
+    near 1, so the norm neither overflows nor underflows; the scaling is
+    exact, so at ordinary magnitudes the result is bit-identical to
+    ``v * (1 / norm(v))``.  Raises ``ConfigError`` for a non-finite entry (or
+    one whose modulus overflows) and ``ZeroStateError`` for the zero vector.
+    """
+    peak = float(np.abs(v).max(initial=0.0))
+    if not isfinite(peak):  # a NaN or infinite entry propagates through the max
+        raise ConfigError("state coefficients must be finite")
+    if peak == 0.0:
+        raise ZeroStateError("state vector vanishes")
+    # clamped: for a subnormal peak the scale 2**-e itself would overflow
+    v = v * 2.0 ** -max(frexp(peak)[1], -1022)
+    return v * (1.0 / np.linalg.norm(v))
 
 
 def fidelity(a: SymmetricState, b: SymmetricState) -> float:

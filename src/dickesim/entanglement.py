@@ -14,17 +14,28 @@ have neither.  This module computes the measures two independent ways:
 
 The two routes agreeing is the content of the operational classification:
 the number of distinct polarizer orientations alone decides the class.
+
+The state-vector measures all start from one list of the 8 amplitudes as
+Python complexes, because on 2x2 and 8-element arrays numpy's per-call
+overhead costs far more than the arithmetic.  The hyperdeterminant is a
+polynomial in the amplitudes, and each one-qubit marginal is a 2x2 matrix
+whose spectrum has a closed form.  The pair concurrences keep an SVD, one
+stacked call over every pair asked for, for the precision reason given in
+:func:`pair_concurrence`.  The report and the single-measure functions share
+these helpers, so each measure has one implementation; the numpy versions
+they replaced are the oracles of the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log, log1p, log2, sqrt
 
 import numpy as np
 
 from .cascade import _as_config, _product_polynomial
-from .core import SymmetricState, _sqrt_binomials, same_orientation
-from .errors import WrongArityError, ZeroStateError
+from .core import SymmetricState, _sqrt_binomials, _unit_vector, same_orientation
+from .errors import WrongArityError
 
 #: Threshold separating numerically-zero tangle/entropy from generic nonzero
 #: values after the forward pipeline, used by state-based classification.
@@ -36,8 +47,12 @@ S_CLASS = "S"
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+#: For each qubit, the amplitude index pairs (qubit in 0, qubit in 1) that
+#: agree on the other two qubits.
+_SPLITS = tuple(tuple((x, x | 1 << q) for x in range(8) if not x >> q & 1)
+                for q in range(3))
+
+_LN2 = log(2.0)
 
 
 @dataclass(frozen=True)
@@ -58,32 +73,74 @@ class ClassPrediction:
     predicted_class: str
 
 
-def _as_qubit_amplitudes(state) -> np.ndarray:
-    """Coerce a three-qubit state to its 8 normalized amplitudes.
+def _as_qubit_amplitudes(state) -> list[complex]:
+    """The 8 normalized amplitudes of a three-qubit state, as Python complexes.
 
     Accepts a SymmetricState with n=3 or any length-8 amplitude sequence
-    (bit j of the index = qubit j, little-endian).
+    (bit j of the index = qubit j, little-endian).  A non-finite amplitude
+    is ``ConfigError``, the zero vector ``ZeroStateError``.
     """
     if isinstance(state, SymmetricState):
         if state.n != 3:
             raise WrongArityError(f"need a 3-qubit state, got n={state.n}")
-        return state.to_qubit_amplitudes()
+        return state.to_qubit_amplitudes().tolist()
     psi = np.asarray(state, dtype=complex).reshape(-1)
     if psi.shape != (8,):
         raise WrongArityError(f"need 8 amplitudes, got {psi.shape}")
-    nrm = np.linalg.norm(psi)
-    if nrm == 0.0:
-        raise ZeroStateError("state vector is zero")
-    return psi / nrm
+    return _unit_vector(psi).tolist()
 
 
-def _reduced_density(psi: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Marginal density matrix of the kept qubits (little-endian order)."""
-    tensor = psi.reshape(2, 2, 2, order="F")  # axes = qubits 0, 1, 2
-    traced = [q for q in range(3) if q not in keep]
-    moved = np.transpose(tensor, list(keep) + traced)
-    mat = moved.reshape(2 ** len(keep), -1)
-    return mat @ mat.conj().T
+def _tangle(psi: list[complex]) -> float:
+    """``4 |Det(psi)|``, Cayley's hyperdeterminant of the 8 amplitudes."""
+    p0, p1, p2, p3, p4, p5, p6, p7 = psi
+    # each ket times its bitwise complement
+    x, y, z, w = p0 * p7, p3 * p4, p2 * p5, p1 * p6
+    det = (x * x + y * y + z * z + w * w
+           - 2.0 * (x * (y + z + w) + y * z + y * w + z * w)
+           + 4.0 * (p0 * p3 * p5 * p6 + p1 * p2 * p4 * p7))
+    return min(4.0 * abs(det), 1.0)
+
+
+def _entropy(psi: list[complex], qubit: int) -> float:
+    """Entropy (bits) of one qubit's marginal ``[[a, c], [c*, d]]``.
+
+    The larger eigenvalue comes from the quadratic formula, whose root sums
+    positive terms; the smaller one as ``det / lmax``, which cancels no more
+    than the determinant itself.  Both enter as fractions ``p`` and ``1 - p``
+    of the trace, so the entropy is never negative.
+    """
+    a = d = 0.0
+    c = 0j
+    for x, y in _SPLITS[qubit]:
+        u, v = psi[x], psi[y]
+        a += u.real * u.real + u.imag * u.imag
+        d += v.real * v.real + v.imag * v.imag
+        c += u * v.conjugate()
+    cc = c.real * c.real + c.imag * c.imag
+    lmax = 0.5 * (a + d + sqrt((a - d) * (a - d) + 4.0 * cc))
+    p = max(a * d - cc, 0.0) / lmax / (a + d)
+    if p == 0.0:  # 0 log 0 = 0
+        return 0.0
+    return -(p * log2(p) + (1.0 - p) * log1p(-p) / _LN2)
+
+
+def _concurrences(psi: list[complex], pairs) -> list[float]:
+    """Concurrences of the given pairs from one stacked SVD; see pair_concurrence."""
+    mats = []
+    for i, j in pairs:
+        bi, bj = 1 << i, 1 << j
+        r = 7 ^ bi ^ bj  # the remaining qubit's bit
+        # (bit_i, bit_j) = 00, 01, 10, 11, each with the remaining qubit 0 / 1
+        u0, u1 = psi[0], psi[r]
+        v0, v1 = psi[bj], psi[bj | r]
+        w0, w1 = psi[bi], psi[bi | r]
+        z0, z1 = psi[bi | bj], psi[7]
+        # M^T (sy x sy) M with M the (4, 2) pair-versus-rest matrix
+        t01 = v0 * w1 + w0 * v1 - u0 * z1 - z0 * u1
+        mats.append(((2.0 * (v0 * w0 - u0 * z0), t01),
+                     (t01, 2.0 * (v1 * w1 - u1 * z1))))
+    singulars = np.linalg.svd(np.array(mats), compute_uv=False)
+    return [max(0.0, s0 - s1) for s0, s1 in singulars.tolist()]
 
 
 def tangle_hyperdeterminant(state) -> float:
@@ -92,22 +149,7 @@ def tangle_hyperdeterminant(state) -> float:
     Nonzero exactly on the maximally-entangled class; zero on the
     single-excitation class and on separable states.
     """
-    psi = _as_qubit_amplitudes(state)
-    a = psi.reshape(2, 2, 2, order="F")
-    d1 = (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
-          + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
-          + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
-          + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2)
-    d2 = (a[0, 0, 0] * a[1, 1, 1]
-          * (a[0, 0, 1] * a[1, 1, 0] + a[0, 1, 0] * a[1, 0, 1]
-             + a[1, 0, 0] * a[0, 1, 1])
-          + a[0, 0, 1] * a[1, 1, 0] * a[0, 1, 0] * a[1, 0, 1]
-          + a[0, 0, 1] * a[1, 1, 0] * a[1, 0, 0] * a[0, 1, 1]
-          + a[0, 1, 0] * a[1, 0, 1] * a[1, 0, 0] * a[0, 1, 1])
-    d3 = (a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 1, 0]
-          + a[1, 1, 1] * a[1, 0, 0] * a[0, 1, 0] * a[0, 0, 1])
-    tau = 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
-    return float(min(tau, 1.0))
+    return _tangle(_as_qubit_amplitudes(state))
 
 
 def tangle_closed_form(config) -> float:
@@ -133,18 +175,14 @@ def tangle_closed_form(config) -> float:
     for i, j in _PAIRS:
         pi, pj = config[i], config[j]
         cross *= abs(pi.alpha * pj.beta - pj.alpha * pi.beta) ** 2
-    tau = (4.0 / 27.0) * norm ** 4 * cross
-    return float(np.clip(tau, 0.0, 1.0))
+    return float(min((4.0 / 27.0) * norm ** 4 * cross, 1.0))
 
 
 def single_qubit_entropy(state, qubit: int) -> float:
     """Von Neumann entropy (bits) of one qubit's marginal; ``0 log 0 = 0``."""
     if qubit not in (0, 1, 2):
         raise IndexError(f"qubit index {qubit} outside 0..2")
-    psi = _as_qubit_amplitudes(state)
-    evals = np.linalg.eigvalsh(_reduced_density(psi, (qubit,)))
-    evals = evals[evals > 1e-15]
-    return float(-(evals * np.log2(evals)).sum())
+    return _entropy(_as_qubit_amplitudes(state), qubit)
 
 
 def pair_concurrence(state, pair: tuple[int, int]) -> float:
@@ -155,19 +193,18 @@ def pair_concurrence(state, pair: tuple[int, int]) -> float:
     Because the total state is pure, the marginal has rank at most two and
     only two of those values survive; they are the singular values of the
     2x2 matrix ``M^T (sy x sy) M`` with ``M`` the pair-versus-rest reshape
-    of the amplitudes.  Computing them by SVD avoids taking square roots of
-    eigenvalues that are zero up to rounding, which would cost half the
-    working precision.
+    of the amplitudes.  Its four entries are quadratic in the amplitudes and
+    are formed in scalar arithmetic, but the singular values still come from
+    an SVD (one stacked call for all pairs a report needs): the closed form
+    ``l1 - l2 = sqrt(|T|_F**2 - 2 |det T|)`` for that matrix ``T``, like
+    square roots of eigenvalues, takes the root of a quantity that is zero up
+    to rounding near a product state, which would cost half the working
+    precision.
     """
     i, j = pair
     if i not in (0, 1, 2) or j not in (0, 1, 2) or i == j:
         raise IndexError(f"invalid qubit pair {pair}")
-    psi = _as_qubit_amplitudes(state)
-    rest = ({0, 1, 2} - {i, j}).pop()
-    tensor = psi.reshape(2, 2, 2, order="F")
-    mat = np.transpose(tensor, (i, j, rest)).reshape(4, 2)
-    singulars = np.linalg.svd(mat.T @ _SPIN_FLIP @ mat, compute_uv=False)
-    return float(max(0.0, singulars[0] - singulars[1]))
+    return _concurrences(_as_qubit_amplitudes(state), (pair,))[0]
 
 
 def _infer_class(tangle: float, entropies: tuple[float, ...]) -> str:
@@ -186,9 +223,9 @@ def entanglement_report(state) -> EntanglementReport:
     for the caller to judge.
     """
     psi = _as_qubit_amplitudes(state)
-    tangle = tangle_hyperdeterminant(psi)
-    entropies = tuple(single_qubit_entropy(psi, q) for q in range(3))
-    concurrences = {pair: pair_concurrence(psi, pair) for pair in _PAIRS}
+    tangle = _tangle(psi)
+    entropies = (_entropy(psi, 0), _entropy(psi, 1), _entropy(psi, 2))
+    concurrences = dict(zip(_PAIRS, _concurrences(psi, _PAIRS)))
     return EntanglementReport(tangle, entropies, concurrences,
                               _infer_class(tangle, entropies))
 

@@ -19,12 +19,11 @@ product targets are provided alongside the generic construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .cascade import PolarizerConfig
-from .core import Polarizer, SymmetricState
+from .core import Polarizer, SymmetricState, _sqrt_binomials
 from .errors import RootFindingError, ZeroTargetError
 
 #: Coefficients below this magnitude do not count toward the polynomial degree.
@@ -51,12 +50,9 @@ class SynthesisPolynomial:
         if len(above) == 0:
             raise ZeroTargetError("target has no coefficient above tolerance")
         k_max = int(above[-1])
-        scale = comb(n, k_max)
-        coeffs = np.array([
-            (-1) ** (k_max - k) * np.sqrt(comb(n, k) / scale) * d[k]
-            for k in range(k_max + 1)
-        ])
-        return cls(k_max, coeffs)
+        roots = _sqrt_binomials(n)[:k_max + 1]
+        signs = (-1.0) ** np.arange(k_max, -1, -1)
+        return cls(k_max, signs * (roots / roots[k_max]) * d[:k_max + 1])
 
     def roots(self) -> np.ndarray:
         """Roots via the balanced companion matrix; empty for degree 0."""

@@ -29,16 +29,17 @@ Computation: after ``m`` detections only the ``C(n, m) 2**m`` kets with
 exactly ``m`` emitters out of ``e`` can carry amplitude, so each sample
 carries only that level (layout in ``core._level_tables``), never the dense
 ``3**n`` register.  Samples are propagated together in chunks of at most
-``_CHUNK_ENTRIES`` entries (samples times widest level), which bounds the
-transient memory whatever the sample count.  The random draws keep their
-per-sample order, so a seeded estimate agrees to round-off with applying
-the dense detection kernel one sample at a time.
+``_CHUNK_ENTRIES`` entries (samples times widest level), and their
+fidelities are pooled into a running mean and variance, so memory does not
+grow with the sample count.  The random draws keep their per-sample order,
+so a seeded estimate agrees to round-off with applying the dense detection
+kernel one sample at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -247,22 +248,31 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     widest = max(comb(n, m) << m for m in range(n + 1))
     chunk = max(1, _CHUNK_ENTRIES // widest)
     components = np.array([[p.alpha, p.beta] for p in config])
-    fidelities = np.empty(samples)
-    kept = 0
+    # running count, mean and sum of squared deviations, merged chunk by
+    # chunk (Chan et al.); unlike a running sum of squares this does not
+    # cancel when every fidelity is (nearly) the same
+    kept, mean, m2 = 0, 0.0, 0.0
     for start in range(0, samples, chunk):
         psi = _sample_outputs(components, geometry, rng,
                               min(chunk, samples - start))
         nrm = np.linalg.norm(psi, axis=1)
         alive = nrm >= ANNIHILATION_TOL
         overlap = (psi[alive] * target_qubit.conj()).sum(axis=1) / nrm[alive]
-        fidelities[kept:kept + overlap.size] = np.abs(overlap) ** 2
-        kept += overlap.size
+        if overlap.size == 0:
+            continue
+        values = np.abs(overlap) ** 2
+        count = kept + values.size
+        chunk_mean = float(values.mean())
+        delta = chunk_mean - mean
+        mean += delta * values.size / count
+        m2 += (float(((values - chunk_mean) ** 2).sum())
+               + delta * delta * kept * values.size / count)
+        kept = count
 
     if kept == 0:
         raise ZeroStateError("every sample was annihilated")
-    values = fidelities[:kept]
-    stderr = float(values.std(ddof=1) / np.sqrt(kept)) if kept > 1 else 0.0
-    return FidelityEstimate(float(values.mean()), stderr, kept, samples - kept)
+    stderr = sqrt(m2 / (kept - 1)) / sqrt(kept) if kept > 1 else 0.0
+    return FidelityEstimate(mean, stderr, kept, samples - kept)
 
 
 def _sample_outputs(components: np.ndarray, geometry: DetectionGeometry,

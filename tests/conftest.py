@@ -107,6 +107,60 @@ def qubit_fidelity(a, b):
     return abs(np.vdot(a, b)) ** 2
 
 
+# --- numpy references for the three-qubit measures -------------------------
+
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
+
+
+def _unit(psi):
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    return psi / np.linalg.norm(psi)
+
+
+def reduced_density(psi, keep):
+    """Marginal density matrix of the kept qubits (little-endian order)."""
+    tensor = _unit(psi).reshape(2, 2, 2, order="F")  # axes = qubits 0, 1, 2
+    traced = [q for q in range(3) if q not in keep]
+    mat = np.transpose(tensor, list(keep) + traced).reshape(2 ** len(keep), -1)
+    return mat @ mat.conj().T
+
+
+def tangle_oracle(psi):
+    """``4 |Det|`` with Cayley's hyperdeterminant indexed on the numpy tensor."""
+    a = _unit(psi).reshape(2, 2, 2, order="F")
+    d1 = (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
+          + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+          + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
+          + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2)
+    d2 = (a[0, 0, 0] * a[1, 1, 1]
+          * (a[0, 0, 1] * a[1, 1, 0] + a[0, 1, 0] * a[1, 0, 1]
+             + a[1, 0, 0] * a[0, 1, 1])
+          + a[0, 0, 1] * a[1, 1, 0] * a[0, 1, 0] * a[1, 0, 1]
+          + a[0, 0, 1] * a[1, 1, 0] * a[1, 0, 0] * a[0, 1, 1]
+          + a[0, 1, 0] * a[1, 0, 1] * a[1, 0, 0] * a[0, 1, 1])
+    d3 = (a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 1, 0]
+          + a[1, 1, 1] * a[1, 0, 0] * a[0, 1, 0] * a[0, 0, 1])
+    return float(min(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3), 1.0))
+
+
+def entropy_oracle(psi, qubit):
+    """Entropy (bits) from ``eigvalsh`` of the one-qubit marginal."""
+    evals = np.linalg.eigvalsh(reduced_density(psi, (qubit,)))
+    evals = evals[evals > 1e-15]
+    return float(-(evals * np.log2(evals)).sum())
+
+
+def concurrence_oracle(psi, pair):
+    """Concurrence from one SVD of ``M^T (sy x sy) M`` for this pair alone."""
+    i, j = pair
+    rest = ({0, 1, 2} - {i, j}).pop()
+    tensor = _unit(psi).reshape(2, 2, 2, order="F")
+    mat = np.transpose(tensor, (i, j, rest)).reshape(4, 2)
+    singulars = np.linalg.svd(mat.T @ SPIN_FLIP @ mat, compute_uv=False)
+    return float(max(0.0, singulars[0] - singulars[1]))
+
+
 # --- level-restricted layout, spelled out ket by ket -----------------------
 
 def _level_kets(n, m):

@@ -42,6 +42,20 @@ def test_make_polarizer_rejects_nonfinite():
         ds.Polarizer(np.nan, 1.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 1.0), (1.0, np.inf),
+                                         (complex(1.0, -np.inf), 0.0),
+                                         (0.0, complex(np.nan, 0.0))])
+def test_non_finite_polarizer_is_a_config_error(alpha, beta):
+    with pytest.raises(ds.ConfigError):
+        ds.Polarizer(alpha, beta)
+
+
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+def test_non_finite_linear_angle_is_a_config_error(theta):
+    with pytest.raises(ds.ConfigError):
+        ds.LinearAngle(theta)
+
+
 def test_polarizer_unit_norm_random():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -240,6 +254,28 @@ def test_symmetric_state_requires_normalized_coefficients():
         ds.SymmetricState(2, np.array([1.0, 1.0, 0.0]))
     state = ds.SymmetricState.from_raw(2, [3.0, 0.0, 4.0j])
     assert abs(np.linalg.norm(state.coeffs) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+def test_non_finite_coefficients_are_a_config_error(bad):
+    with pytest.raises(ds.ConfigError):
+        ds.SymmetricState(1, np.array([bad, 0.0]))
+    with pytest.raises(ds.ConfigError):
+        ds.SymmetricState.from_raw(2, [1.0, bad, 0.0])
+
+
+def test_from_raw_normalizes_any_finite_magnitude():
+    # the squared norm of these overflows or underflows
+    state = ds.SymmetricState.from_raw(2, [1.0, 1e-300, 1e300])
+    np.testing.assert_allclose(state.coeffs, [1e-300, 0.0, 1.0], rtol=1e-15, atol=0.0)
+    state = ds.SymmetricState.from_raw(2, [5e-324, 0.0, 0.0])
+    assert state.coeffs.tolist() == [1.0, 0.0, 0.0]
+    state = ds.SymmetricState.from_raw(1, [1e-200, -1e-200j])
+    np.testing.assert_allclose(state.coeffs, np.array([1.0, -1.0j]) / np.sqrt(2.0),
+                               rtol=1e-15)
+    with pytest.raises(ds.ZeroStateError):
+        ds.SymmetricState.from_raw(2, [0.0, 0.0, 0.0])
 
 
 def test_canonicalization_is_explicit_and_phase_only():

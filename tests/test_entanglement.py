@@ -1,26 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dickesim as ds
 from conftest import (
+    SPIN_FLIP,
+    concurrence_oracle,
+    entropy_oracle,
     ghz_qubit,
     orientation_distance,
+    qubit_kron,
     random_config,
     random_polarizer,
+    reduced_density,
     separated_config,
     s_qubit,
+    tangle_oracle,
     w_qubit,
 )
-
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
-
-
-def _reduced(psi, keep):
-    tensor = psi.reshape(2, 2, 2, order="F")
-    axes = list(keep) + [q for q in range(3) if q not in keep]
-    mat = np.transpose(tensor, axes).reshape(2 ** len(keep), -1)
-    return mat @ mat.conj().T
 
 
 def _concurrence_oracle(rho):
@@ -48,9 +46,9 @@ def test_tangle_matches_residual_decomposition():
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)
         tau = ds.tangle_hyperdeterminant(psi)
-        one_to_rest = 4.0 * np.linalg.det(_reduced(psi, (0,))).real
-        c01 = _concurrence_oracle(_reduced(psi, (0, 1)))
-        c02 = _concurrence_oracle(_reduced(psi, (0, 2)))
+        one_to_rest = 4.0 * np.linalg.det(reduced_density(psi, (0,))).real
+        c01 = _concurrence_oracle(reduced_density(psi, (0, 1)))
+        c02 = _concurrence_oracle(reduced_density(psi, (0, 2)))
         assert tau == pytest.approx(one_to_rest - c01 ** 2 - c02 ** 2, abs=5e-7)
 
 
@@ -211,3 +209,81 @@ def test_report_is_internally_consistent():
             assert report.inferred_class == ds.W_CLASS
         else:
             assert report.inferred_class == ds.S_CLASS
+
+
+# ---------------------------------------------------------------------------
+# agreement with the numpy oracles
+# ---------------------------------------------------------------------------
+
+_parts = st.floats(-1.0, 1.0)
+
+
+def _complex_vector(size):
+    return st.lists(_parts, min_size=2 * size, max_size=2 * size).map(
+        lambda v: np.array(v[:size]) + 1j * np.array(v[size:]))
+
+
+_states = _complex_vector(8).filter(lambda psi: np.linalg.norm(psi) > 1e-3)
+
+
+@st.composite
+def _near_product_states(draw):
+    """A random product state plus a kick of relative size 1e-10 .. 1e-4."""
+    qubits = [draw(_complex_vector(2).filter(lambda v: np.linalg.norm(v) > 1e-2))
+              for _ in range(3)]
+    product = qubit_kron(qubits)
+    kick = draw(_states)
+    eps = 10.0 ** draw(st.floats(-10.0, -4.0))
+    return product / np.linalg.norm(product) + eps * kick / np.linalg.norm(kick)
+
+
+def _assert_measures_match_oracles(psi):
+    report = ds.entanglement_report(psi)
+    assert report.tangle == pytest.approx(tangle_oracle(psi), abs=1e-12)
+    assert ds.tangle_hyperdeterminant(psi) == report.tangle
+    for q in range(3):
+        assert report.entropies[q] >= 0.0
+        assert report.entropies[q] == pytest.approx(entropy_oracle(psi, q), abs=1e-12)
+        assert ds.single_qubit_entropy(psi, q) == report.entropies[q]
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        want = concurrence_oracle(psi, pair)
+        assert report.pair_concurrences[pair] == pytest.approx(want, abs=1e-12)
+        for ordered in (pair, pair[::-1]):
+            assert ds.pair_concurrence(psi, ordered) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(psi=_states)
+def test_measures_match_numpy_oracles_on_random_states(psi):
+    _assert_measures_match_oracles(psi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(psi=_near_product_states())
+def test_measures_match_numpy_oracles_near_product_states(psi):
+    _assert_measures_match_oracles(psi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "imag-nan"])
+def test_non_finite_amplitudes_are_a_config_error(bad):
+    psi = np.zeros(8, dtype=complex)
+    psi[0] = 1.0
+    psi[7] = bad
+    with pytest.raises(ds.ConfigError):
+        ds.entanglement_report(psi)
+    with pytest.raises(ds.ConfigError):
+        ds.tangle_hyperdeterminant(psi)
+    with pytest.raises(ds.ConfigError):
+        ds.single_qubit_entropy(psi, 0)
+    with pytest.raises(ds.ConfigError):
+        ds.pair_concurrence(psi, (0, 1))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_amplitude_scale_does_not_change_the_measures(scale):
+    report = ds.entanglement_report(scale * w_qubit(3, 0.0))
+    assert report.inferred_class == ds.W_CLASS
+    assert report.pair_concurrences[(0, 1)] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    with pytest.raises(ds.ZeroStateError):
+        ds.entanglement_report(np.zeros(8))

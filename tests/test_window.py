@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -240,6 +241,20 @@ def test_estimate_matches_dense_reference(config, target):
     assert got.standard_error == pytest.approx(want.standard_error, abs=1e-12)
     assert (got.sample_count, got.excluded_count) == (want.sample_count,
                                                       want.excluded_count)
+
+
+def test_memory_does_not_grow_with_the_sample_count():
+    # one float per sample would take 1.6 MB
+    config = ds.PolarizerConfig.from_angles([0.3])
+    geo = ds.DetectionGeometry.linear_chain(1)
+    tracemalloc.start()
+    try:
+        est = ds.estimate_fidelity(config, geo, samples=200_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.sample_count == 200_000
+    assert peak < 8 * 200_000
 
 
 def test_size_guard_rejects_systems_above_the_limit():
