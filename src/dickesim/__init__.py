@@ -63,7 +63,6 @@ from .errors import (
 )
 from .synthesis import (
     DEGREE_TOL,
-    SynthesisPolynomial,
     ghz_config,
     s_config,
     synthesize,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, cycle, repeat
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,11 +25,11 @@ from .core import (
     LinearAngle,
     Polarizer,
     SymmetricState,
-    _level_detection,
+    _bit_counts,
     _level_kets,
     _sqrt_binomials,
 )
-from .errors import InvalidKetError, ZeroStateError
+from .errors import ConfigError, InvalidKetError, ZeroStateError
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class PolarizerConfig:
     def __post_init__(self) -> None:
         pols = tuple(self.polarizers)
         if len(pols) < 1:
-            raise ValueError("a configuration needs at least one polarizer")
+            raise ConfigError("a configuration needs at least one polarizer")
         for p in pols:
             if not isinstance(p, Polarizer):
                 raise TypeError(f"expected Polarizer, got {type(p).__name__}")
@@ -68,16 +68,31 @@ def _as_config(config) -> PolarizerConfig:
     return PolarizerConfig(tuple(config))
 
 
+def _partial_products(config: PolarizerConfig) -> Iterator[list[complex]]:
+    """Coefficients of ``prod_{i <= m} (alpha_i + beta_i z)`` for m = 1..n.
+
+    Yields one shared list of ``n + 1`` Python complexes, updated in place
+    by the descending recurrence ``q_k <- alpha_m q_k + beta_m q_{k-1}``;
+    after step ``m`` its entries above ``m`` are zero.  Python complex
+    arithmetic rounds exactly as numpy's complex scalars do, at a third of
+    their per-operation cost.
+    """
+    n = len(config)
+    q = [0j] * (n + 1)
+    q[0] = 1.0 + 0.0j
+    for degree, p in enumerate(config, start=1):
+        alpha, beta = p.alpha, p.beta
+        for k in range(degree, 0, -1):
+            q[k] = alpha * q[k] + beta * q[k - 1]
+        q[0] *= alpha
+        yield q
+
+
 def _product_polynomial(config: PolarizerConfig) -> np.ndarray:
     """Coefficients q_0..q_n of ``prod_i (alpha_i + beta_i z)``."""
-    n = len(config)
-    q = np.zeros(n + 1, dtype=complex)
-    q[0] = 1.0
-    for degree, p in enumerate(config, start=1):
-        for k in range(degree, 0, -1):
-            q[k] = p.alpha * q[k] + p.beta * q[k - 1]
-        q[0] *= p.alpha
-    return q
+    for q in _partial_products(config):
+        pass
+    return np.array(q)
 
 
 def dicke_coefficients(config) -> SymmetricState:
@@ -134,24 +149,27 @@ def build_pyramid(config) -> list[PyramidLevel]:
     kets add coherently, which is where the multipath interference lives.
     Kets whose amplitude is exactly zero are left out.
 
-    The levels are computed by the level-restricted kernel of the window
-    Monte Carlo, with every emitter weighted alike.
+    Level m has a closed form: every ket with ``k`` of its ``m`` de-excited
+    emitters in ``-`` carries ``k! (m-k)! q_k``, where ``q_k`` is the
+    ``z**k`` coefficient of the partial product ``prod_{i <= m} (alpha_i +
+    beta_i z)``; each of the ``k! (m-k)!`` assignments of the detectors to
+    the ket's emitters contributes the same elementary-symmetric term.
     """
     config = _as_config(config)
     n = len(config)
     kets = _level_kets(n)
-    level = np.ones((1, 1, 1), dtype=complex)
     levels = [PyramidLevel(0, {kets[0][0]: 1.0 + 0.0j})]
-    for m, p in enumerate(config, start=1):
-        weights = np.broadcast_to(np.array([p.alpha, p.beta]), (1, n, 2))
-        level = _level_detection(level, weights)
-        amps = level.ravel()
-        nonzero = amps != 0.0
-        if not nonzero.any():
+    for m, q in enumerate(_partial_products(config), start=1):
+        weights = [factorial(k) * factorial(m - k) * q[k] for k in range(m + 1)]
+        if not any(weights):
             raise ZeroStateError(f"cascade annihilated the state at step {m}")
-        levels.append(PyramidLevel(
-            m, dict(zip(compress(kets[m], nonzero.tolist()),
-                        amps[nonzero].tolist()))))
+        # every row of the level (one set of de-excited emitters) repeats
+        # the same columns: column c has popcount(c) emitters in -
+        amps = [weights[k] for k in _bit_counts(m).tolist()] * comb(n, m)
+        pairs = zip(kets[m], amps)
+        if not all(weights):
+            pairs = compress(pairs, [amp != 0.0 for amp in amps])
+        levels.append(PyramidLevel(m, dict(pairs)))
     return levels
 
 

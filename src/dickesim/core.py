@@ -63,9 +63,9 @@ class Polarizer:
 
     ``alpha`` and ``beta`` are the amplitudes on the two circular components.
     Construction rescales to unit norm; the all-zero vector is rejected and
-    a non-finite component is ``ConfigError``.  The physically meaningful
-    content is projective: ``alpha/beta`` is the orientation (see
-    :func:`same_orientation`).
+    a non-numeric or non-finite component is ``ConfigError``.  The
+    physically meaningful content is projective: ``alpha/beta`` is the
+    orientation (see :func:`same_orientation`).
     """
 
     alpha: complex
@@ -73,8 +73,11 @@ class Polarizer:
 
     def __post_init__(self) -> None:
         # scalar math, not numpy ufuncs: synthesis builds n of these per call
-        a = complex(self.alpha)
-        b = complex(self.beta)
+        try:
+            a = complex(self.alpha)
+            b = complex(self.beta)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"polarizer components must be numbers: {exc}") from None
         if not (cmath.isfinite(a) and cmath.isfinite(b)):
             raise ConfigError("polarizer components must be finite")
         nrm = hypot(abs(a), abs(b))
@@ -98,13 +101,17 @@ class LinearAngle:
 
     Converts to the polarizer ``(e^{-i theta}, e^{i theta}) / sqrt(2)``.
     Orientation is invariant under ``theta -> theta + pi`` (the reduction
-    only changes a global phase).  A non-finite angle is ``ConfigError``.
+    only changes a global phase).  A non-numeric or non-finite angle is
+    ``ConfigError``.
     """
 
     theta: float
 
     def __post_init__(self) -> None:
-        t = float(self.theta)
+        try:
+            t = float(self.theta)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"angle must be a number: {exc}") from None
         if not isfinite(t):
             raise ConfigError(f"angle must be finite, got {t}")
         t %= pi
@@ -136,15 +143,15 @@ class SymmetricState:
 
     Global phase is left untouched by construction; call
     :meth:`canonicalized` explicitly to rotate the first nonzero coefficient
-    onto the positive real axis.  Coefficients that are not normalized
-    (non-finite ones included) are ``ConfigError``.
+    onto the positive real axis.  Coefficients that are not numbers or not
+    normalized (non-finite ones included) are ``ConfigError``.
     """
 
     n: int
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = _complex_array(self.coeffs)
         if self.n < 1:
             raise ConfigError(f"system size must be >= 1, got {self.n}")
         if c.shape != (self.n + 1,):
@@ -158,12 +165,15 @@ class SymmetricState:
     def from_raw(cls, n: int, raw: Iterable[complex]) -> "SymmetricState":
         """Normalize raw coefficients.
 
-        Raises ``ConfigError`` for a non-finite coefficient and
-        ``ZeroStateError`` if all vanish.
+        Raises ``ConfigError`` for a non-numeric or non-finite coefficient
+        and ``ZeroStateError`` if all vanish.
         """
-        r = np.asarray(list(raw) if not isinstance(raw, np.ndarray) else raw,
-                       dtype=complex)
-        return cls(n, _unit_vector(r))
+        if not isinstance(raw, np.ndarray):
+            try:
+                raw = list(raw)
+            except TypeError as exc:
+                raise ConfigError(f"coefficients must be a sequence: {exc}") from None
+        return cls(n, _unit_vector(_complex_array(raw)))
 
     def canonicalized(self, tol: float = NORM_TOL) -> "SymmetricState":
         """Copy with the first nonzero coefficient made real and positive."""
@@ -183,6 +193,14 @@ class SymmetricState:
         """
         weights = self.coeffs / _sqrt_binomials(self.n)
         return weights[_bit_counts(self.n)]
+
+
+def _complex_array(values) -> np.ndarray:
+    """``values`` as a complex array; ``ConfigError`` if an entry is no number."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"coefficients must be numbers: {exc}") from None
 
 
 def _unit_vector(v: np.ndarray) -> np.ndarray:

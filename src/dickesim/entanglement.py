@@ -34,7 +34,13 @@ from math import log, log1p, log2, sqrt
 import numpy as np
 
 from .cascade import _as_config, _product_polynomial
-from .core import SymmetricState, _sqrt_binomials, _unit_vector, same_orientation
+from .core import (
+    SymmetricState,
+    _complex_array,
+    _sqrt_binomials,
+    _unit_vector,
+    same_orientation,
+)
 from .errors import WrongArityError
 
 #: Threshold separating numerically-zero tangle/entropy from generic nonzero
@@ -77,14 +83,15 @@ def _as_qubit_amplitudes(state) -> list[complex]:
     """The 8 normalized amplitudes of a three-qubit state, as Python complexes.
 
     Accepts a SymmetricState with n=3 or any length-8 amplitude sequence
-    (bit j of the index = qubit j, little-endian).  A non-finite amplitude
-    is ``ConfigError``, the zero vector ``ZeroStateError``.
+    (bit j of the index = qubit j, little-endian).  A non-numeric or
+    non-finite amplitude is ``ConfigError``, the zero vector
+    ``ZeroStateError``.
     """
     if isinstance(state, SymmetricState):
         if state.n != 3:
             raise WrongArityError(f"need a 3-qubit state, got n={state.n}")
         return state.to_qubit_amplitudes().tolist()
-    psi = np.asarray(state, dtype=complex).reshape(-1)
+    psi = _complex_array(state).reshape(-1)
     if psi.shape != (8,):
         raise WrongArityError(f"need 8 amplitudes, got {psi.shape}")
     return _unit_vector(psi).tolist()

@@ -24,14 +24,14 @@ import numpy as np
 
 from .cascade import PolarizerConfig
 from .core import Polarizer, SymmetricState, _sqrt_binomials
-from .errors import RootFindingError, ZeroTargetError
+from .errors import ConfigError, RootFindingError, ZeroTargetError
 
 #: Coefficients below this magnitude do not count toward the polynomial degree.
 DEGREE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SynthesisPolynomial:
+class _SynthesisPolynomial:
     """Root-finding polynomial associated with a symmetric target state.
 
     ``coeffs[k]`` multiplies ``z**k``; the leading coefficient is nonzero by
@@ -43,7 +43,7 @@ class SynthesisPolynomial:
     coeffs: np.ndarray
 
     @classmethod
-    def from_state(cls, target: SymmetricState) -> "SynthesisPolynomial":
+    def from_state(cls, target: SymmetricState) -> "_SynthesisPolynomial":
         d = target.coeffs
         n = target.n
         above = np.nonzero(np.abs(d) > DEGREE_TOL)[0]
@@ -55,13 +55,26 @@ class SynthesisPolynomial:
         return cls(k_max, signs * (roots / roots[k_max]) * d[:k_max + 1])
 
     def roots(self) -> np.ndarray:
-        """Roots via the balanced companion matrix; empty for degree 0."""
+        """Eigenvalues of the companion matrix; empty for degree 0.
+
+        The matrix is the one ``np.roots`` builds, so the roots are its
+        roots bit for bit: ``k`` vanishing low-order coefficients become
+        ``k`` exact zero roots, appended last, and the remaining polynomial
+        goes to one ``np.linalg.eigvals`` call without ``np.roots``' wrapper.
+        """
         if self.degree == 0:
             return np.zeros(0, dtype=complex)
-        try:
-            roots = np.roots(self.coeffs[::-1])
-        except np.linalg.LinAlgError as exc:
-            raise RootFindingError(f"companion eigensolver failed: {exc}") from exc
+        zeros = int(np.flatnonzero(self.coeffs)[0])
+        top_first = self.coeffs[zeros:][::-1]
+        roots = np.zeros(self.degree, dtype=complex)
+        if len(top_first) > 1:
+            companion = np.eye(len(top_first) - 1, k=-1, dtype=complex)
+            companion[0] = -top_first[1:] / top_first[0]
+            try:
+                roots[:len(companion)] = np.linalg.eigvals(companion)
+            except np.linalg.LinAlgError as exc:
+                raise RootFindingError(
+                    f"companion eigensolver failed: {exc}") from exc
         if not np.all(np.isfinite(roots)):
             raise RootFindingError("non-finite root encountered")
         return roots
@@ -74,9 +87,13 @@ def synthesize(target: SymmetricState) -> PolarizerConfig:
     with vanishing top coefficients get ``n - K`` pure-``+`` polarizers.
     The fully inverted target (only the top coefficient nonzero) needs no
     special casing: all roots are zero and every polarizer lands on the pure
-    ``-`` component.
+    ``-`` component.  A target that is not a :class:`SymmetricState` is
+    ``ConfigError``.
     """
-    poly = SynthesisPolynomial.from_state(target)
+    if not isinstance(target, SymmetricState):
+        raise ConfigError(
+            f"target must be a SymmetricState, got {type(target).__name__}")
+    poly = _SynthesisPolynomial.from_state(target)
     pols = [Polarizer(r, 1.0) for r in poly.roots()]
     pols.extend(Polarizer.sigma_plus() for _ in range(target.n - poly.degree))
     return PolarizerConfig(tuple(pols))

@@ -286,9 +286,12 @@ def _sample_outputs(components: np.ndarray, geometry: DetectionGeometry,
     normals = np.empty((count, 2 * n))
     deviates = np.empty((count, n))
     for row in range(count):
-        # the per-sample draw order of the one-sample-at-a-time cascade
-        normals[row] = rng.normal(0.0, 1.0, size=2 * n)
-        deviates[row] = rng.uniform(-1.0, 1.0, size=n)
+        # the per-sample draw order of the one-sample-at-a-time cascade;
+        # written into place, these are the same numbers as normal(0, 1)
+        # and uniform(-1, 1), whose low + scale * x is applied once below
+        rng.standard_normal(out=normals[row])
+        rng.random(out=deviates[row])
+    deviates = -1.0 + 2.0 * deviates
     sigma = geometry.transverse_sigma
     t1, t2 = geometry.transverse_basis
     positions = (geometry.emitter_positions

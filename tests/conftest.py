@@ -161,6 +161,25 @@ def concurrence_oracle(psi, pair):
     return float(max(0.0, singulars[0] - singulars[1]))
 
 
+# --- numpy references for the product polynomial and its roots --------------
+
+def product_polynomial_oracle(config):
+    """``prod_i (alpha_i + beta_i z)`` by the descending recurrence on numpy scalars."""
+    n = len(config)
+    q = np.zeros(n + 1, dtype=complex)
+    q[0] = 1.0
+    for degree, p in enumerate(config, start=1):
+        for k in range(degree, 0, -1):
+            q[k] = p.alpha * q[k] + p.beta * q[k - 1]
+        q[0] *= p.alpha
+    return q
+
+
+def roots_oracle(coeffs):
+    """Roots of ``sum_k coeffs[k] z**k`` by ``np.roots``."""
+    return np.roots(coeffs[::-1])
+
+
 # --- level-restricted layout, spelled out ket by ket -----------------------
 
 def _level_kets(n, m):

@@ -3,11 +3,16 @@ from math import comb, factorial, lgamma
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dickesim as ds
+from dickesim.cascade import _product_polynomial
+from dickesim.core import _sqrt_binomials
 from conftest import (
     enumerate_paths,
     oracle_forward,
+    product_polynomial_oracle,
     random_config,
     random_polarizer,
     reference_pyramid,
@@ -165,6 +170,29 @@ def test_pyramid_levels_match_register_cascade():
             np.testing.assert_allclose(dense, reg.amps, rtol=0, atol=1e-12)
 
 
+def _assert_pyramid_matches_string_reference(config, same_kets=True):
+    """Levels within round-off of the string expansion, edges equal to its edges.
+
+    With ``same_kets`` the key sets must be equal too.  Without it a ket may
+    be missing on one side only if the other side holds a round-off residue
+    there: the closed form can give an exact zero where the expansion's sums
+    leave one, and vice versa.
+    """
+    n = len(config)
+    want = reference_pyramid(config)
+    levels = ds.build_pyramid(config)
+    assert [level.step for level in levels] == list(range(n + 1))
+    for level, terms in zip(levels, want):
+        if same_kets:
+            assert level.terms.keys() == terms.keys()
+        scale = max(abs(amp) for amp in terms.values())
+        for ket in level.terms.keys() | terms.keys():
+            assert abs(level.terms.get(ket, 0.0) - terms.get(ket, 0.0)) <= 1e-13 * scale
+    assert ds.pyramid_edges(config, levels) == reference_pyramid_edges(
+        config, [level.terms for level in levels])
+    assert ds.pyramid_edges(config) == ds.pyramid_edges(config, levels)
+
+
 def test_pyramid_matches_string_reference():
     rng = np.random.default_rng(31)
     for n in range(1, 9):
@@ -175,18 +203,32 @@ def test_pyramid_matches_string_reference():
                 for i in rng.choice(n, size=(n + 1) // 2, replace=False):
                     pols[i] = (ds.Polarizer.sigma_plus() if rng.random() < 0.5
                                else ds.Polarizer.sigma_minus())
-            config = ds.PolarizerConfig(tuple(pols))
-            want = reference_pyramid(config)
-            levels = ds.build_pyramid(config)
-            assert [level.step for level in levels] == list(range(n + 1))
-            for level, terms in zip(levels, want):
-                assert level.terms.keys() == terms.keys()
-                scale = max(abs(amp) for amp in terms.values())
-                for ket, amp in terms.items():
-                    assert abs(level.terms[ket] - amp) <= 1e-13 * scale
-            assert ds.pyramid_edges(config, levels) == reference_pyramid_edges(
-                config, want)
-            assert ds.pyramid_edges(config) == ds.pyramid_edges(config, levels)
+            _assert_pyramid_matches_string_reference(ds.PolarizerConfig(tuple(pols)))
+    # the named recipes cancel amplitudes on the way to their targets
+    for n in range(3, 9):
+        for phi in (0.0, 0.9):
+            for recipe in (ds.ghz_config, ds.w_config, ds.s_config):
+                _assert_pyramid_matches_string_reference(recipe(n, phi), same_kets=False)
+
+
+_unit_parts = st.floats(-1.0, 1.0)
+_polarizers = st.one_of(
+    st.sampled_from([ds.Polarizer.sigma_plus(), ds.Polarizer.sigma_minus()]),
+    st.tuples(_unit_parts, _unit_parts, _unit_parts, _unit_parts)
+    .filter(lambda v: np.hypot(np.hypot(v[0], v[1]), np.hypot(v[2], v[3])) > 1e-3)
+    .map(lambda v: ds.Polarizer(complex(v[0], v[1]), complex(v[2], v[3]))))
+_configs = st.lists(_polarizers, min_size=1, max_size=64).map(
+    lambda pols: ds.PolarizerConfig(tuple(pols)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=_configs)
+def test_product_polynomial_is_the_numpy_scalar_recurrence_bit_for_bit(config):
+    want = product_polynomial_oracle(config)
+    # bytes, so that the signs of zeros count too
+    assert _product_polynomial(config).tobytes() == want.tobytes()
+    closed = ds.SymmetricState.from_raw(len(config), want / _sqrt_binomials(len(config)))
+    assert ds.dicke_coefficients(config).coeffs.tobytes() == closed.coeffs.tobytes()
 
 
 def test_pyramid_edges_share_the_pyramid_ket_strings():

@@ -265,6 +265,29 @@ def test_non_finite_coefficients_are_a_config_error(bad):
         ds.SymmetricState.from_raw(2, [1.0, bad, 0.0])
 
 
+_NON_NUMERIC_INPUTS = {
+    "polarizer-none": lambda: ds.Polarizer(None, 1),
+    "polarizer-str": lambda: ds.Polarizer("x", 1),
+    "polarizer-huge-int": lambda: ds.Polarizer(10 ** 400, 1),
+    "angle-huge-int": lambda: ds.LinearAngle(10 ** 400),
+    "angle-none": lambda: ds.LinearAngle(None),
+    "from-raw-str": lambda: ds.SymmetricState.from_raw(1, ["a", 1]),
+    "from-raw-huge-int": lambda: ds.SymmetricState.from_raw(1, [10 ** 400, 1]),
+    "from-raw-not-iterable": lambda: ds.SymmetricState.from_raw(1, None),
+    "state-str": lambda: ds.SymmetricState(1, ["a", 1]),
+    "synthesize-none": lambda: ds.synthesize(None),
+    "amplitudes-str": lambda: ds.entanglement_report(["a"] + [0] * 7),
+    "empty-config": lambda: ds.PolarizerConfig(()),
+    "dicke-empty": lambda: ds.dicke_coefficients([]),
+}
+
+
+@pytest.mark.parametrize("call", _NON_NUMERIC_INPUTS.values(), ids=_NON_NUMERIC_INPUTS.keys())
+def test_non_numeric_or_empty_input_is_a_config_error(call):
+    with pytest.raises(ds.ConfigError):
+        call()
+
+
 def test_from_raw_normalizes_any_finite_magnitude():
     # the squared norm of these overflows or underflows
     state = ds.SymmetricState.from_raw(2, [1.0, 1e-300, 1e300])

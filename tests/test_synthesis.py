@@ -2,9 +2,19 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dickesim as ds
-from conftest import ghz_qubit, qubit_fidelity, random_config, s_qubit, w_qubit
+from dickesim.synthesis import _SynthesisPolynomial
+from conftest import (
+    ghz_qubit,
+    qubit_fidelity,
+    random_config,
+    roots_oracle,
+    s_qubit,
+    w_qubit,
+)
 
 
 def _forward_qubits(config):
@@ -186,7 +196,29 @@ def test_synthesize_pads_with_plus_polarizers():
 
 def test_synthesis_polynomial_shape():
     target = ds.SymmetricState.from_raw(3, [0.3, 0.0, 0.4, 0.0])
-    poly = ds.SynthesisPolynomial.from_state(target)
+    poly = _SynthesisPolynomial.from_state(target)
     assert poly.degree == 2
     assert abs(poly.coeffs[-1]) > ds.DEGREE_TOL
     assert len(poly.roots()) == 2
+
+
+@st.composite
+def _targets(draw):
+    """Random targets at n = 1..64, often with vanishing low-order coefficients."""
+    n = draw(st.integers(1, 64))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n + 2,
+                          max_size=2 * n + 2))
+    raw = np.array(parts[:n + 1]) + 1j * np.array(parts[n + 1:])
+    raw[:draw(st.integers(0, n))] = 0.0
+    raw[draw(st.integers(0, n))] += 1.0  # never the zero vector
+    return ds.SymmetricState.from_raw(n, raw)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(target=_targets())
+def test_synthesis_roots_are_np_roots_bit_for_bit(target):
+    poly = _SynthesisPolynomial.from_state(target)
+    want = roots_oracle(poly.coeffs).astype(complex)
+    # bytes, so that the signs of zeros count too
+    assert poly.roots().tobytes() == want.tobytes()
+    assert ds.synthesize(target)[:poly.degree] == tuple(ds.Polarizer(r, 1.0) for r in want)
