@@ -26,8 +26,6 @@ from .core import (
     SymmetricState,
     apply_detection,
     fidelity,
-    ket_index,
-    ket_string,
     project_symmetric,
     same_orientation,
 )

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, cycle, repeat
+from itertools import compress, cycle, product, repeat
 from math import comb, factorial
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -25,8 +26,7 @@ from .core import (
     LinearAngle,
     Polarizer,
     SymmetricState,
-    _bit_counts,
-    _level_kets,
+    _check_register_size,
     _sqrt_binomials,
 )
 from .errors import ConfigError, InvalidKetError, ZeroStateError
@@ -140,6 +140,37 @@ class PathCount:
     distinct_products: int
 
 
+@lru_cache(maxsize=None)
+def _ket_table(n: int) -> tuple[tuple[tuple, itemgetter, frozenset, list, list], ...]:
+    """Every ket of an ``n``-emitter pyramid, one entry per level.
+
+    Entry ``m`` is ``(kets, pick, known, parents, children)``: the kets with
+    ``m`` emitters out of ``e`` in sorted order; ``pick(weights)``, the
+    ``weights[k]`` of each ket with ``k`` minuses in that order; the kets as
+    a set; and the parent and child of every edge to level ``m + 1`` in the
+    order of :func:`pyramid_edges` (parents sorted, their excited emitters
+    ascending, ``+`` child before ``-`` child).  Each ket is one string
+    object shared by every entry and every caller.
+    """
+    levels = [[] for _ in range(n + 1)]
+    for letters in product("+-e", repeat=n):  # sorted, as "+" < "-" < "e"
+        ket = "".join(letters)
+        levels[n - ket.count("e")].append(ket)
+    canonical = {ket: ket for kets in levels for ket in kets}
+    table = []
+    for m, kets in enumerate(levels):
+        parents, children = [], []
+        for ket in kets:
+            for j, ch in enumerate(ket):
+                if ch == "e":
+                    children.append(canonical[ket[:j] + "+" + ket[j + 1:]])
+                    children.append(canonical[ket[:j] + "-" + ket[j + 1:]])
+            parents.extend([ket] * (2 * (n - m)))
+        table.append((tuple(kets), itemgetter(*[ket.count("-") for ket in kets]),
+                      frozenset(kets), parents, children))
+    return tuple(table)
+
+
 def build_pyramid(config) -> list[PyramidLevel]:
     """Expand the cascade level by level, keeping every intermediate ket.
 
@@ -154,19 +185,24 @@ def build_pyramid(config) -> list[PyramidLevel]:
     ``z**k`` coefficient of the partial product ``prod_{i <= m} (alpha_i +
     beta_i z)``; each of the ``k! (m-k)!`` assignments of the detectors to
     the ket's emitters contributes the same elementary-symmetric term.
+
+    Raises
+    ------
+    TooLargeError
+        If the configuration has more than ``REGISTER_SIZE_LIMIT`` emitters.
     """
     config = _as_config(config)
     n = len(config)
-    kets = _level_kets(n)
-    levels = [PyramidLevel(0, {kets[0][0]: 1.0 + 0.0j})]
-    for m, q in enumerate(_partial_products(config), start=1):
+    _check_register_size(n, "pyramid")
+    table = _ket_table(n)
+    levels = [PyramidLevel(0, {table[0][0][0]: 1.0 + 0.0j})]
+    for (m, q), (kets, pick, *_) in zip(
+            enumerate(_partial_products(config), start=1), table[1:]):
         weights = [factorial(k) * factorial(m - k) * q[k] for k in range(m + 1)]
         if not any(weights):
             raise ZeroStateError(f"cascade annihilated the state at step {m}")
-        # every row of the level (one set of de-excited emitters) repeats
-        # the same columns: column c has popcount(c) emitters in -
-        amps = [weights[k] for k in _bit_counts(m).tolist()] * comb(n, m)
-        pairs = zip(kets[m], amps)
+        amps = pick(weights)
+        pairs = zip(kets, amps)
         if not all(weights):
             pairs = compress(pairs, [amp != 0.0 for amp in amps])
         levels.append(PyramidLevel(m, dict(pairs)))
@@ -194,32 +230,6 @@ def pyramid_text(levels: Sequence[PyramidLevel]) -> str:
     return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
-def _edge_table(n: int) -> tuple[tuple[frozenset, tuple, list, list], ...]:
-    """Every possible edge of an ``n``-emitter pyramid, one entry per step.
-
-    Entry ``m - 1`` holds the level-``m - 1`` kets as a set and in sorted
-    order, then the parent and the child of each edge in the order of
-    :func:`pyramid_edges`: parents sorted, and for each parent its excited
-    emitters in ascending order, ``+`` child before ``-`` child.  Every ket
-    is the shared string object of :func:`core._level_kets`.
-    """
-    kets = _level_kets(n)
-    table = []
-    for m in range(1, n + 1):
-        canonical = {ket: ket for ket in kets[m]}
-        parents = tuple(sorted(kets[m - 1]))
-        flat_parents, children = [], []
-        for ket in parents:
-            for j, ch in enumerate(ket):
-                if ch == "e":
-                    children.append(canonical[ket[:j] + "+" + ket[j + 1:]])
-                    children.append(canonical[ket[:j] + "-" + ket[j + 1:]])
-            flat_parents.extend([ket] * (2 * (n - m + 1)))
-        table.append((frozenset(parents), parents, flat_parents, children))
-    return tuple(table)
-
-
 def pyramid_edges(config, levels: Sequence[PyramidLevel] | None = None,
                   ) -> list[tuple[int, str, str, complex]]:
     """Transition list ``(level, parent_ket, child_ket, weight)``.
@@ -231,17 +241,20 @@ def pyramid_edges(config, levels: Sequence[PyramidLevel] | None = None,
 
     Raises
     ------
+    TooLargeError
+        If the configuration has more than ``REGISTER_SIZE_LIMIT`` emitters.
     InvalidKetError
         If a ket of ``levels[m - 1]`` is not a ket with ``m - 1`` emitters
         out of ``e``.
     """
     config = _as_config(config)
     n = len(config)
+    _check_register_size(n, "pyramid")
     if levels is None:
         levels = build_pyramid(config)
     edges: list[tuple[int, str, str, complex]] = []
-    for (m, p), (known, parents, flat_parents, children) in zip(
-            enumerate(config, start=1), _edge_table(n)):
+    for (m, p), (parents, _, known, flat_parents, children) in zip(
+            enumerate(config, start=1), _ket_table(n)):
         terms = levels[m - 1].terms
         if not terms.keys() <= known:
             foreign = next(ket for ket in terms if ket not in known)

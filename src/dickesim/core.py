@@ -9,6 +9,10 @@ representation conventions are fixed once and for all:
 * Register indexing is base-3 and little-endian: emitter ``j`` occupies digit
   ``j`` of the index (``index // 3**j % 3``) with level encoding
   ``e=0, +=1, -=2``.  The fully excited register ``|e,...,e>`` is index 0.
+  Read as a ``(3,)*n`` tensor, the register has emitter ``j`` on axis
+  ``n-1-j``; its block ``[1:, ..., 1:]`` (no emitter in ``e``) flattens in
+  ascending register order, which is the qubit order of
+  :meth:`SymmetricState.to_qubit_amplitudes`.
 * Ket strings spell emitters left to right starting with emitter 0, over the
   alphabet ``e+-`` (so ``"+e-"`` has emitter 0 in ``+``, emitter 2 in ``-``).
 * A detection event is non-unitary and shrinks the register norm; nothing is
@@ -32,6 +36,7 @@ from .errors import (
     AsymmetricResidueError,
     ConfigError,
     DimensionMismatchError,
+    InvalidKetError,
     NoExcitedPopulationError,
     ResidualExcitationError,
     TooLargeError,
@@ -51,6 +56,26 @@ NORM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 LEVEL_CHARS = "e+-"
+
+#: Largest system whose ``3**n`` kets are built: the dense register, the
+#: pyramid and the window Monte Carlo (whose work per sample grows as
+#: ``n * 3**n`` and widest level as ``3**n / sqrt(n)``).
+REGISTER_SIZE_LIMIT = 12
+
+
+def _system_size(n) -> int:
+    """``n`` if it is an integer >= 1, else ``ConfigError``."""
+    if type(n) is not int and not isinstance(n, np.integer):  # type(True) is bool
+        raise ConfigError(f"system size must be an integer, got {n!r}")
+    if n < 1:
+        raise ConfigError(f"system size must be >= 1, got {n}")
+    return n
+
+
+def _check_register_size(n: int, what: str) -> None:
+    """``TooLargeError`` when ``what`` would build the kets of ``n > REGISTER_SIZE_LIMIT``."""
+    if n > REGISTER_SIZE_LIMIT:
+        raise TooLargeError(f"{what} limited to n <= {REGISTER_SIZE_LIMIT}, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +97,10 @@ class Polarizer:
     beta: complex
 
     def __post_init__(self) -> None:
-        # scalar math, not numpy ufuncs: synthesis builds n of these per call
+        # scalar math, not numpy ufuncs: synthesis builds n of these per call;
+        # complex() parses strings (bytes it rejects itself)
+        if isinstance(self.alpha, str) or isinstance(self.beta, str):
+            raise ConfigError("polarizer components must be numbers, not strings")
         try:
             a = complex(self.alpha)
             b = complex(self.beta)
@@ -108,6 +136,8 @@ class LinearAngle:
     theta: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.theta, (str, bytes)):
+            raise ConfigError(f"angle must be a number, got {self.theta!r}")
         try:
             t = float(self.theta)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -143,17 +173,17 @@ class SymmetricState:
 
     Global phase is left untouched by construction; call
     :meth:`canonicalized` explicitly to rotate the first nonzero coefficient
-    onto the positive real axis.  Coefficients that are not numbers or not
-    normalized (non-finite ones included) are ``ConfigError``.
+    onto the positive real axis.  A system size that is not an integer >= 1,
+    and coefficients that are not numbers or not normalized (non-finite ones
+    included), are ``ConfigError``.
     """
 
     n: int
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        _system_size(self.n)
         c = _complex_array(self.coeffs)
-        if self.n < 1:
-            raise ConfigError(f"system size must be >= 1, got {self.n}")
         if c.shape != (self.n + 1,):
             raise ConfigError(f"expected {self.n + 1} coefficients, got shape {c.shape}")
         # written so that a NaN norm fails it
@@ -198,9 +228,13 @@ class SymmetricState:
 def _complex_array(values) -> np.ndarray:
     """``values`` as a complex array; ``ConfigError`` if an entry is no number."""
     try:
-        return np.asarray(values, dtype=complex)
+        array = np.asarray(values, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"coefficients must be numbers: {exc}") from None
+    # numpy parses strings; a complex array, returned as is, holds none
+    if array is not values and np.asarray(values).dtype.kind in "SU":
+        raise ConfigError("coefficients must be numbers, not strings")
+    return array
 
 
 def _unit_vector(v: np.ndarray) -> np.ndarray:
@@ -234,36 +268,6 @@ def fidelity(a: SymmetricState, b: SymmetricState) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _digit_table(n: int) -> np.ndarray:
-    """Base-3 digits of every register index, shape ``(3**n, n)``."""
-    idx = np.arange(3 ** n)
-    table = np.empty((3 ** n, n), dtype=np.int8)
-    for j in range(n):
-        table[:, j] = (idx // 3 ** j) % 3
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _excited_slots(n: int) -> tuple[np.ndarray, ...]:
-    """For each emitter, the register indices with that emitter in ``e``."""
-    dig = _digit_table(n)
-    return tuple(np.nonzero(dig[:, j] == 0)[0] for j in range(n))
-
-
-@lru_cache(maxsize=None)
-def _ground_free_info(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices of kets without ``e``, their minus counts, and qubit indices."""
-    dig = _digit_table(n)
-    free = np.nonzero(~(dig == 0).any(axis=1))[0]
-    minus = (dig[free] == 2).sum(axis=1)
-    qubit = ((dig[free] == 2) << np.arange(n)).sum(axis=1)
-    for a in (free, minus, qubit):
-        a.setflags(write=False)
-    return free, minus, qubit
-
-
-@lru_cache(maxsize=None)
 def _sqrt_binomials(n: int) -> np.ndarray:
     """``sqrt(C(n, k))`` for ``k = 0..n`` as floats.
 
@@ -294,30 +298,13 @@ def _bit_counts(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _level_sets(n: int) -> tuple[np.ndarray, ...]:
-    """The rows of every level: sets of de-excited emitters, by size.
-
-    Entry ``m`` is a read-only boolean array of shape ``(C(n, m), n)``; row
-    ``r`` is the ``r``-th set of ``m`` emitters in ascending bitmask order,
-    and column ``j`` is True when emitter ``j`` is in the set.  This fixes
-    the row order shared by :func:`_level_tables` and :func:`_level_kets`.
-    """
-    members = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    size = members.sum(axis=1)
-    sets = tuple(members[size == m] for m in range(n + 1))
-    for rows in sets:
-        rows.setflags(write=False)
-    return sets
-
-
-@lru_cache(maxsize=None)
 def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Gather tables carrying a level-restricted register from level m to m+1.
 
     After ``m`` detections only kets with exactly ``m`` emitters out of ``e``
     can be nonzero.  Level ``m`` is stored as an array of shape
-    ``(C(n, m), 2**m)``: rows are the sets of :func:`_level_sets` (in
-    ascending bitmask order), and bit ``p`` of the column is 1 when the
+    ``(C(n, m), 2**m)``: rows are the sets of ``m`` de-excited emitters in
+    ascending bitmask order, and bit ``p`` of the column is 1 when the
     ``p``-th smallest emitter of the set sits in ``-`` (else ``+``).  Level
     ``n`` therefore has a single row whose columns are the qubit indices of
     :meth:`SymmetricState.to_qubit_amplitudes`.
@@ -327,41 +314,22 @@ def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     set's ``p``-th smallest emitter and ``src[p]`` the level-``m`` row of the
     set without it.
     """
-    sets = _level_sets(n)
-    place = 1 << np.arange(n)
+    masks = np.arange(2 ** n)
+    members = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    size = members.sum(axis=1)
     rank = np.empty(2 ** n, dtype=np.intp)  # bitmask -> row within its level
-    for rows in sets:
-        rank[rows @ place] = np.arange(len(rows))
+    for m in range(n + 1):
+        rank[size == m] = np.arange(comb(n, m))
     tables = []
     for m in range(n):
-        rows = sets[m + 1]
-        _, emitter = np.nonzero(rows)
+        rows = size == m + 1
+        _, emitter = np.nonzero(members[rows])
         emitter = np.ascontiguousarray(emitter.reshape(-1, m + 1).T)
-        src = rank[(rows @ place) ^ (1 << emitter)]
+        src = rank[masks[rows] ^ (1 << emitter)]
         for a in (src, emitter):
             a.setflags(write=False)
         tables.append((src, emitter))
     return tuple(tables)
-
-
-@lru_cache(maxsize=None)
-def _level_kets(n: int) -> tuple[tuple[str, ...], ...]:
-    """Ket strings of every level in the layout of :func:`_level_tables`.
-
-    Entry ``m`` spells the ``C(n, m) * 2**m`` entries of a level-``m`` array
-    in row-major order, so ``zip(_level_kets(n)[m], level.ravel())`` pairs
-    each ket with its amplitude.  The strings are shared by every caller;
-    callers that store kets should store these objects, not copies.
-    """
-    kets = []
-    for m, sets in enumerate(_level_sets(n)):
-        # position of each emitter within its set; bit p of the column is
-        # the level of the set's p-th smallest emitter
-        pos = np.where(sets, np.cumsum(sets, axis=1) - 1, 0)
-        minus = (np.arange(2 ** m)[None, :, None] >> pos[:, None, :]) & 1
-        chars = np.where(sets[:, None, :], np.where(minus, "-", "+"), "e")
-        kets.append(tuple(chars.view(f"<U{n}").ravel().tolist()))
-    return tuple(kets)
 
 
 def _level_detection(levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -390,33 +358,40 @@ def _level_detection(levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def ket_string(index: int, n: int) -> str:
-    """Spell a register index as a ket string over ``e+-``, emitter 0 first."""
-    return "".join(LEVEL_CHARS[(index // 3 ** j) % 3] for j in range(n))
-
-
-def ket_index(ket: str) -> int:
-    """Inverse of :func:`ket_string`."""
+def _ket_index(ket: str) -> int:
+    """Register index of a ket string over ``e+-``, emitter 0 first."""
     return sum(LEVEL_CHARS.index(ch) * 3 ** j for j, ch in enumerate(ket))
+
+
+def _register_length(n) -> int:
+    """``3**n`` for a valid register size, checked before anything is allocated."""
+    _check_register_size(_system_size(n), "emitter register")
+    return 3 ** n
 
 
 @dataclass(frozen=True, eq=False)
 class EmitterRegister:
-    """Full ``3**n`` state vector of ``n`` three-level emitters."""
+    """Full ``3**n`` state vector of ``n`` three-level emitters.
+
+    A size that is not an integer >= 1, or amplitudes that are not ``3**n``
+    numbers, are ``ConfigError``; a size above ``REGISTER_SIZE_LIMIT`` is
+    ``TooLargeError``.
+    """
 
     n: int
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.amps, dtype=complex)
-        if a.shape != (3 ** self.n,):
-            raise ValueError(f"expected {3 ** self.n} amplitudes, got shape {a.shape}")
+        length = _register_length(self.n)
+        a = _complex_array(self.amps)
+        if a.shape != (length,):
+            raise ConfigError(f"expected {length} amplitudes, got shape {a.shape}")
         object.__setattr__(self, "amps", a)
 
     @classmethod
     def ground(cls, n: int) -> "EmitterRegister":
         """The fully excited initial register ``|e,...,e>``."""
-        amps = np.zeros(3 ** n, dtype=complex)
+        amps = np.zeros(_register_length(n), dtype=complex)
         amps[0] = 1.0
         return cls(n, amps)
 
@@ -424,7 +399,10 @@ class EmitterRegister:
         return float(np.linalg.norm(self.amps))
 
     def amplitude(self, ket: str) -> complex:
-        return complex(self.amps[ket_index(ket)])
+        """Amplitude of a ket string of ``n`` letters from ``e+-``, else ``InvalidKetError``."""
+        if not (isinstance(ket, str) and len(ket) == self.n and set(ket) <= set(LEVEL_CHARS)):
+            raise InvalidKetError(f"{ket!r} is not a ket of {self.n} emitters over 'e+-'")
+        return complex(self.amps[_ket_index(ket)])
 
 
 def _detection_kernel(amps: np.ndarray, n: int,
@@ -433,18 +411,21 @@ def _detection_kernel(amps: np.ndarray, n: int,
     """Apply one detection with per-emitter weighted components.
 
     Emitter ``j``'s term ``alpha_j |+><e| + beta_j |-><e|`` moves amplitude
-    from digit value 0 to values 1 and 2 of digit ``j``.  Shared by the
-    plain detection operator (uniform weights) and the dense per-sample
-    reference of the window Monte Carlo in the test suite (far-field phase
-    factors).
+    from level 0 to levels 1 and 2 of its axis ``n-1-j`` of the register
+    read as a ``(3,)*n`` tensor.  Shared by the plain detection operator
+    (uniform weights) and the dense per-sample reference of the window Monte
+    Carlo in the test suite (far-field phase factors).
     """
-    out = np.zeros_like(amps)
-    for j, src in enumerate(_excited_slots(n)):
-        step = 3 ** j
-        contrib = amps[src]
-        out[src + step] += alpha_weights[j] * contrib
-        out[src + 2 * step] += beta_weights[j] * contrib
-    return out
+    tensor = amps.reshape((3,) * n)
+    out = np.zeros_like(tensor)
+    for j in range(n):
+        above = (slice(None),) * (n - 1 - j)  # the axes of emitters above j
+        # views, even at n = 1: numpy scalars would round differently
+        excited = tensor[above + (0, ...)]
+        plus, minus = out[above + (1, ...)], out[above + (2, ...)]
+        plus += alpha_weights[j] * excited
+        minus += beta_weights[j] * excited
+    return out.reshape(-1)
 
 
 def apply_detection(register: EmitterRegister, polarizer: Polarizer) -> EmitterRegister:
@@ -490,20 +471,22 @@ def project_symmetric(register: EmitterRegister) -> SymmetricState:
     """
     n = register.n
     amps = register.amps
-    free, minus, _ = _ground_free_info(n)
-    excited_mask = np.ones(3 ** n, dtype=bool)
-    excited_mask[free] = False
-    if excited_mask.any():
-        worst = np.abs(amps[excited_mask]).max()
-        if worst > RESIDUAL_TOL:
-            raise ResidualExcitationError(
-                f"excited amplitude {worst:.3e} above {RESIDUAL_TOL:.0e}")
+    tensor = amps.reshape((3,) * n)
+    de_excited = (slice(1, None),) * n  # the kets with no emitter in e
+    magnitude = np.abs(tensor)
+    magnitude[de_excited] = 0.0
+    worst = magnitude.max()
+    if worst > RESIDUAL_TOL:
+        raise ResidualExcitationError(
+            f"excited amplitude {worst:.3e} above {RESIDUAL_TOL:.0e}")
     total = float(np.vdot(amps, amps).real)
     if total == 0.0:
         raise ZeroStateError("register is the zero vector")
+    qubit = tensor[de_excited].reshape(-1)  # ascending register order is qubit order
+    minus = _bit_counts(n)
     raw = np.zeros(n + 1, dtype=complex)
     for k in range(n + 1):
-        raw[k] = amps[free[minus == k]].sum()
+        raw[k] = qubit[minus == k].sum()
     raw /= _sqrt_binomials(n)
     kept = float(np.vdot(raw, raw).real)
     if 1.0 - kept / total > RESIDUAL_TOL:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import PolarizerConfig
-from .core import Polarizer, SymmetricState, _sqrt_binomials
+from .core import Polarizer, SymmetricState, _sqrt_binomials, _system_size
 from .errors import ConfigError, RootFindingError, ZeroTargetError
 
 #: Coefficients below this magnitude do not count toward the polynomial degree.
@@ -111,8 +111,8 @@ def ghz_config(n: int, phi: float) -> PolarizerConfig:
     ``n`` is even (without the offset the relative phase of the two
     components comes out as ``-e^{i phi}``).
     """
-    if n < 2:
-        raise ValueError("maximally entangled target needs n >= 2")
+    if _system_size(n) < 2:
+        raise ConfigError("maximally entangled target needs n >= 2")
     offset = np.pi / (2 * n) if n % 2 == 0 else 0.0
     return PolarizerConfig.from_angles(
         offset + phi / (2 * n) + k * np.pi / n for k in range(n))
@@ -124,26 +124,21 @@ def s_config(n: int, phi: float) -> PolarizerConfig:
     All angles sit at ``phi/2``; the output is the n-fold product of
     ``(|+> + e^{i phi}|->)/sqrt(2)``.
     """
-    if n < 1:
-        raise ValueError("system size must be >= 1")
+    _system_size(n)
     return PolarizerConfig.from_angles([phi / 2.0] * n)
 
 
-def w_config(n: int, phi: float, sign: int = +1) -> PolarizerConfig:
+def w_config(n: int, phi: float) -> PolarizerConfig:
     """Two orthogonal orientation groups generating the single-excitation state.
 
     The target is ``(1/sqrt(n)) * sum_j |0..1_j..0>`` in the rotated basis
     ``|0> = (|+> - e^{i phi}|->)/sqrt(2)``, ``|1> = (|+> + e^{i phi}|->)/sqrt(2)``.
     One polarizer sits at ``phi/2`` and contributes the lone ``|1>``; the
-    other ``n - 1`` sit orthogonal to it at ``phi/2 + sign*pi/2`` and each
+    other ``n - 1`` sit orthogonal to it at ``phi/2 + pi/2`` and each
     contribute a ``|0>``.  Swapping the two angle groups would produce the
-    mirrored state (the same pattern at phase ``phi + pi``).  ``sign`` picks
-    the representative of the orthogonal angle; both choices reduce to the
-    same orientation.
+    mirrored state (the same pattern at phase ``phi + pi``).
     """
-    if n < 2:
-        raise ValueError("single-excitation target needs n >= 2")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    angles = [phi / 2.0 + sign * np.pi / 2.0] * (n - 1) + [phi / 2.0]
+    if _system_size(n) < 2:
+        raise ConfigError("single-excitation target needs n >= 2")
+    angles = [phi / 2.0 + np.pi / 2.0] * (n - 1) + [phi / 2.0]
     return PolarizerConfig.from_angles(angles)

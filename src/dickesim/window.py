@@ -44,11 +44,10 @@ from math import comb, sqrt
 import numpy as np
 
 from .cascade import _as_config, dicke_coefficients
-from .core import SymmetricState, _level_detection
+from .core import SymmetricState, _check_register_size, _level_detection, _system_size
 from .errors import (
     ConfigError,
     DimensionMismatchError,
-    TooLargeError,
     ZeroStateError,
 )
 
@@ -56,10 +55,6 @@ DEFAULT_WAVELENGTH = 493e-9
 
 #: Register norm below which a sample counts as annihilated by cancellation.
 ANNIHILATION_TOL = 1e-12
-
-#: Largest system :func:`estimate_fidelity` accepts.  Work per sample grows
-#: as ``n * 3**n`` and the widest level as ``3**n / sqrt(n)``.
-WINDOW_SIZE_LIMIT = 12
 
 #: Samples times widest level propagated together.  Each of the kernel's few
 #: complex buffers then holds at most this many entries (32 KiB), whatever
@@ -107,8 +102,8 @@ class DetectionGeometry:
             wavelength, window, sigma = map(float, scalars)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"geometry values must be numeric: {exc}") from exc
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ConfigError(f"emitter_positions must be (n, 3), got {pos.shape}")
+        if pos.ndim != 2 or pos.shape[1] != 3 or len(pos) < 1:
+            raise ConfigError(f"emitter_positions must be (n >= 1, 3), got {pos.shape}")
         if dirs.shape != pos.shape:
             raise ConfigError(
                 f"detector_directions {dirs.shape} must match emitter_positions {pos.shape}")
@@ -153,7 +148,9 @@ class DetectionGeometry:
         angles ``a_i = 2 pi i / n`` in the plane orthogonal to the chain.
         Defaults follow a typical trapped-ion setting: 5 um spacing, 5 nm
         transverse confinement, 493 nm light, a 1-degree detection window.
+        An ``n`` that is not an integer >= 1 is ``ConfigError``.
         """
+        _system_size(n)
         xs = (np.arange(n) - (n - 1) / 2.0) * spacing
         positions = np.column_stack([xs, np.zeros(n), np.zeros(n)])
         ring = 2.0 * np.pi * np.arange(n) / n
@@ -213,7 +210,7 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     Raises
     ------
     TooLargeError
-        If the configuration has more than ``WINDOW_SIZE_LIMIT`` emitters.
+        If the configuration has more than ``REGISTER_SIZE_LIMIT`` emitters.
     ConfigError
         If ``samples`` is not a positive integer or ``seed`` not a
         non-negative one.
@@ -224,9 +221,7 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     """
     config = _as_config(config)
     n = len(config)
-    if n > WINDOW_SIZE_LIMIT:
-        raise TooLargeError(
-            f"window Monte Carlo limited to n <= {WINDOW_SIZE_LIMIT}, got {n}")
+    _check_register_size(n, "window Monte Carlo")
     if geometry.n != n:
         raise DimensionMismatchError(
             f"geometry has {geometry.n} emitters, configuration has {n}")

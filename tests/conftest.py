@@ -103,6 +103,11 @@ def w_qubit(n, phi):
     return acc / np.sqrt(n)
 
 
+def ket_string(index, n):
+    """Spell a register index as a ket over ``e+-``, emitter 0 (the lowest digit) first."""
+    return "".join("e+-"[index // 3 ** j % 3] for j in range(n))
+
+
 def qubit_fidelity(a, b):
     return abs(np.vdot(a, b)) ** 2
 
@@ -225,7 +230,7 @@ def dense_estimate_fidelity(config, geometry, target=None, samples=1000, seed=0)
     normals, then one scalar uniform per detector), with every detection
     applied by the dense kernel behind ``apply_detection``.
     """
-    from dickesim.core import _detection_kernel, _ground_free_info
+    from dickesim.core import _detection_kernel
 
     config = ds.PolarizerConfig(tuple(config))
     n = len(config)
@@ -234,7 +239,6 @@ def dense_estimate_fidelity(config, geometry, target=None, samples=1000, seed=0)
     target_qubit = target.to_qubit_amplitudes()
     rng = np.random.default_rng(seed)
     t1, t2 = geometry.transverse_basis
-    free, _, qubit_idx = _ground_free_info(n)
     k = geometry.wavenumber
     halfwidth = geometry.window_halfangle
     sigma = geometry.transverse_sigma
@@ -254,12 +258,13 @@ def dense_estimate_fidelity(config, geometry, target=None, samples=1000, seed=0)
             phases = np.exp(1j * k * (positions @ nhat))
             amps = _detection_kernel(amps, n, polarizer.alpha * phases,
                                      polarizer.beta * phases)
-        psi = amps[free]
+        # no emitter in e; flattened in ascending register order, which is the qubit order
+        psi = amps.reshape((3,) * n)[(slice(1, None),) * n].reshape(-1)
         nrm = np.linalg.norm(psi)
         if nrm < 1e-12:
             excluded += 1
             continue
-        overlap = np.vdot(target_qubit[qubit_idx], psi) / nrm
+        overlap = np.vdot(target_qubit, psi) / nrm
         fidelities.append(abs(overlap) ** 2)
     if not fidelities:
         raise ds.ZeroStateError("every sample was annihilated")

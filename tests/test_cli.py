@@ -484,9 +484,9 @@ def test_boolean_system_size_is_a_config_error(tmp_path, capsys):
 
 
 def test_fidelity_above_size_limit_is_a_config_error(tmp_path, capsys):
-    from dickesim.window import WINDOW_SIZE_LIMIT
+    from dickesim.core import REGISTER_SIZE_LIMIT
 
-    n = WINDOW_SIZE_LIMIT + 1
+    n = REGISTER_SIZE_LIMIT + 1
     payload = _theta_config([0.0] * n, samples=1)
     payload["geometry"] = {}
     cfg = _write(tmp_path, "f.json", payload)

@@ -1,11 +1,22 @@
 import itertools
+import tracemalloc
+import warnings
 from math import comb
 
 import numpy as np
 import pytest
 
 import dickesim as ds
-from conftest import enumerate_paths, ghz_qubit, qubit_fidelity, random_config, random_polarizer, s_qubit
+from dickesim.core import REGISTER_SIZE_LIMIT, _ket_index
+from conftest import (
+    enumerate_paths,
+    ghz_qubit,
+    ket_string,
+    qubit_fidelity,
+    random_config,
+    random_polarizer,
+    s_qubit,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +190,7 @@ def test_detection_excitation_bookkeeping():
         for m, p in enumerate(config, start=1):
             reg = ds.apply_detection(reg, p)
             for idx in np.nonzero(np.abs(reg.amps) > 0)[0]:
-                assert ds.ket_string(int(idx), n).count("e") == n - m
+                assert ket_string(int(idx), n).count("e") == n - m
 
 
 def test_register_invariant_under_emitter_permutation():
@@ -193,9 +204,9 @@ def test_register_invariant_under_emitter_permutation():
         perm = rng.permutation(n)
         permuted = np.empty_like(reg.amps)
         for idx in range(3 ** n):
-            ket = ds.ket_string(idx, n)
+            ket = ket_string(idx, n)
             moved = "".join(ket[perm[j]] for j in range(n))
-            permuted[ds.ket_index(moved)] = reg.amps[idx]
+            permuted[_ket_index(moved)] = reg.amps[idx]
         np.testing.assert_allclose(permuted, reg.amps, atol=1e-10)
 
 
@@ -205,15 +216,15 @@ def test_register_invariant_under_emitter_permutation():
 
 def test_project_symmetric_zero_excitation_sector():
     amps = np.zeros(9, dtype=complex)
-    amps[ds.ket_index("++")] = 1.0
+    amps[_ket_index("++")] = 1.0
     state = ds.project_symmetric(ds.EmitterRegister(2, amps))
     np.testing.assert_allclose(state.coeffs, [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_project_symmetric_single_excitation_sector():
     amps = np.zeros(9, dtype=complex)
-    amps[ds.ket_index("+-")] = 1 / np.sqrt(2)
-    amps[ds.ket_index("-+")] = 1 / np.sqrt(2)
+    amps[_ket_index("+-")] = 1 / np.sqrt(2)
+    amps[_ket_index("-+")] = 1 / np.sqrt(2)
     state = ds.project_symmetric(ds.EmitterRegister(2, amps))
     np.testing.assert_allclose(state.coeffs, [0.0, 1.0, 0.0], atol=1e-15)
 
@@ -231,15 +242,15 @@ def test_cascade_with_one_flipped_polarizer_lands_in_one_sector():
 
 def test_project_symmetric_rejects_residual_excitation():
     amps = np.zeros(9, dtype=complex)
-    amps[ds.ket_index("+e")] = 1.0
+    amps[_ket_index("+e")] = 1.0
     with pytest.raises(ds.ResidualExcitationError):
         ds.project_symmetric(ds.EmitterRegister(2, amps))
 
 
 def test_project_symmetric_rejects_antisymmetric_part():
     amps = np.zeros(9, dtype=complex)
-    amps[ds.ket_index("+-")] = 1 / np.sqrt(2)
-    amps[ds.ket_index("-+")] = -1 / np.sqrt(2)
+    amps[_ket_index("+-")] = 1 / np.sqrt(2)
+    amps[_ket_index("-+")] = -1 / np.sqrt(2)
     with pytest.raises(ds.AsymmetricResidueError):
         ds.project_symmetric(ds.EmitterRegister(2, amps))
 
@@ -286,6 +297,56 @@ _NON_NUMERIC_INPUTS = {
 def test_non_numeric_or_empty_input_is_a_config_error(call):
     with pytest.raises(ds.ConfigError):
         call()
+
+
+_INVALID_INPUTS = {
+    "state-size-none": (lambda: ds.SymmetricState(None, [1]), ds.ConfigError),
+    "state-size-bool": (lambda: ds.SymmetricState(True, [1, 0]), ds.ConfigError),
+    "state-size-float": (lambda: ds.SymmetricState(2.0, [1, 0, 0]), ds.ConfigError),
+    "angle-numeric-str": (lambda: ds.LinearAngle("0.5"), ds.ConfigError),
+    "polarizer-numeric-str": (lambda: ds.Polarizer("1", "1j"), ds.ConfigError),
+    "from-raw-numeric-str": (lambda: ds.SymmetricState.from_raw(1, ["1", "1"]), ds.ConfigError),
+    "ghz-size-1": (lambda: ds.ghz_config(1, 0), ds.ConfigError),
+    "w-size-1": (lambda: ds.w_config(1, 0), ds.ConfigError),
+    "s-size-0": (lambda: ds.s_config(0, 0), ds.ConfigError),
+    "register-length": (lambda: ds.EmitterRegister(2, [1]), ds.ConfigError),
+    "chain-size-0": (lambda: ds.DetectionGeometry.linear_chain(0), ds.ConfigError),
+    "chain-size-float": (lambda: ds.DetectionGeometry.linear_chain(1.5), ds.ConfigError),
+    "empty-geometry": (lambda: ds.DetectionGeometry(np.zeros((0, 3)), 0.0, 1e-6,
+                                                    np.zeros((0, 3)), 0.0), ds.ConfigError),
+    "ket-alphabet": (lambda: ds.EmitterRegister.ground(1).amplitude("x"), ds.InvalidKetError),
+    "ket-length": (lambda: ds.EmitterRegister.ground(2).amplitude("+e-"), ds.InvalidKetError),
+}
+
+
+@pytest.mark.parametrize("call, error", _INVALID_INPUTS.values(), ids=_INVALID_INPUTS.keys())
+def test_invalid_size_string_or_ket_is_a_typed_error(call, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning is no answer either
+        with pytest.raises(error):
+            call()
+
+
+_ABOVE_THE_SIZE_LIMIT = {
+    "register": lambda n: ds.EmitterRegister(n, [0.0]),
+    "ground-register": lambda n: ds.EmitterRegister.ground(n),
+    "pyramid": lambda n: ds.build_pyramid(ds.s_config(n, 0.3)),
+    "pyramid-edges": lambda n: ds.pyramid_edges(ds.s_config(n, 0.3)),
+    "window": lambda n: ds.estimate_fidelity(
+        ds.s_config(n, 0.3), ds.DetectionGeometry.linear_chain(n), samples=1),
+}
+
+
+@pytest.mark.parametrize("call", _ABOVE_THE_SIZE_LIMIT.values(), ids=_ABOVE_THE_SIZE_LIMIT.keys())
+def test_entry_points_above_the_size_limit_raise_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ds.TooLargeError):
+            call(REGISTER_SIZE_LIMIT + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # a 3**13 register alone takes 25 MB
 
 
 def test_from_raw_normalizes_any_finite_magnitude():
@@ -358,5 +419,5 @@ def test_fidelity_dimension_mismatch():
 
 def test_ket_string_roundtrip():
     for idx in range(27):
-        assert ds.ket_index(ds.ket_string(idx, 3)) == idx
-    assert ds.ket_string(0, 3) == "eee"
+        assert _ket_index(ket_string(idx, 3)) == idx
+    assert ket_string(0, 3) == "eee"

@@ -86,12 +86,6 @@ def test_single_excitation_two_emitters_equals_bell_like_state():
     assert qubit_fidelity(w_qubit(2, 0.0), direct) >= 1 - 1e-12
 
 
-def test_single_excitation_sign_choice_is_cosmetic():
-    a = ds.dicke_coefficients(ds.w_config(3, 0.7, sign=+1))
-    b = ds.dicke_coefficients(ds.w_config(3, 0.7, sign=-1))
-    assert ds.fidelity(a, b) >= 1 - 1e-12
-
-
 def test_recipes_classify_as_expected():
     assert ds.classify_from_config(ds.ghz_config(3, 0.3)).predicted_class == ds.GHZ_CLASS
     assert ds.classify_from_config(ds.w_config(3, 0.3)).predicted_class == ds.W_CLASS
@@ -107,8 +101,6 @@ def test_recipe_preconditions():
         ds.ghz_config(1, 0.0)
     with pytest.raises(ValueError):
         ds.w_config(1, 0.0)
-    with pytest.raises(ValueError):
-        ds.w_config(3, 0.0, sign=2)
     with pytest.raises(ValueError):
         ds.s_config(0, 0.0)
 

@@ -11,8 +11,8 @@ from conftest import (
     level_from_dense,
     random_config,
 )
-from dickesim.core import _level_detection
-from dickesim.window import _CHUNK_ENTRIES, WINDOW_SIZE_LIMIT
+from dickesim.core import REGISTER_SIZE_LIMIT, _ket_index, _level_detection
+from dickesim.window import _CHUNK_ENTRIES
 
 
 def _chain_positions(n, spacing):
@@ -81,10 +81,10 @@ def test_level_detection_half_wavelength_flips_sign():
         _level_detection(np.ones((1, 1, 1), dtype=complex), weights)[0], 2)
     plain = ds.apply_detection(ds.EmitterRegister.ground(2), p).amps
     for ket in ("+e", "-e"):     # emitter 0 keeps its sign
-        idx = ds.ket_index(ket)
+        idx = _ket_index(ket)
         assert weighted[idx] == pytest.approx(plain[idx], abs=1e-12)
     for ket in ("e+", "e-"):     # emitter 1 sits half a wavelength further on
-        idx = ds.ket_index(ket)
+        idx = _ket_index(ket)
         assert weighted[idx] == pytest.approx(-plain[idx], abs=1e-12)
 
 
@@ -258,7 +258,7 @@ def test_memory_does_not_grow_with_the_sample_count():
 
 
 def test_size_guard_rejects_systems_above_the_limit():
-    n = WINDOW_SIZE_LIMIT + 1
+    n = REGISTER_SIZE_LIMIT + 1
     geo = ds.DetectionGeometry.linear_chain(n)
     with pytest.raises(ds.TooLargeError):
         ds.estimate_fidelity(ds.ghz_config(n, 0.0), geo, samples=1)
