@@ -56,7 +56,6 @@ from .errors import (
     TooLargeError,
     WrongArityError,
     ZeroStateError,
-    ZeroTargetError,
     ZeroVectorError,
 )
 from .synthesis import (

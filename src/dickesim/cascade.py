@@ -27,30 +27,36 @@ from .core import (
     Polarizer,
     SymmetricState,
     _check_register_size,
+    _sequence,
     _sqrt_binomials,
+    _system_size,
 )
 from .errors import ConfigError, InvalidKetError, ZeroStateError
 
 
 @dataclass(frozen=True)
 class PolarizerConfig:
-    """Ordered polarizer settings for one run of the cascade."""
+    """Ordered polarizer settings for one run of the cascade.
+
+    Anything but a non-empty sequence of :class:`Polarizer` is ``ConfigError``.
+    """
 
     polarizers: tuple[Polarizer, ...]
 
     def __post_init__(self) -> None:
-        pols = tuple(self.polarizers)
+        pols = _sequence(self.polarizers, "a configuration")
         if len(pols) < 1:
             raise ConfigError("a configuration needs at least one polarizer")
         for p in pols:
             if not isinstance(p, Polarizer):
-                raise TypeError(f"expected Polarizer, got {type(p).__name__}")
+                raise ConfigError(f"expected Polarizer, got {type(p).__name__}")
         object.__setattr__(self, "polarizers", pols)
 
     @classmethod
     def from_angles(cls, angles: Iterable[float]) -> "PolarizerConfig":
         """Linear polarizers at the given angles (radians)."""
-        return cls(tuple(LinearAngle(t).to_polarizer() for t in angles))
+        return cls(tuple(LinearAngle(t).to_polarizer()
+                         for t in _sequence(angles, "angles")))
 
     def __len__(self) -> int:
         return len(self.polarizers)
@@ -65,7 +71,7 @@ class PolarizerConfig:
 def _as_config(config) -> PolarizerConfig:
     if isinstance(config, PolarizerConfig):
         return config
-    return PolarizerConfig(tuple(config))
+    return PolarizerConfig(config)
 
 
 def _partial_products(config: PolarizerConfig) -> Iterator[list[complex]]:
@@ -211,8 +217,9 @@ def build_pyramid(config) -> list[PyramidLevel]:
 
 def path_count(n: int, ket: str) -> PathCount:
     """Count quantum paths from ``|e,...,e>`` to a fully de-excited ket."""
-    if len(ket) != n:
-        raise InvalidKetError(f"ket {ket!r} does not have length {n}")
+    _system_size(n)
+    if not isinstance(ket, str) or len(ket) != n:
+        raise InvalidKetError(f"ket {ket!r} is not a string of length {n}")
     if any(ch not in "+-" for ch in ket):
         raise InvalidKetError(f"ket {ket!r} must contain only '+' and '-'")
     k = ket.count("-")
@@ -243,6 +250,8 @@ def pyramid_edges(config, levels: Sequence[PyramidLevel] | None = None,
     ------
     TooLargeError
         If the configuration has more than ``REGISTER_SIZE_LIMIT`` emitters.
+    ConfigError
+        If ``levels`` is not a sequence of ``n + 1`` :class:`PyramidLevel`.
     InvalidKetError
         If a ket of ``levels[m - 1]`` is not a ket with ``m - 1`` emitters
         out of ``e``.
@@ -250,8 +259,9 @@ def pyramid_edges(config, levels: Sequence[PyramidLevel] | None = None,
     config = _as_config(config)
     n = len(config)
     _check_register_size(n, "pyramid")
-    if levels is None:
-        levels = build_pyramid(config)
+    levels = build_pyramid(config) if levels is None else _sequence(levels, "levels")
+    if len(levels) != n + 1 or not all(isinstance(x, PyramidLevel) for x in levels):
+        raise ConfigError(f"levels must be the {n + 1} PyramidLevels of the pyramid")
     edges: list[tuple[int, str, str, complex]] = []
     for (m, p), (parents, _, known, flat_parents, children) in zip(
             enumerate(config, start=1), _ket_table(n)):

@@ -26,7 +26,7 @@ from .cascade import (
     pyramid_edges,
     pyramid_text,
 )
-from .core import LinearAngle, Polarizer, SymmetricState, fidelity
+from .core import LinearAngle, Polarizer, SymmetricState, _real, _system_size, fidelity
 from .entanglement import classify_from_config, entanglement_report
 from .errors import (
     ClassDisagreementError,
@@ -34,7 +34,6 @@ from .errors import (
     DickesimError,
     TooLargeError,
     WrongArityError,
-    ZeroTargetError,
 )
 from .synthesis import synthesize
 from .window import DetectionGeometry, estimate_fidelity
@@ -72,16 +71,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _real(value, what: str) -> float:
-    """A JSON number as a float; booleans are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{what} is beyond the float range") from None
-
-
 def _parse_complex(value, what: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{what} must be a [re, im] pair, got {value!r}")
@@ -93,15 +82,8 @@ def _angle(value, what: str, degrees: bool) -> float:
     return float(np.deg2rad(angle)) if degrees else angle
 
 
-def _system_size(cfg: dict) -> int:
-    n = cfg.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"'n' must be a positive integer, got {n!r}")
-    return n
-
-
 def _parse_polarizers(cfg: dict, degrees: bool) -> PolarizerConfig:
-    n = _system_size(cfg)
+    n = _system_size(cfg.get("n"))
     entries = cfg.get("polarizers")
     if not isinstance(entries, list) or len(entries) != n:
         raise ConfigError(f"'polarizers' must be a list of length n={n}")
@@ -126,19 +108,17 @@ def _parse_polarizers(cfg: dict, degrees: bool) -> PolarizerConfig:
 
 
 def _parse_target(cfg: dict) -> SymmetricState:
-    n = _system_size(cfg)
+    n = _system_size(cfg.get("n"))
     entries = cfg.get("target")
     if not isinstance(entries, list) or len(entries) != n + 1:
         raise ConfigError(f"'target' must be a list of n+1={n + 1} [re, im] pairs")
     raw = np.array([_parse_complex(v, f"target[{k}]") for k, v in enumerate(entries)])
-    if not raw.any():
-        raise ZeroTargetError("target coefficients are all zero")
     return SymmetricState.from_raw(n, raw)
 
 
 def _parse_geometry(cfg: dict, degrees: bool) -> DetectionGeometry:
     """``DetectionGeometry.linear_chain`` with the given keys replacing its defaults."""
-    n = _system_size(cfg)
+    n = _system_size(cfg.get("n"))
     geo = cfg.get("geometry")
     if not isinstance(geo, dict):
         raise ConfigError("'geometry' section is required for this command")
@@ -148,7 +128,7 @@ def _parse_geometry(cfg: dict, degrees: bool) -> DetectionGeometry:
     if unknown:
         raise ConfigError(f"unknown geometry keys: {sorted(unknown)}")
 
-    scalars = {key: _real(geo[key], key)
+    scalars = {key: geo[key]
                for key in ("spacing", "transverse_sigma", "wavelength") if key in geo}
     if "window_halfangle" in geo:
         scalars["window_halfangle"] = _angle(geo["window_halfangle"],

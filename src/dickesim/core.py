@@ -63,13 +63,38 @@ LEVEL_CHARS = "e+-"
 REGISTER_SIZE_LIMIT = 12
 
 
+def _integer(value, what: str, minimum: int) -> int:
+    """``value`` if it is an integer >= ``minimum``, else ``ConfigError``."""
+    if type(value) is not int and not isinstance(value, np.integer):  # type(True) is bool
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a finite float, else ``ConfigError``: booleans and strings are not numbers."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number: {exc}") from None
+    if not isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _system_size(n) -> int:
-    """``n`` if it is an integer >= 1, else ``ConfigError``."""
-    if type(n) is not int and not isinstance(n, np.integer):  # type(True) is bool
-        raise ConfigError(f"system size must be an integer, got {n!r}")
-    if n < 1:
-        raise ConfigError(f"system size must be >= 1, got {n}")
-    return n
+    return _integer(n, "system size", 1)
+
+
+def _sequence(values, what: str) -> tuple:
+    """``tuple(values)``, or ``ConfigError`` if ``values`` is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ConfigError(f"{what} must be a sequence, got {type(values).__name__}") from None
 
 
 def _check_register_size(n: int, what: str) -> None:
@@ -98,9 +123,10 @@ class Polarizer:
 
     def __post_init__(self) -> None:
         # scalar math, not numpy ufuncs: synthesis builds n of these per call;
-        # complex() parses strings (bytes it rejects itself)
-        if isinstance(self.alpha, str) or isinstance(self.beta, str):
-            raise ConfigError("polarizer components must be numbers, not strings")
+        # complex() parses strings and takes booleans (bytes it rejects itself)
+        if (isinstance(self.alpha, (str, bool, np.bool_))
+                or isinstance(self.beta, (str, bool, np.bool_))):
+            raise ConfigError("polarizer components must be numbers, not strings or booleans")
         try:
             a = complex(self.alpha)
             b = complex(self.beta)
@@ -136,15 +162,7 @@ class LinearAngle:
     theta: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.theta, (str, bytes)):
-            raise ConfigError(f"angle must be a number, got {self.theta!r}")
-        try:
-            t = float(self.theta)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"angle must be a number: {exc}") from None
-        if not isfinite(t):
-            raise ConfigError(f"angle must be finite, got {t}")
-        t %= pi
+        t = _real(self.theta, "angle") % pi
         if t == pi:  # tiny negative inputs can wrap onto pi itself
             t = 0.0
         object.__setattr__(self, "theta", t)
@@ -199,16 +217,13 @@ class SymmetricState:
         and ``ZeroStateError`` if all vanish.
         """
         if not isinstance(raw, np.ndarray):
-            try:
-                raw = list(raw)
-            except TypeError as exc:
-                raise ConfigError(f"coefficients must be a sequence: {exc}") from None
+            raw = _sequence(raw, "coefficients")
         return cls(n, _unit_vector(_complex_array(raw)))
 
-    def canonicalized(self, tol: float = NORM_TOL) -> "SymmetricState":
-        """Copy with the first nonzero coefficient made real and positive."""
+    def canonicalized(self) -> "SymmetricState":
+        """Copy with the first coefficient above ``NORM_TOL`` made real and positive."""
         for c in self.coeffs:
-            if abs(c) > tol:
+            if abs(c) > NORM_TOL:
                 phase = c / abs(c)
                 break
         else:
@@ -394,9 +409,6 @@ class EmitterRegister:
         amps = np.zeros(_register_length(n), dtype=complex)
         amps[0] = 1.0
         return cls(n, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
     def amplitude(self, ket: str) -> complex:
         """Amplitude of a ket string of ``n`` letters from ``e+-``, else ``InvalidKetError``."""

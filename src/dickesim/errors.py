@@ -29,10 +29,6 @@ class ZeroStateError(DickesimError):
     """A state vector vanished where a physical state was required."""
 
 
-class ZeroTargetError(DickesimError, ValueError):
-    """Synthesis target has no nonzero coefficient."""
-
-
 class RootFindingError(DickesimError):
     """Polynomial root extraction failed to produce usable roots."""
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import PolarizerConfig
-from .core import Polarizer, SymmetricState, _sqrt_binomials, _system_size
-from .errors import ConfigError, RootFindingError, ZeroTargetError
+from .core import Polarizer, SymmetricState, _real, _sqrt_binomials, _system_size
+from .errors import ConfigError, RootFindingError
 
 #: Coefficients below this magnitude do not count toward the polynomial degree.
 DEGREE_TOL = 1e-12
@@ -36,7 +36,8 @@ class _SynthesisPolynomial:
 
     ``coeffs[k]`` multiplies ``z**k``; the leading coefficient is nonzero by
     construction (the degree is the largest target index above
-    ``DEGREE_TOL``).
+    ``DEGREE_TOL``, and a normalized target has some ``|d_k|`` of at least
+    ``1/sqrt(n + 1)``).
     """
 
     degree: int
@@ -46,10 +47,7 @@ class _SynthesisPolynomial:
     def from_state(cls, target: SymmetricState) -> "_SynthesisPolynomial":
         d = target.coeffs
         n = target.n
-        above = np.nonzero(np.abs(d) > DEGREE_TOL)[0]
-        if len(above) == 0:
-            raise ZeroTargetError("target has no coefficient above tolerance")
-        k_max = int(above[-1])
+        k_max = int(np.nonzero(np.abs(d) > DEGREE_TOL)[0][-1])
         roots = _sqrt_binomials(n)[:k_max + 1]
         signs = (-1.0) ** np.arange(k_max, -1, -1)
         return cls(k_max, signs * (roots / roots[k_max]) * d[:k_max + 1])
@@ -113,6 +111,7 @@ def ghz_config(n: int, phi: float) -> PolarizerConfig:
     """
     if _system_size(n) < 2:
         raise ConfigError("maximally entangled target needs n >= 2")
+    phi = _real(phi, "phi")
     offset = np.pi / (2 * n) if n % 2 == 0 else 0.0
     return PolarizerConfig.from_angles(
         offset + phi / (2 * n) + k * np.pi / n for k in range(n))
@@ -125,7 +124,7 @@ def s_config(n: int, phi: float) -> PolarizerConfig:
     ``(|+> + e^{i phi}|->)/sqrt(2)``.
     """
     _system_size(n)
-    return PolarizerConfig.from_angles([phi / 2.0] * n)
+    return PolarizerConfig.from_angles([_real(phi, "phi") / 2.0] * n)
 
 
 def w_config(n: int, phi: float) -> PolarizerConfig:
@@ -140,5 +139,6 @@ def w_config(n: int, phi: float) -> PolarizerConfig:
     """
     if _system_size(n) < 2:
         raise ConfigError("single-excitation target needs n >= 2")
+    phi = _real(phi, "phi")
     angles = [phi / 2.0 + np.pi / 2.0] * (n - 1) + [phi / 2.0]
     return PolarizerConfig.from_angles(angles)

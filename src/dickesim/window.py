@@ -44,7 +44,8 @@ from math import comb, sqrt
 import numpy as np
 
 from .cascade import _as_config, dicke_coefficients
-from .core import SymmetricState, _check_register_size, _level_detection, _system_size
+from .core import (SymmetricState, _check_register_size, _integer, _level_detection,
+                   _real, _system_size)
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -93,13 +94,12 @@ class DetectionGeometry:
     transverse_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        scalars = (self.wavelength, self.window_halfangle, self.transverse_sigma)
-        if any(isinstance(x, (bool, np.bool_)) for x in scalars):
-            raise ConfigError("geometry values must be numeric, not booleans")
+        wavelength = _real(self.wavelength, "wavelength")
+        window = _real(self.window_halfangle, "window_halfangle")
+        sigma = _real(self.transverse_sigma, "transverse_sigma")
         try:
             pos = np.asarray(self.emitter_positions, dtype=float)
             dirs = np.asarray(self.detector_directions, dtype=float)
-            wavelength, window, sigma = map(float, scalars)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"geometry values must be numeric: {exc}") from exc
         if pos.ndim != 2 or pos.shape[1] != 3 or len(pos) < 1:
@@ -109,13 +109,12 @@ class DetectionGeometry:
                 f"detector_directions {dirs.shape} must match emitter_positions {pos.shape}")
         if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(dirs)):
             raise ConfigError("positions and directions must be finite")
-        # written so that NaN fails every check
-        if not 0.0 < wavelength < np.inf:
-            raise ConfigError("wavelength must be positive and finite")
-        if not 0.0 <= window < np.inf:
-            raise ConfigError("window_halfangle must be finite and >= 0")
-        if not 0.0 <= sigma < np.inf:
-            raise ConfigError("transverse_sigma must be finite and >= 0")
+        if wavelength <= 0:
+            raise ConfigError("wavelength must be positive")
+        if window < 0:
+            raise ConfigError("window_halfangle must be >= 0")
+        if sigma < 0:
+            raise ConfigError("transverse_sigma must be >= 0")
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(norms == 0):
             raise ConfigError("detector directions must be nonzero")
@@ -151,6 +150,7 @@ class DetectionGeometry:
         An ``n`` that is not an integer >= 1 is ``ConfigError``.
         """
         _system_size(n)
+        spacing = _real(spacing, "spacing")
         xs = (np.arange(n) - (n - 1) / 2.0) * spacing
         positions = np.column_stack([xs, np.zeros(n), np.zeros(n)])
         ring = 2.0 * np.pi * np.arange(n) / n
@@ -225,13 +225,8 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     if geometry.n != n:
         raise DimensionMismatchError(
             f"geometry has {geometry.n} emitters, configuration has {n}")
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ConfigError(f"samples must be an integer, got {samples!r}")
-    if samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}")
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or seed < 0):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    _integer(samples, "samples", 1)
+    _integer(seed, "seed", 0)
     if target is None:
         target = dicke_coefficients(config)
     if target.n != n:

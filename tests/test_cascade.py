@@ -251,6 +251,17 @@ def test_pyramid_edges_reject_foreign_parent_kets():
             ds.pyramid_edges(config, forged)
 
 
+@pytest.mark.parametrize("forge", [lambda levels: levels[:1],
+                                   lambda levels: levels + levels[-1:],
+                                   lambda levels: [None] * 4,
+                                   lambda levels: 5],
+                         ids=["short", "long", "not-levels", "not-a-sequence"])
+def test_pyramid_edges_need_one_level_per_step(forge):
+    config = ds.PolarizerConfig.from_angles([0.0, 1.0, 2.0])
+    with pytest.raises(ds.ConfigError):
+        ds.pyramid_edges(config, forge(ds.build_pyramid(config)))
+
+
 def test_pyramid_final_level_matches_path_enumeration():
     rng = np.random.default_rng(28)
     config = random_config(rng, 3)
@@ -274,6 +285,8 @@ def test_path_count_rejects_incomplete_kets():
         ds.path_count(3, "+e-")
     with pytest.raises(ds.InvalidKetError):
         ds.path_count(3, "+-")
+    with pytest.raises(ds.InvalidKetError):
+        ds.path_count(3, None)
 
 
 def test_pyramid_text_lists_every_level():
@@ -304,5 +317,5 @@ def test_pyramid_edges_recompose_the_cascade():
 def test_config_validation():
     with pytest.raises(ValueError):
         ds.PolarizerConfig(())
-    with pytest.raises(TypeError):
+    with pytest.raises(ds.ConfigError):
         ds.PolarizerConfig((1.0,))

@@ -1,0 +1,141 @@
+"""One boundary contract over the exported surface.
+
+For every exported callable the table below gives one valid call and the
+argument slots that take an integer, a real number, an angle, a ket string,
+a polarizer configuration or a list of numbers.  Junk put into any one slot
+must give a result or a ``DickesimError``, never a bare ``TypeError``,
+``ValueError`` or the like.  Every exported callable is either in the table
+or in ``OUT_OF_SCOPE`` with the reason it is not.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dickesim as ds
+
+JUNK = (None, True, np.bool_(False), float("nan"), float("inf"), float("-inf"),
+        10 ** 400, -1, 0, 1.5, "0.5", b"1", [], object())
+
+#: A huge size would allocate gigabytes (or sample forever) before it fails.
+SIZE_JUNK = (-1, 0, 1.5, True, "3", None)
+
+SIZE, INTEGER, REAL, ANGLE, KET, CONFIG, NUMBERS = (
+    "size", "integer", "real", "angle", "ket", "config", "numbers")
+
+CONFIG2 = ds.PolarizerConfig.from_angles([0.2, 1.1])
+CONFIG3 = ds.PolarizerConfig.from_angles([0.1, 0.7, 1.9])
+GEO2 = ds.DetectionGeometry.linear_chain(2)
+POSITIONS2 = [[-2.5e-6, 0.0, 0.0], [2.5e-6, 0.0, 0.0]]
+DIRECTIONS2 = [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
+
+#: ``(name, call, slots)``: ``call()`` is a valid call, ``call(slot=junk)``
+#: the same call with junk in one slot.  A name is the exported name, or
+#: ``Exported.method`` for a classmethod or method; a name that has slots
+#: both for a whole argument and for an entry inside it appears twice.
+TABLE = [
+    ("Polarizer", lambda alpha=1.0, beta=0.5j: ds.Polarizer(alpha, beta),
+     {"alpha": REAL, "beta": REAL}),
+    ("LinearAngle", lambda theta=0.3: ds.LinearAngle(theta), {"theta": ANGLE}),
+    ("SymmetricState", lambda n=1, coeffs=(0.6, 0.8): ds.SymmetricState(n, coeffs),
+     {"n": SIZE, "coeffs": NUMBERS}),
+    ("SymmetricState", lambda d0=0.6: ds.SymmetricState(1, [d0, 0.8]), {"d0": REAL}),
+    ("SymmetricState.from_raw", lambda n=2, raw=(1.0, 0.5, 0.25): ds.SymmetricState.from_raw(
+        n, raw), {"n": SIZE, "raw": NUMBERS}),
+    ("SymmetricState.from_raw", lambda d0=1.0: ds.SymmetricState.from_raw(2, [d0, 0.5, 0.25]),
+     {"d0": REAL}),
+    ("EmitterRegister", lambda n=1, a0=1.0: ds.EmitterRegister(n, [a0, 0.0, 0.0]),
+     {"n": SIZE, "a0": REAL}),
+    ("EmitterRegister.ground", lambda n=2: ds.EmitterRegister.ground(n), {"n": SIZE}),
+    ("EmitterRegister.amplitude", lambda ket="e+": ds.EmitterRegister.ground(2).amplitude(ket),
+     {"ket": KET}),
+    ("PolarizerConfig", lambda polarizers=CONFIG3.polarizers: ds.PolarizerConfig(polarizers),
+     {"polarizers": CONFIG}),
+    ("PolarizerConfig.from_angles", lambda angles=(0.1, 0.7, 1.9): ds.PolarizerConfig.from_angles(
+        angles), {"angles": CONFIG}),
+    ("PolarizerConfig.from_angles", lambda theta=0.7: ds.PolarizerConfig.from_angles(
+        [0.1, theta, 1.9]), {"theta": ANGLE}),
+    ("DetectionGeometry",
+     lambda transverse_sigma=5e-9, wavelength=493e-9, window_halfangle=0.01:
+         ds.DetectionGeometry(POSITIONS2, transverse_sigma, wavelength, DIRECTIONS2,
+                              window_halfangle),
+     {"transverse_sigma": REAL, "wavelength": REAL, "window_halfangle": ANGLE}),
+    ("DetectionGeometry.linear_chain",
+     lambda n=2, spacing=5e-6, transverse_sigma=5e-9, wavelength=493e-9,
+     window_halfangle=0.01: ds.DetectionGeometry.linear_chain(
+         n, spacing, transverse_sigma, wavelength, window_halfangle),
+     {"n": SIZE, "spacing": REAL, "transverse_sigma": REAL, "wavelength": REAL,
+      "window_halfangle": ANGLE}),
+    ("dicke_coefficients", lambda config=CONFIG3: ds.dicke_coefficients(config),
+     {"config": CONFIG}),
+    ("build_pyramid", lambda config=CONFIG3: ds.build_pyramid(config), {"config": CONFIG}),
+    ("pyramid_edges", lambda config=CONFIG3: ds.pyramid_edges(config), {"config": CONFIG}),
+    ("path_count", lambda n=3, ket="+-+": ds.path_count(n, ket), {"n": SIZE, "ket": KET}),
+    ("tangle_closed_form", lambda config=CONFIG3: ds.tangle_closed_form(config),
+     {"config": CONFIG}),
+    ("classify_from_config", lambda config=CONFIG3: ds.classify_from_config(config),
+     {"config": CONFIG}),
+    ("ghz_config", lambda n=3, phi=0.4: ds.ghz_config(n, phi), {"n": SIZE, "phi": REAL}),
+    ("s_config", lambda n=3, phi=0.4: ds.s_config(n, phi), {"n": SIZE, "phi": REAL}),
+    ("w_config", lambda n=3, phi=0.4: ds.w_config(n, phi), {"n": SIZE, "phi": REAL}),
+    ("estimate_fidelity", lambda config=CONFIG2, samples=4, seed=0: ds.estimate_fidelity(
+        config, GEO2, samples=samples, seed=seed),
+     {"config": CONFIG, "samples": SIZE, "seed": INTEGER}),
+]
+
+_OBJECT = "takes objects (SymmetricState, EmitterRegister, Polarizer), not values"
+
+OUT_OF_SCOPE = {
+    "synthesize": _OBJECT,
+    "apply_detection": _OBJECT,
+    "project_symmetric": _OBJECT,
+    "fidelity": _OBJECT,
+    "same_orientation": _OBJECT,
+    "entanglement_report": _OBJECT,
+    "tangle_hyperdeterminant": _OBJECT,
+    "single_qubit_entropy": _OBJECT + "; its qubit index raises the IndexError "
+                            "that test_index_validation pins",
+    "pair_concurrence": _OBJECT + "; its qubit pair raises the IndexError "
+                        "that test_index_validation pins, or an unpacking "
+                        "ValueError if it is not a pair",
+    "pyramid_text": "takes PyramidLevel objects",
+    "PyramidLevel": "record returned by build_pyramid; not validated",
+    "PathCount": "record returned by path_count; not validated",
+    "EntanglementReport": "record returned by entanglement_report; not validated",
+    "ClassPrediction": "record returned by classify_from_config; not validated",
+    "FidelityEstimate": "record returned by estimate_fidelity; not validated",
+    **{name: "exception type; takes any message"
+       for name, value in vars(ds).items()
+       if isinstance(value, type) and issubclass(value, Exception)},
+}
+
+CASES = [pytest.param(call, slot, kind, id=f"{name}-{slot}")
+         for name, call, slots in TABLE for slot, kind in slots.items()]
+
+
+@pytest.mark.parametrize("name, call, slots", TABLE, ids=[name for name, _, _ in TABLE])
+def test_table_calls_are_valid(name, call, slots):
+    call()
+
+
+@pytest.mark.parametrize("call, slot, kind", CASES)
+@settings(deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_junk_in_one_slot_gives_a_result_or_a_typed_error(call, slot, kind, data):
+    junk = data.draw(st.sampled_from(SIZE_JUNK if kind == SIZE else JUNK), label=slot)
+    try:
+        call(**{slot: junk})
+    except ds.DickesimError:
+        pass
+
+
+def test_every_exported_callable_is_in_the_table_or_out_of_scope():
+    exported = {name for name, value in vars(ds).items()
+                if not name.startswith("_") and callable(value)}
+    tabled = {name for name, _, _ in TABLE}
+    covered = {name.split(".")[0] for name in tabled}
+    assert not covered & OUT_OF_SCOPE.keys()
+    assert exported == covered | OUT_OF_SCOPE.keys()
+    assert {"SymmetricState.from_raw", "PolarizerConfig.from_angles",
+            "DetectionGeometry.linear_chain", "EmitterRegister.ground"} <= tabled

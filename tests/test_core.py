@@ -290,6 +290,25 @@ _NON_NUMERIC_INPUTS = {
     "amplitudes-str": lambda: ds.entanglement_report(["a"] + [0] * 7),
     "empty-config": lambda: ds.PolarizerConfig(()),
     "dicke-empty": lambda: ds.dicke_coefficients([]),
+    # booleans are not numbers anywhere in the library
+    "angle-bool": lambda: ds.LinearAngle(True),
+    "polarizer-bool": lambda: ds.Polarizer(True, 0),
+    "polarizer-numpy-bool": lambda: ds.Polarizer(1, np.True_),
+    "chain-spacing-bool": lambda: ds.DetectionGeometry.linear_chain(3, spacing=True),
+    "ghz-phi-bool": lambda: ds.ghz_config(3, True),
+    # recipe phases and the chain spacing are checked like every other real
+    "ghz-phi-none": lambda: ds.ghz_config(3, None),
+    "s-phi-str": lambda: ds.s_config(3, "0.5"),
+    "w-phi-list": lambda: ds.w_config(3, []),
+    "chain-spacing-str": lambda: ds.DetectionGeometry.linear_chain(3, spacing="x"),
+    # a configuration is a sequence of Polarizers
+    "dicke-none": lambda: ds.dicke_coefficients(None),
+    "dicke-int": lambda: ds.dicke_coefficients(5),
+    "dicke-float-entry": lambda: ds.dicke_coefficients([1.0]),
+    "config-int-entry": lambda: ds.PolarizerConfig((1,)),
+    "from-angles-none": lambda: ds.PolarizerConfig.from_angles(None),
+    "tangle-closed-form-none": lambda: ds.tangle_closed_form(None),
+    "classify-none": lambda: ds.classify_from_config(None),
 }
 
 
