@@ -312,67 +312,6 @@ def _bit_counts(n: int) -> np.ndarray:
     return counts
 
 
-@lru_cache(maxsize=None)
-def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Gather tables carrying a level-restricted register from level m to m+1.
-
-    After ``m`` detections only kets with exactly ``m`` emitters out of ``e``
-    can be nonzero.  Level ``m`` is stored as an array of shape
-    ``(C(n, m), 2**m)``: rows are the sets of ``m`` de-excited emitters in
-    ascending bitmask order, and bit ``p`` of the column is 1 when the
-    ``p``-th smallest emitter of the set sits in ``-`` (else ``+``).  Level
-    ``n`` therefore has a single row whose columns are the qubit indices of
-    :meth:`SymmetricState.to_qubit_amplitudes`.
-
-    Entry ``m`` is ``(src, emitter)``, both of shape ``(m + 1, C(n, m + 1))``:
-    for each level-``m + 1`` set and position ``p``, ``emitter[p]`` is the
-    set's ``p``-th smallest emitter and ``src[p]`` the level-``m`` row of the
-    set without it.
-    """
-    masks = np.arange(2 ** n)
-    members = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    size = members.sum(axis=1)
-    rank = np.empty(2 ** n, dtype=np.intp)  # bitmask -> row within its level
-    for m in range(n + 1):
-        rank[size == m] = np.arange(comb(n, m))
-    tables = []
-    for m in range(n):
-        rows = size == m + 1
-        _, emitter = np.nonzero(members[rows])
-        emitter = np.ascontiguousarray(emitter.reshape(-1, m + 1).T)
-        src = rank[masks[rows] ^ (1 << emitter)]
-        for a in (src, emitter):
-            a.setflags(write=False)
-        tables.append((src, emitter))
-    return tuple(tables)
-
-
-def _level_detection(levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Apply one detection to a batch of level-restricted registers.
-
-    ``levels`` has shape ``(S, C(n, m), 2**m)`` in the layout of
-    :func:`_level_tables`; ``weights[s, j]`` holds emitter ``j``'s
-    ``(+, -)`` components for batch entry ``s``, shape ``(S, n, 2)``.
-    Returns the level-``m + 1`` batch.  Each level-``m + 1`` ket gathers one
-    term per de-excited emitter: the ket with that emitter back in ``e``,
-    times the emitter's component for the level it landed in.
-    """
-    batch, _, width = levels.shape
-    m = width.bit_length() - 1
-    src, emitter = _level_tables(weights.shape[1])[m]
-    rows = src.shape[1]
-    out = np.zeros((batch, rows, 2 * width), dtype=complex)
-    term = np.empty_like(out)
-    for p in range(m + 1):
-        # column bits above p shift up by one to make room for the new bit p
-        hi, lo = width >> p, 1 << p
-        np.multiply(weights[:, emitter[p]].reshape(batch, rows, 1, 2, 1),
-                    levels[:, src[p]].reshape(batch, rows, hi, 1, lo),
-                    out=term.reshape(batch, rows, hi, 2, lo))
-        out += term
-    return out
-
-
 def _ket_index(ket: str) -> int:
     """Register index of a ket string over ``e+-``, emitter 0 first."""
     return sum(LEVEL_CHARS.index(ch) * 3 ** j for j, ch in enumerate(ket))

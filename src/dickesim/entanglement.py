@@ -29,7 +29,7 @@ they replaced are the oracles of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, log1p, log2, sqrt
+from math import inf, log, log1p, log2, sqrt
 
 import numpy as np
 
@@ -37,11 +37,12 @@ from .cascade import _as_config, _product_polynomial
 from .core import (
     SymmetricState,
     _complex_array,
+    _integer,
     _sqrt_binomials,
     _unit_vector,
     same_orientation,
 )
-from .errors import WrongArityError
+from .errors import ConfigError, WrongArityError
 
 #: Threshold separating numerically-zero tangle/entropy from generic nonzero
 #: values after the forward pipeline, used by state-based classification.
@@ -185,11 +186,18 @@ def tangle_closed_form(config) -> float:
     return float(min((4.0 / 27.0) * norm ** 4 * cross, 1.0))
 
 
+def _qubit(index) -> int:
+    """``index`` if it is 0, 1 or 2: ``ConfigError`` if it is not an
+    integer, ``IndexError`` if it is one outside that range (the minimum
+    ``-inf`` lets every integer through ``_integer``)."""
+    if _integer(index, "qubit index", -inf) not in (0, 1, 2):
+        raise IndexError(f"qubit index {index} outside 0..2")
+    return index
+
+
 def single_qubit_entropy(state, qubit: int) -> float:
     """Von Neumann entropy (bits) of one qubit's marginal; ``0 log 0 = 0``."""
-    if qubit not in (0, 1, 2):
-        raise IndexError(f"qubit index {qubit} outside 0..2")
-    return _entropy(_as_qubit_amplitudes(state), qubit)
+    return _entropy(_as_qubit_amplitudes(state), _qubit(qubit))
 
 
 def pair_concurrence(state, pair: tuple[int, int]) -> float:
@@ -208,10 +216,13 @@ def pair_concurrence(state, pair: tuple[int, int]) -> float:
     to rounding near a product state, which would cost half the working
     precision.
     """
-    i, j = pair
-    if i not in (0, 1, 2) or j not in (0, 1, 2) or i == j:
+    try:
+        i, j = pair
+    except (TypeError, ValueError):
+        raise ConfigError(f"qubit pair must hold two indices, got {pair!r}") from None
+    if _qubit(i) == _qubit(j):
         raise IndexError(f"invalid qubit pair {pair}")
-    return _concurrences(_as_qubit_amplitudes(state), (pair,))[0]
+    return _concurrences(_as_qubit_amplitudes(state), ((i, j),))[0]
 
 
 def _infer_class(tangle: float, entropies: tuple[float, ...]) -> str:

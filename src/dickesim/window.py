@@ -20,32 +20,36 @@ Sampling model (all of it overridable through :class:`DetectionGeometry`):
 * the default arrangement puts the emitter line along x and the detectors
   on a ring of directions perpendicular to it, which makes the nominal path
   differences vanish exactly (the zero-window, zero-jitter limit reproduces
-  the ideal cascade bit for bit).
+  the ideal cascade to round-off).
 
 The wavelength and detector arrangement are free parameters of the model;
 defaults use a 493 nm dipole transition typical of trapped ions.
 
-Computation: after ``m`` detections only the ``C(n, m) 2**m`` kets with
-exactly ``m`` emitters out of ``e`` can carry amplitude, so each sample
-carries only that level (layout in ``core._level_tables``), never the dense
-``3**n`` register.  Samples are propagated together in chunks of at most
-``_CHUNK_ENTRIES`` entries (samples times widest level), and their
-fidelities are pooled into a running mean and variance, so memory does not
-grow with the sample count.  The random draws keep their per-sample order,
-so a seeded estimate agrees to round-off with applying the dense detection
-kernel one sample at a time.
+Computation: every emitter gives up exactly one photon, so a sample's
+amplitude on ``|x_0 ... x_{n-1}>`` is a sum over which detector took which
+emitter's photon.  The sum is built in emitter order: once emitters
+``0..j-1`` are placed, only ``C(n, j) 2**j`` partial sums remain, one per
+set of detectors used and labels of those emitters (layout in
+``_level_tables``), never the dense ``3**n`` register.  Each step is
+one row gather and one batched matrix product, emitter ``j``'s label is the
+new top column bit, and the last level is in qubit order.  Samples are
+propagated together in chunks of at most ``_CHUNK_ENTRIES`` entries
+(samples times widest level), and their fidelities are pooled into a
+running mean and variance, so memory does not grow with the sample count.
+The random draws keep their per-sample order, so a seeded estimate agrees
+to round-off with applying the dense detection kernel one sample at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
 
 from .cascade import _as_config, dicke_coefficients
-from .core import (SymmetricState, _check_register_size, _integer, _level_detection,
-                   _real, _system_size)
+from .core import SymmetricState, _check_register_size, _integer, _real, _system_size
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -57,9 +61,10 @@ DEFAULT_WAVELENGTH = 493e-9
 #: Register norm below which a sample counts as annihilated by cancellation.
 ANNIHILATION_TOL = 1e-12
 
-#: Samples times widest level propagated together.  Each of the kernel's few
-#: complex buffers then holds at most this many entries (32 KiB), whatever
-#: the sample count; from n = 8 on a chunk is a single sample.
+#: Samples times widest level propagated together, whatever the sample
+#: count: a level then holds at most this many complex entries (32 KiB) and
+#: the row gather of step j at most (j + 1) / 2 times a level.  From n = 8 on
+#: a chunk is a single sample.
 _CHUNK_ENTRIES = 2048
 
 
@@ -265,6 +270,42 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     return FidelityEstimate(mean, stderr, kept, samples - kept)
 
 
+@lru_cache(maxsize=None)
+def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Gather tables for the cascade of :func:`_sample_outputs`, in emitter order.
+
+    Once emitters ``0..m-1`` have each given their photon to a different
+    detector, a partial sum is indexed by the set of ``m`` detectors used
+    and by those emitters' labels.  Level ``m`` is stored as an array of
+    shape ``(C(n, m), 2**m)``: rows are the sets of ``m`` detectors in
+    ascending bitmask order, and bit ``p`` of the column is 1 when emitter
+    ``p`` sits in ``-`` (else ``+``).  Level ``n`` therefore has a single
+    row whose columns are the qubit indices of
+    :meth:`SymmetricState.to_qubit_amplitudes`.
+
+    Entry ``m`` is ``(src, detector)``, both of shape ``(m + 1, C(n, m + 1))``:
+    for each level-``m + 1`` set and position ``p``, ``detector[p]`` is the
+    set's ``p``-th smallest detector and ``src[p]`` the level-``m`` row of
+    the set without it.
+    """
+    masks = np.arange(2 ** n)
+    members = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    size = members.sum(axis=1)
+    rank = np.empty(2 ** n, dtype=np.intp)  # bitmask -> row within its level
+    for m in range(n + 1):
+        rank[size == m] = np.arange(comb(n, m))
+    tables = []
+    for m in range(n):
+        rows = size == m + 1
+        _, detector = np.nonzero(members[rows])
+        detector = np.ascontiguousarray(detector.reshape(-1, m + 1).T)
+        src = rank[masks[rows] ^ (1 << detector)]
+        for a in (src, detector):
+            a.setflags(write=False)
+        tables.append((src, detector))
+    return tuple(tables)
+
+
 def _sample_outputs(components: np.ndarray, geometry: DetectionGeometry,
                     rng: np.random.Generator, count: int) -> np.ndarray:
     """Unnormalized cascade outputs of ``count`` samples, shape ``(count, 2**n)``.
@@ -287,16 +328,21 @@ def _sample_outputs(components: np.ndarray, geometry: DetectionGeometry,
     positions = (geometry.emitter_positions
                  + (normals[:, :n, None] * sigma) * t1
                  + (normals[:, n:, None] * sigma) * t2)
-    # detector axis second, emitter axis last: path[s, i, j] is emitter j's
+    # emitter axis second, detector axis last: path[s, j, i] is emitter j's
     # path length along detector i's direction, rotated about z by its deviate
     delta = deviates * geometry.window_halfangle
-    c, s = np.cos(delta)[..., None], np.sin(delta)[..., None]
-    vx, vy, vz = geometry.detector_directions.T[..., None]
-    px, py, pz = positions.transpose(2, 0, 1)[:, :, None, :]
+    c, s = np.cos(delta)[:, None], np.sin(delta)[:, None]
+    vx, vy, vz = geometry.detector_directions.T
+    px, py, pz = positions.transpose(2, 0, 1)[..., None]
     path = (c * vx - s * vy) * px + (s * vx + c * vy) * py + vz * pz
-    phases = np.exp(1j * geometry.wavenumber * path)
+    # weights[s, j, i, b]: detector i's term for emitter j's photon in label b
+    weights = np.exp(1j * geometry.wavenumber * path)[..., None] * components
+    # emitter order: step j hands emitter j's photon to each detector not yet
+    # used, and its label becomes the new top column bit
     levels = np.ones((count, 1, 1), dtype=complex)
-    for i in range(n):
-        levels = _level_detection(levels,
-                                  phases[:, i, :, None] * components[i])
+    for j, (src, detector) in enumerate(_level_tables(n)):
+        # (S, rows, 2, j + 1) @ (S, rows, j + 1, 2**j)
+        terms = np.take(weights[:, j], detector.T, axis=1).swapaxes(-1, -2)
+        levels = terms @ np.take(levels, src.T, axis=1)
+        levels = levels.reshape(count, src.shape[1], -1)
     return levels[:, 0, :]

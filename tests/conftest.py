@@ -185,42 +185,6 @@ def roots_oracle(coeffs):
     return np.roots(coeffs[::-1])
 
 
-# --- level-restricted layout, spelled out ket by ket -----------------------
-
-def _level_kets(n, m):
-    """Dense register index of every entry of a level-``m`` array.
-
-    Rows are the sets of ``m`` de-excited emitters in ascending bitmask
-    order; bit ``p`` of the column puts the set's ``p``-th smallest emitter
-    in ``-`` (level 2) instead of ``+`` (level 1).
-    """
-    sets = [mask for mask in range(2 ** n) if bin(mask).count("1") == m]
-    kets = np.empty((len(sets), 2 ** m), dtype=int)
-    for row, mask in enumerate(sets):
-        emitters = [j for j in range(n) if mask >> j & 1]
-        for col in range(2 ** m):
-            kets[row, col] = sum((1 + (col >> p & 1)) * 3 ** j
-                                 for p, j in enumerate(emitters))
-    return kets
-
-
-def level_from_dense(amps, n, m):
-    """Level-``m`` array of a dense register; everything off the level must vanish."""
-    kets = _level_kets(n, m)
-    rest = np.ones(3 ** n, dtype=bool)
-    rest[kets.ravel()] = False
-    assert not amps[rest].any(), "register has amplitude off level m"
-    return amps[kets]
-
-
-def dense_from_level(level, n):
-    """Dense ``3**n`` register holding a level-restricted array."""
-    m = level.shape[1].bit_length() - 1
-    amps = np.zeros(3 ** n, dtype=complex)
-    amps[_level_kets(n, m)] = level
-    return amps
-
-
 # --- dense reference for the window Monte Carlo ----------------------------
 
 def dense_estimate_fidelity(config, geometry, target=None, samples=1000, seed=0):

@@ -8,6 +8,8 @@ must give a result or a ``DickesimError``, never a bare ``TypeError``,
 or in ``OUT_OF_SCOPE`` with the reason it is not.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,11 +96,10 @@ OUT_OF_SCOPE = {
     "same_orientation": _OBJECT,
     "entanglement_report": _OBJECT,
     "tangle_hyperdeterminant": _OBJECT,
-    "single_qubit_entropy": _OBJECT + "; its qubit index raises the IndexError "
-                            "that test_index_validation pins",
-    "pair_concurrence": _OBJECT + "; its qubit pair raises the IndexError "
-                        "that test_index_validation pins, or an unpacking "
-                        "ValueError if it is not a pair",
+    "single_qubit_entropy": _OBJECT + "; an out-of-range qubit index raises "
+                            "the IndexError that test_index_validation pins",
+    "pair_concurrence": _OBJECT + "; an out-of-range qubit index raises "
+                        "the IndexError that test_index_validation pins",
     "pyramid_text": "takes PyramidLevel objects",
     "PyramidLevel": "record returned by build_pyramid; not validated",
     "PathCount": "record returned by path_count; not validated",
@@ -139,3 +140,29 @@ def test_every_exported_callable_is_in_the_table_or_out_of_scope():
     assert exported == covered | OUT_OF_SCOPE.keys()
     assert {"SymmetricState.from_raw", "PolarizerConfig.from_angles",
             "DetectionGeometry.linear_chain", "EmitterRegister.ground"} <= tabled
+
+
+#: Qubit indices that are not integers and qubit pairs that are not pairs;
+#: integers outside 0..2 raise the IndexError that test_index_validation pins.
+INDEX_JUNK = [j for j in JUNK if type(j) is not int]
+PAIR_JUNK = [None, 1, (0,), (0, 1, 2), "01", []] + [(0, j) for j in INDEX_JUNK]
+
+
+def _junk_id(value):
+    """``repr`` without object addresses, so that test ids are stable."""
+    return re.sub(r" at 0x[0-9a-f]+", "", repr(value))
+
+
+@pytest.mark.parametrize("junk", INDEX_JUNK, ids=_junk_id)
+def test_junk_qubit_index_is_config_error(junk):
+    state = ds.dicke_coefficients(CONFIG3)
+    with pytest.raises(ds.ConfigError):
+        ds.single_qubit_entropy(state, junk)
+    with pytest.raises(ds.ConfigError):
+        ds.pair_concurrence(state, (junk, 1))
+
+
+@pytest.mark.parametrize("junk", PAIR_JUNK, ids=_junk_id)
+def test_junk_qubit_pair_is_config_error(junk):
+    with pytest.raises(ds.ConfigError):
+        ds.pair_concurrence(ds.dicke_coefficients(CONFIG3), junk)

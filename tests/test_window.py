@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from math import comb
 
@@ -5,14 +6,9 @@ import numpy as np
 import pytest
 
 import dickesim as ds
-from conftest import (
-    dense_estimate_fidelity,
-    dense_from_level,
-    level_from_dense,
-    random_config,
-)
-from dickesim.core import REGISTER_SIZE_LIMIT, _ket_index, _level_detection
-from dickesim.window import _CHUNK_ENTRIES
+from conftest import dense_estimate_fidelity, random_config
+from dickesim.core import REGISTER_SIZE_LIMIT
+from dickesim.window import _CHUNK_ENTRIES, _sample_outputs
 
 
 def _chain_positions(n, spacing):
@@ -21,71 +17,77 @@ def _chain_positions(n, spacing):
 
 
 # ---------------------------------------------------------------------------
-# level-restricted detection kernel against the dense register
+# the emitter-order cascade against the dense register
 # ---------------------------------------------------------------------------
 
-def _positional_weights(polarizer, direction, positions, wavelength):
-    """Emitter ``j``'s (+, -) components times ``exp(i k r_j . nhat)``, batch of one."""
-    phases = np.exp(1j * 2 * np.pi / wavelength * (positions @ direction))
-    return (phases[:, None] * [polarizer.alpha, polarizer.beta])[None], phases
+def _fixed_outputs(config, positions, directions, wavelength=493e-9):
+    """Cascade output of one sample with no jitter and no window, in qubit order."""
+    geo = ds.DetectionGeometry(positions, 0.0, wavelength, directions, 0.0)
+    components = np.array([[p.alpha, p.beta] for p in config])
+    return _sample_outputs(components, geo, np.random.default_rng(0), 1)[0]
 
 
-def _cascade_levels(config):
-    """Dense registers after each plain detection of ``config``, level-restricted."""
+def _positional_phases(direction, positions, wavelength=493e-9):
+    """``exp(i k r_j . nhat)`` of every emitter ``j`` for one detector."""
+    return np.exp(1j * 2 * np.pi / wavelength * (positions @ direction))
+
+
+def _dense_output(config):
+    """Plain dense cascade of ``config``, block with no emitter in ``e``, qubit order."""
     n = len(config)
     reg = ds.EmitterRegister.ground(n)
-    levels = [level_from_dense(reg.amps, n, 0)]
     for p in config:
         reg = ds.apply_detection(reg, p)
-        levels.append(level_from_dense(reg.amps, n, len(levels)))
-    return levels
+    return reg.amps.reshape((3,) * n)[(slice(1, None),) * n].reshape(-1)
 
 
-def test_level_detection_with_common_phase_matches_plain_detection():
+def test_coinciding_emitters_give_a_common_phase_times_the_ideal_output():
     rng = np.random.default_rng(51)
     config = random_config(rng, 3)
     positions = np.tile([1.3e-6, -0.4e-6, 2.0e-6], (3, 1))  # all emitters coincide
     phase = np.exp(1j * 2 * np.pi / 493e-9 * 2.0e-6)
-    plain = _cascade_levels(config)
-    for m, p in enumerate(config):
-        weights, phases = _positional_weights(p, np.array([0.0, 0.0, 1.0]),
-                                              positions, 493e-9)
-        np.testing.assert_allclose(phases, phase, atol=1e-12)
-        weighted = _level_detection(plain[m][None], weights)[0]
-        np.testing.assert_allclose(weighted, phase * plain[m + 1], atol=1e-12)
+    np.testing.assert_allclose(
+        _positional_phases(np.array([0.0, 0.0, 1.0]), positions), phase, atol=1e-12)
+    got = _fixed_outputs(config, positions, np.tile([0.0, 0.0, 1.0], (3, 1)))
+    # one detection per emitter, each with the same phase
+    np.testing.assert_allclose(got, phase ** 3 * _dense_output(config), atol=1e-12)
 
 
-def test_level_detection_orthogonal_direction_is_exact_identity():
+def test_orthogonal_direction_gives_the_ideal_cascade():
     rng = np.random.default_rng(52)
-    config = random_config(rng, 4)
-    positions = _chain_positions(4, 5e-6)
-    plain = _cascade_levels(config)
-    levels = np.ones((1, 1, 1), dtype=complex)
-    for m, p in enumerate(config):
-        weights, phases = _positional_weights(p, np.array([0.0, 1.0, 0.0]),
-                                              positions, 493e-9)
-        np.testing.assert_array_equal(phases, np.ones(4))
-        levels = _level_detection(levels, weights)
-        np.testing.assert_array_equal(levels[0], plain[m + 1])
+    for n in range(1, 8):
+        config = random_config(rng, n)
+        positions = _chain_positions(n, 5e-6)
+        direction = np.array([0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(_positional_phases(direction, positions),
+                                      np.ones(n))
+        got = _fixed_outputs(config, positions, np.tile(direction, (n, 1)))
+        want = _dense_output(config)
+        # the same terms as the dense cascade, summed in another order
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_level_detection_half_wavelength_flips_sign():
+def test_half_wavelength_flips_the_sign_of_the_displaced_emitters_terms():
     wavelength = 493e-9
-    p = ds.Polarizer(0.6, 0.8j)
-    positions = np.array([[0.0, 0.0, 0.0], [wavelength / 2, 0.0, 0.0]])
-    weights, phases = _positional_weights(p, np.array([1.0, 0.0, 0.0]),
-                                          positions, wavelength)
-    assert phases[0] == pytest.approx(1.0)
-    assert phases[1] == pytest.approx(-1.0)
-    weighted = dense_from_level(
-        _level_detection(np.ones((1, 1, 1), dtype=complex), weights)[0], 2)
-    plain = ds.apply_detection(ds.EmitterRegister.ground(2), p).amps
-    for ket in ("+e", "-e"):     # emitter 0 keeps its sign
-        idx = _ket_index(ket)
-        assert weighted[idx] == pytest.approx(plain[idx], abs=1e-12)
-    for ket in ("e+", "e-"):     # emitter 1 sits half a wavelength further on
-        idx = _ket_index(ket)
-        assert weighted[idx] == pytest.approx(-plain[idx], abs=1e-12)
+    config = random_config(np.random.default_rng(53), 3)
+    positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [wavelength / 2, 0.0, 0.0]])
+    directions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    along = _positional_phases(directions[0], positions, wavelength)
+    np.testing.assert_array_equal(along[:2], np.ones(2))
+    assert along[2] == pytest.approx(-1.0)
+    np.testing.assert_array_equal(
+        _positional_phases(directions[1], positions, wavelength), np.ones(3))
+    got = _fixed_outputs(config, positions, directions, wavelength)
+    components = [(p.alpha, p.beta) for p in config]
+    for x in range(8):
+        want = 0j
+        # detector i took the photon of emitter emitter_of[i]
+        for emitter_of in itertools.permutations(range(3)):
+            term = np.prod([components[i][x >> j & 1] for i, j in enumerate(emitter_of)])
+            # detector 0 sees emitter 2 half a wavelength further on
+            want += -term if emitter_of[0] == 2 else term
+        assert got[x] == pytest.approx(want, abs=1e-12)
+    assert np.abs(got - _dense_output(config)).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,7 @@ def test_every_sample_annihilated_raises():
 
 def _window_cases():
     rng = np.random.default_rng(60)
-    for n in range(1, 8):
+    for n in range(1, 9):
         yield pytest.param(random_config(rng, n), None, id=f"random{n}")
         if n > 1:
             yield pytest.param(ds.ghz_config(n, 0.4), None, id=f"ghz{n}")
