@@ -226,10 +226,21 @@ def path_count(n: int, ket: str) -> PathCount:
     return PathCount(orderings=factorial(n), distinct_products=comb(n, k))
 
 
+def _as_levels(levels) -> tuple[PyramidLevel, ...]:
+    """``levels`` as a tuple, or ``ConfigError`` unless each is a :class:`PyramidLevel` of a dict."""
+    levels = _sequence(levels, "levels")
+    if not all(isinstance(x, PyramidLevel) and isinstance(x.terms, dict) for x in levels):
+        raise ConfigError("levels must be PyramidLevels whose terms are dicts")
+    return levels
+
+
 def pyramid_text(levels: Sequence[PyramidLevel]) -> str:
-    """Human-readable dump, one indented block of kets per detection step."""
+    """Human-readable dump, one indented block of kets per detection step.
+
+    Anything but a sequence of :class:`PyramidLevel` is ``ConfigError``.
+    """
     lines = []
-    for level in levels:
+    for level in _as_levels(levels):
         lines.append(f"step {level.step}:")
         for ket in sorted(level.terms):
             amp = level.terms[ket]
@@ -251,7 +262,8 @@ def pyramid_edges(config, levels: Sequence[PyramidLevel] | None = None,
     TooLargeError
         If the configuration has more than ``REGISTER_SIZE_LIMIT`` emitters.
     ConfigError
-        If ``levels`` is not a sequence of ``n + 1`` :class:`PyramidLevel`.
+        If ``levels`` is not a sequence of ``n + 1`` :class:`PyramidLevel`
+        whose terms are dicts.
     InvalidKetError
         If a ket of ``levels[m - 1]`` is not a ket with ``m - 1`` emitters
         out of ``e``.
@@ -259,8 +271,8 @@ def pyramid_edges(config, levels: Sequence[PyramidLevel] | None = None,
     config = _as_config(config)
     n = len(config)
     _check_register_size(n, "pyramid")
-    levels = build_pyramid(config) if levels is None else _sequence(levels, "levels")
-    if len(levels) != n + 1 or not all(isinstance(x, PyramidLevel) for x in levels):
+    levels = build_pyramid(config) if levels is None else _as_levels(levels)
+    if len(levels) != n + 1:
         raise ConfigError(f"levels must be the {n + 1} PyramidLevels of the pyramid")
     edges: list[tuple[int, str, str, complex]] = []
     for (m, p), (parents, _, known, flat_parents, children) in zip(

@@ -67,8 +67,8 @@ def _integer(value, what: str, minimum: int) -> int:
     """``value`` if it is an integer >= ``minimum``, else ``ConfigError``."""
     if type(value) is not int and not isinstance(value, np.integer):  # type(True) is bool
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
+    if value < minimum:  # not formatted: str() of a huge int raises ValueError
+        raise ConfigError(f"{what} must be >= {minimum}")
     return value
 
 
@@ -85,8 +85,15 @@ def _real(value, what: str) -> float:
     return x
 
 
+#: Largest system size whose ``sqrt(C(n, k))`` is finite (see :func:`_sqrt_binomials`).
+_SIZE_LIMIT = 2053
+
+
 def _system_size(n) -> int:
-    return _integer(n, "system size", 1)
+    """``n`` if it is an integer in ``1.._SIZE_LIMIT``: ``ConfigError`` below, ``TooLargeError`` above."""
+    if _integer(n, "system size", 1) > _SIZE_LIMIT:
+        raise TooLargeError(f"system size limited to n <= {_SIZE_LIMIT}")
+    return n
 
 
 def _sequence(values, what: str) -> tuple:
@@ -272,7 +279,13 @@ def _unit_vector(v: np.ndarray) -> np.ndarray:
 
 
 def fidelity(a: SymmetricState, b: SymmetricState) -> float:
-    """Squared overlap ``|<a|b>|**2``; invariant under global phases."""
+    """Squared overlap ``|<a|b>|**2``; invariant under global phases.
+
+    Arguments that are not :class:`SymmetricState` are ``ConfigError``.
+    """
+    if not (isinstance(a, SymmetricState) and isinstance(b, SymmetricState)):
+        raise ConfigError(f"fidelity takes two SymmetricStates, got "
+                          f"{type(a).__name__} and {type(b).__name__}")
     if a.n != b.n:
         raise DimensionMismatchError(f"system sizes differ: {a.n} != {b.n}")
     return float(abs(np.vdot(a.coeffs, b.coeffs)) ** 2)

@@ -36,14 +36,17 @@ new top column bit, and the last level is in qubit order.  Samples are
 propagated together in chunks of at most ``_CHUNK_ENTRIES`` entries
 (samples times widest level), and their fidelities are pooled into a
 running mean and variance, so memory does not grow with the sample count.
-The random draws keep their per-sample order, so a seeded estimate agrees
-to round-off with applying the dense detection kernel one sample at a time.
+Two seeded streams, drawn one block per chunk and read in sample order, give
+the transverse normals and the window deviates, so a seeded estimate does not
+depend on the chunking and agrees to round-off with applying the dense
+detection kernel one sample at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -199,14 +202,14 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
                       samples: int = 1000, seed: int = 0) -> FidelityEstimate:
     """Mean fidelity of the sampled cascade output against a symmetric target.
 
-    Each sample draws the emitter displacements, then one unit deviate per
-    detector which the window halfangle scales into the direction offset
-    (in that order; the draw count per sample is independent of the window
-    size, so sweeps over the window with a shared seed are paired sample by
-    sample).  The position-dependent detections are then applied and the
-    squared overlap with the target taken in the full qubit space: the
-    positional phases break permutation symmetry, so a symmetric projection
-    cannot be used here.
+    ``SeedSequence(seed).spawn(2)`` gives two streams, each read in sample
+    order: one of the ``2n`` emitter displacements, one of the per-detector
+    window deviates that the halfangle scales.  So sweeps over the window
+    with a shared seed are paired sample by sample, whatever the chunking.
+    The position-dependent detections are then applied and the squared
+    overlap with the target taken in the full qubit space: the positional
+    phases break permutation symmetry, so a symmetric projection cannot be
+    used here.
 
     ``target`` defaults to the ideal (zero window, zero jitter) output of
     ``config``.  Samples whose register norm falls below ``ANNIHILATION_TOL``
@@ -217,8 +220,9 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     TooLargeError
         If the configuration has more than ``REGISTER_SIZE_LIMIT`` emitters.
     ConfigError
-        If ``samples`` is not a positive integer or ``seed`` not a
-        non-negative one.
+        If ``geometry`` is not a :class:`DetectionGeometry`, ``target`` not
+        a :class:`SymmetricState` or ``None``, ``samples`` not a positive
+        integer or ``seed`` not a non-negative one.
     DimensionMismatchError
         If configuration, geometry, and target sizes disagree.
     ZeroStateError
@@ -227,6 +231,12 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     config = _as_config(config)
     n = len(config)
     _check_register_size(n, "window Monte Carlo")
+    if not isinstance(geometry, DetectionGeometry):
+        raise ConfigError(
+            f"geometry must be a DetectionGeometry, got {type(geometry).__name__}")
+    if target is not None and not isinstance(target, SymmetricState):
+        raise ConfigError(
+            f"target must be a SymmetricState or None, got {type(target).__name__}")
     if geometry.n != n:
         raise DimensionMismatchError(
             f"geometry has {geometry.n} emitters, configuration has {n}")
@@ -239,7 +249,8 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
             f"target has {target.n} qubits, configuration has {n}")
     target_qubit = target.to_qubit_amplitudes()
 
-    rng = np.random.default_rng(seed)
+    normal_rng, window_rng = map(np.random.default_rng,
+                                 np.random.SeedSequence(seed).spawn(2))
     widest = max(comb(n, m) << m for m in range(n + 1))
     chunk = max(1, _CHUNK_ENTRIES // widest)
     components = np.array([[p.alpha, p.beta] for p in config])
@@ -248,8 +259,10 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     # cancel when every fidelity is (nearly) the same
     kept, mean, m2 = 0, 0.0, 0.0
     for start in range(0, samples, chunk):
-        psi = _sample_outputs(components, geometry, rng,
-                              min(chunk, samples - start))
+        count = min(chunk, samples - start)
+        psi = _sample_outputs(components, geometry,
+                              normal_rng.standard_normal((count, 2 * n)),
+                              window_rng.uniform(-1.0, 1.0, (count, n)))
         nrm = np.linalg.norm(psi, axis=1)
         alive = nrm >= ANNIHILATION_TOL
         overlap = (psi[alive] * target_qubit.conj()).sum(axis=1) / nrm[alive]
@@ -277,10 +290,10 @@ def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     Once emitters ``0..m-1`` have each given their photon to a different
     detector, a partial sum is indexed by the set of ``m`` detectors used
     and by those emitters' labels.  Level ``m`` is stored as an array of
-    shape ``(C(n, m), 2**m)``: rows are the sets of ``m`` detectors in
-    ascending bitmask order, and bit ``p`` of the column is 1 when emitter
-    ``p`` sits in ``-`` (else ``+``).  Level ``n`` therefore has a single
-    row whose columns are the qubit indices of
+    shape ``(C(n, m), 2**m)``: rows are the sets of ``m`` detectors in the
+    order of ``itertools.combinations(range(n), m)``, and bit ``p`` of the
+    column is 1 when emitter ``p`` sits in ``-`` (else ``+``).  Level ``n``
+    therefore has a single row whose columns are the qubit indices of
     :meth:`SymmetricState.to_qubit_amplitudes`.
 
     Entry ``m`` is ``(src, detector)``, both of shape ``(m + 1, C(n, m + 1))``:
@@ -288,18 +301,14 @@ def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     set's ``p``-th smallest detector and ``src[p]`` the level-``m`` row of
     the set without it.
     """
-    masks = np.arange(2 ** n)
-    members = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    size = members.sum(axis=1)
-    rank = np.empty(2 ** n, dtype=np.intp)  # bitmask -> row within its level
-    for m in range(n + 1):
-        rank[size == m] = np.arange(comb(n, m))
     tables = []
-    for m in range(n):
-        rows = size == m + 1
-        _, detector = np.nonzero(members[rows])
-        detector = np.ascontiguousarray(detector.reshape(-1, m + 1).T)
-        src = rank[masks[rows] ^ (1 << detector)]
+    row_of = {(): 0}  # set of m detectors -> its row in level m
+    for m in range(1, n + 1):
+        sets = list(combinations(range(n), m))
+        detector = np.array(sets, dtype=np.intp).T
+        src = np.array([[row_of[s[:p] + s[p + 1:]] for s in sets] for p in range(m)],
+                       dtype=np.intp)
+        row_of = {s: row for row, s in enumerate(sets)}
         for a in (src, detector):
             a.setflags(write=False)
         tables.append((src, detector))
@@ -307,22 +316,17 @@ def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _sample_outputs(components: np.ndarray, geometry: DetectionGeometry,
-                    rng: np.random.Generator, count: int) -> np.ndarray:
+                    normals: np.ndarray, deviates: np.ndarray) -> np.ndarray:
     """Unnormalized cascade outputs of ``count`` samples, shape ``(count, 2**n)``.
 
     ``components[i]`` holds detector ``i``'s polarizer ``(alpha, beta)``.
-    Columns are qubit indices (bit ``j`` set = emitter ``j`` in ``-``).
+    Row ``s`` of ``normals`` ``(count, 2n)`` and ``deviates`` ``(count, n)``
+    holds sample ``s``'s unit emitter displacements along the two transverse
+    axes and its window deviates in ``[-1, 1)``.  Columns are qubit indices
+    (bit ``j`` set = emitter ``j`` in ``-``).
     """
     n = geometry.n
-    normals = np.empty((count, 2 * n))
-    deviates = np.empty((count, n))
-    for row in range(count):
-        # the per-sample draw order of the one-sample-at-a-time cascade;
-        # written into place, these are the same numbers as normal(0, 1)
-        # and uniform(-1, 1), whose low + scale * x is applied once below
-        rng.standard_normal(out=normals[row])
-        rng.random(out=deviates[row])
-    deviates = -1.0 + 2.0 * deviates
+    count = len(normals)
     sigma = geometry.transverse_sigma
     t1, t2 = geometry.transverse_basis
     positions = (geometry.emitter_positions

@@ -221,7 +221,7 @@ _configs = st.lists(_polarizers, min_size=1, max_size=64).map(
     lambda pols: ds.PolarizerConfig(tuple(pols)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(config=_configs)
 def test_product_polynomial_is_the_numpy_scalar_recurrence_bit_for_bit(config):
     want = product_polynomial_oracle(config)

@@ -63,7 +63,7 @@ def _check_strict_output(out: str) -> None:
 
 @pytest.mark.parametrize("verb", ["simulate", "synthesize", "classify", "pyramid",
                                   "fidelity"])
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(cfg=_configs(),
        flags=st.lists(st.sampled_from([["--degrees"], ["--samples", "7"],
                                        ["--seed", "-1"], ["--sweep", "0:0.02:2"],

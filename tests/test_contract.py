@@ -1,10 +1,11 @@
 """One boundary contract over the exported surface.
 
 For every exported callable the table below gives one valid call and the
-argument slots that take an integer, a real number, an angle, a ket string,
-a polarizer configuration or a list of numbers.  Junk put into any one slot
-must give a result or a ``DickesimError``, never a bare ``TypeError``,
-``ValueError`` or the like.  Every exported callable is either in the table
+argument slots that take a system size, a sample count, an integer, a real
+number, an angle, a ket string, a polarizer configuration, a list of
+numbers or a library object.  Junk put into any one slot must give a result
+or a ``DickesimError``, never a bare ``TypeError``, ``ValueError`` or the
+like.  Every exported callable is either in the table
 or in ``OUT_OF_SCOPE`` with the reason it is not.
 """
 
@@ -12,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import dickesim as ds
@@ -20,15 +21,21 @@ import dickesim as ds
 JUNK = (None, True, np.bool_(False), float("nan"), float("inf"), float("-inf"),
         10 ** 400, -1, 0, 1.5, "0.5", b"1", [], object())
 
-#: A huge size would allocate gigabytes (or sample forever) before it fails.
-SIZE_JUNK = (-1, 0, 1.5, True, "3", None)
+#: Sizes beyond the float range of ``sqrt(C(n, k))`` are ``TooLargeError``;
+#: ``str()`` of an int of more than 4300 digits raises ``ValueError``.
+SIZE_JUNK = (-1, 0, 1.5, True, "3", None, 10 ** 400, 10 ** 5000, -(10 ** 5000), 2054)
 
-SIZE, INTEGER, REAL, ANGLE, KET, CONFIG, NUMBERS = (
-    "size", "integer", "real", "angle", "ket", "config", "numbers")
+#: A huge sample count would sample forever before it fails.
+COUNT_JUNK = (-1, 0, 1.5, True, "3", None)
+
+SIZE, COUNT, INTEGER, REAL, ANGLE, KET, CONFIG, NUMBERS, OBJECT = (
+    "size", "count", "integer", "real", "angle", "ket", "config", "numbers", "object")
 
 CONFIG2 = ds.PolarizerConfig.from_angles([0.2, 1.1])
 CONFIG3 = ds.PolarizerConfig.from_angles([0.1, 0.7, 1.9])
 GEO2 = ds.DetectionGeometry.linear_chain(2)
+STATE2 = ds.dicke_coefficients(CONFIG2)
+PYRAMID3 = ds.build_pyramid(CONFIG3)
 POSITIONS2 = [[-2.5e-6, 0.0, 0.0], [2.5e-6, 0.0, 0.0]]
 DIRECTIONS2 = [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
 
@@ -72,7 +79,15 @@ TABLE = [
     ("dicke_coefficients", lambda config=CONFIG3: ds.dicke_coefficients(config),
      {"config": CONFIG}),
     ("build_pyramid", lambda config=CONFIG3: ds.build_pyramid(config), {"config": CONFIG}),
-    ("pyramid_edges", lambda config=CONFIG3: ds.pyramid_edges(config), {"config": CONFIG}),
+    ("pyramid_edges",
+     lambda config=CONFIG3, levels=None, level=PYRAMID3[1], terms=PYRAMID3[0].terms:
+         ds.pyramid_edges(config, [ds.PyramidLevel(0, terms), level, *PYRAMID3[2:]]
+                          if levels is None else levels),
+     {"config": CONFIG, "levels": OBJECT, "level": OBJECT, "terms": OBJECT}),
+    ("pyramid_text",
+     lambda levels=None, level=PYRAMID3[1], terms=PYRAMID3[0].terms: ds.pyramid_text(
+         [ds.PyramidLevel(0, terms), level] if levels is None else levels),
+     {"levels": OBJECT, "level": OBJECT, "terms": OBJECT}),
     ("path_count", lambda n=3, ket="+-+": ds.path_count(n, ket), {"n": SIZE, "ket": KET}),
     ("tangle_closed_form", lambda config=CONFIG3: ds.tangle_closed_form(config),
      {"config": CONFIG}),
@@ -81,18 +96,20 @@ TABLE = [
     ("ghz_config", lambda n=3, phi=0.4: ds.ghz_config(n, phi), {"n": SIZE, "phi": REAL}),
     ("s_config", lambda n=3, phi=0.4: ds.s_config(n, phi), {"n": SIZE, "phi": REAL}),
     ("w_config", lambda n=3, phi=0.4: ds.w_config(n, phi), {"n": SIZE, "phi": REAL}),
-    ("estimate_fidelity", lambda config=CONFIG2, samples=4, seed=0: ds.estimate_fidelity(
-        config, GEO2, samples=samples, seed=seed),
-     {"config": CONFIG, "samples": SIZE, "seed": INTEGER}),
+    ("estimate_fidelity",
+     lambda config=CONFIG2, geometry=GEO2, target=STATE2, samples=4, seed=0:
+         ds.estimate_fidelity(config, geometry, target, samples=samples, seed=seed),
+     {"config": CONFIG, "geometry": OBJECT, "target": OBJECT, "samples": COUNT,
+      "seed": INTEGER}),
+    ("fidelity", lambda a=STATE2, b=STATE2: ds.fidelity(a, b), {"a": OBJECT, "b": OBJECT}),
+    ("synthesize", lambda target=STATE2: ds.synthesize(target), {"target": OBJECT}),
 ]
 
 _OBJECT = "takes objects (SymmetricState, EmitterRegister, Polarizer), not values"
 
 OUT_OF_SCOPE = {
-    "synthesize": _OBJECT,
     "apply_detection": _OBJECT,
     "project_symmetric": _OBJECT,
-    "fidelity": _OBJECT,
     "same_orientation": _OBJECT,
     "entanglement_report": _OBJECT,
     "tangle_hyperdeterminant": _OBJECT,
@@ -100,7 +117,6 @@ OUT_OF_SCOPE = {
                             "the IndexError that test_index_validation pins",
     "pair_concurrence": _OBJECT + "; an out-of-range qubit index raises "
                         "the IndexError that test_index_validation pins",
-    "pyramid_text": "takes PyramidLevel objects",
     "PyramidLevel": "record returned by build_pyramid; not validated",
     "PathCount": "record returned by path_count; not validated",
     "EntanglementReport": "record returned by entanglement_report; not validated",
@@ -121,10 +137,10 @@ def test_table_calls_are_valid(name, call, slots):
 
 
 @pytest.mark.parametrize("call, slot, kind", CASES)
-@settings(deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_junk_in_one_slot_gives_a_result_or_a_typed_error(call, slot, kind, data):
-    junk = data.draw(st.sampled_from(SIZE_JUNK if kind == SIZE else JUNK), label=slot)
+    junk = data.draw(st.sampled_from({SIZE: SIZE_JUNK, COUNT: COUNT_JUNK}.get(kind, JUNK)),
+                     label=slot)
     try:
         call(**{slot: junk})
     except ds.DickesimError:
@@ -166,3 +182,36 @@ def test_junk_qubit_index_is_config_error(junk):
 def test_junk_qubit_pair_is_config_error(junk):
     with pytest.raises(ds.ConfigError):
         ds.pair_concurrence(ds.dicke_coefficients(CONFIG3), junk)
+
+
+#: Object arguments given something else.
+OBJECT_CALLS = {
+    "estimate_fidelity-geometry": lambda: ds.estimate_fidelity(CONFIG2, None),
+    "estimate_fidelity-target": lambda: ds.estimate_fidelity(CONFIG2, GEO2, target=5),
+    "fidelity-a": lambda: ds.fidelity(None, STATE2),
+    "fidelity-b": lambda: ds.fidelity(STATE2, 5),
+    "pyramid_text-none": lambda: ds.pyramid_text(None),
+    "pyramid_text-level": lambda: ds.pyramid_text([None]),
+    "pyramid_edges-terms": lambda: ds.pyramid_edges(
+        CONFIG3, [ds.PyramidLevel(0, None), *PYRAMID3[1:]]),
+}
+
+
+@pytest.mark.parametrize("call", OBJECT_CALLS.values(), ids=OBJECT_CALLS.keys())
+def test_non_objects_are_config_errors(call):
+    with pytest.raises(ds.ConfigError):
+        call()
+
+
+@pytest.mark.parametrize("n", [2054, 10 ** 400], ids=["2054", "huge"])
+def test_system_sizes_beyond_the_float_range_are_too_large(n):
+    for call in (ds.DetectionGeometry.linear_chain, ds.EmitterRegister.ground,
+                 lambda n: ds.s_config(n, 0.0), lambda n: ds.w_config(n, 0.0),
+                 lambda n: ds.ghz_config(n, 0.0), lambda n: ds.path_count(n, "+")):
+        with pytest.raises(ds.TooLargeError):
+            call(n)
+
+
+def test_the_largest_system_size_is_valid():
+    assert len(ds.s_config(2053, 0.0)) == 2053
+    assert ds.DetectionGeometry.linear_chain(2053).n == 2053

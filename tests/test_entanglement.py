@@ -252,13 +252,13 @@ def _assert_measures_match_oracles(psi):
             assert ds.pair_concurrence(psi, ordered) == pytest.approx(want, abs=1e-12)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(psi=_states)
 def test_measures_match_numpy_oracles_on_random_states(psi):
     _assert_measures_match_oracles(psi)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(psi=_near_product_states())
 def test_measures_match_numpy_oracles_near_product_states(psi):
     _assert_measures_match_oracles(psi)

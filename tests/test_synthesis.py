@@ -206,7 +206,7 @@ def _targets(draw):
     return ds.SymmetricState.from_raw(n, raw)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(target=_targets())
 def test_synthesis_roots_are_np_roots_bit_for_bit(target):
     poly = _SynthesisPolynomial.from_state(target)

@@ -7,6 +7,7 @@ import pytest
 
 import dickesim as ds
 from conftest import dense_estimate_fidelity, random_config
+from dickesim import window
 from dickesim.core import REGISTER_SIZE_LIMIT
 from dickesim.window import _CHUNK_ENTRIES, _sample_outputs
 
@@ -24,7 +25,8 @@ def _fixed_outputs(config, positions, directions, wavelength=493e-9):
     """Cascade output of one sample with no jitter and no window, in qubit order."""
     geo = ds.DetectionGeometry(positions, 0.0, wavelength, directions, 0.0)
     components = np.array([[p.alpha, p.beta] for p in config])
-    return _sample_outputs(components, geo, np.random.default_rng(0), 1)[0]
+    n = len(config)
+    return _sample_outputs(components, geo, np.zeros((1, 2 * n)), np.zeros((1, n)))[0]
 
 
 def _positional_phases(direction, positions, wavelength=493e-9):
@@ -180,6 +182,21 @@ def test_estimate_is_deterministic_for_fixed_seed():
     assert a == b
     c = ds.estimate_fidelity(config, geo, samples=200, seed=124)
     assert a.mean_fidelity != c.mean_fidelity
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("cap", [1, 1 << 16])
+def test_seeded_estimate_does_not_depend_on_the_chunking(monkeypatch, n, cap):
+    config = ds.ghz_config(n, 0.3)
+    geo = ds.DetectionGeometry.linear_chain(n, transverse_sigma=20e-9,
+                                            window_halfangle=np.deg2rad(2.0))
+    want = ds.estimate_fidelity(config, geo, samples=150, seed=9)
+    monkeypatch.setattr(window, "_CHUNK_ENTRIES", cap)
+    got = ds.estimate_fidelity(config, geo, samples=150, seed=9)
+    assert got.mean_fidelity == pytest.approx(want.mean_fidelity, abs=1e-12)
+    assert got.standard_error == pytest.approx(want.standard_error, abs=1e-12)
+    assert (got.sample_count, got.excluded_count) == (want.sample_count,
+                                                      want.excluded_count)
 
 
 def test_widening_the_window_cannot_help():
