@@ -27,6 +27,7 @@ from .core import (
     Polarizer,
     SymmetricState,
     _check_register_size,
+    _ket_repr,
     _sequence,
     _sqrt_binomials,
     _system_size,
@@ -219,9 +220,9 @@ def path_count(n: int, ket: str) -> PathCount:
     """Count quantum paths from ``|e,...,e>`` to a fully de-excited ket."""
     _system_size(n)
     if not isinstance(ket, str) or len(ket) != n:
-        raise InvalidKetError(f"ket {ket!r} is not a string of length {n}")
+        raise InvalidKetError(f"ket {_ket_repr(ket)} is not a string of length {n}")
     if any(ch not in "+-" for ch in ket):
-        raise InvalidKetError(f"ket {ket!r} must contain only '+' and '-'")
+        raise InvalidKetError(f"ket {_ket_repr(ket)} must contain only '+' and '-'")
     k = ket.count("-")
     return PathCount(orderings=factorial(n), distinct_products=comb(n, k))
 
@@ -237,14 +238,26 @@ def _as_levels(levels) -> tuple[PyramidLevel, ...]:
 def pyramid_text(levels: Sequence[PyramidLevel]) -> str:
     """Human-readable dump, one indented block of kets per detection step.
 
-    Anything but a sequence of :class:`PyramidLevel` is ``ConfigError``.
+    Anything but a sequence of :class:`PyramidLevel` is ``ConfigError``, as
+    is an amplitude that is not a number in the float range; a key that is
+    not a string is ``InvalidKetError``.
     """
     lines = []
     for level in _as_levels(levels):
+        terms = level.terms
+        if not all(map(isinstance, terms, repeat(str))):
+            raise InvalidKetError("pyramid kets must be strings")
+        kets = sorted(terms)
+        amps = [terms[ket] for ket in kets]
+        if not all(map(isinstance, amps, repeat((complex, float, int, np.number)))):
+            raise ConfigError("pyramid amplitudes must be numbers")
+        try:
+            amps = list(map(complex, amps))
+        except OverflowError:
+            raise ConfigError("pyramid amplitudes must lie in the float range") from None
         lines.append(f"step {level.step}:")
-        for ket in sorted(level.terms):
-            amp = level.terms[ket]
-            lines.append(f"  |{ket}>  {amp.real:+.12g}{amp.imag:+.12g}j")
+        lines.extend(f"  |{ket}>  {amp.real:+.12g}{amp.imag:+.12g}j"
+                     for ket, amp in zip(kets, amps))
     return "\n".join(lines)
 
 
@@ -281,7 +294,7 @@ def pyramid_edges(config, levels: Sequence[PyramidLevel] | None = None,
         if not terms.keys() <= known:
             foreign = next(ket for ket in terms if ket not in known)
             raise InvalidKetError(
-                f"ket {foreign!r} is not a step-{m - 1} ket of {n} emitters")
+                f"ket {_ket_repr(foreign)} is not a step-{m - 1} ket of {n} emitters")
         if len(terms) < len(parents):
             # absent parents, e.g. structural zeros of sigma+/- polarizers
             keep = np.repeat([ket in terms for ket in parents],

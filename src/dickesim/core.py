@@ -25,6 +25,7 @@ representation conventions are fixed once and for all:
 from __future__ import annotations
 
 import cmath
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, frexp, hypot, isfinite, ldexp, pi, sqrt
@@ -325,6 +326,16 @@ def _bit_counts(n: int) -> np.ndarray:
     return counts
 
 
+def _ket_repr(ket) -> str:
+    """A would-be ket for an error message: a string's shortened ``repr``, else its type.
+
+    ``repr`` of an int of more than 4300 digits raises ``ValueError``.
+    """
+    if isinstance(ket, str):
+        return reprlib.repr(ket)
+    return f"of type {type(ket).__name__}"
+
+
 def _ket_index(ket: str) -> int:
     """Register index of a ket string over ``e+-``, emitter 0 first."""
     return sum(LEVEL_CHARS.index(ch) * 3 ** j for j, ch in enumerate(ket))
@@ -365,7 +376,7 @@ class EmitterRegister:
     def amplitude(self, ket: str) -> complex:
         """Amplitude of a ket string of ``n`` letters from ``e+-``, else ``InvalidKetError``."""
         if not (isinstance(ket, str) and len(ket) == self.n and set(ket) <= set(LEVEL_CHARS)):
-            raise InvalidKetError(f"{ket!r} is not a ket of {self.n} emitters over 'e+-'")
+            raise InvalidKetError(f"ket {_ket_repr(ket)} is not {self.n} letters over 'e+-'")
         return complex(self.amps[_ket_index(ket)])
 
 

@@ -33,9 +33,10 @@ set of detectors used and labels of those emitters (layout in
 ``_level_tables``), never the dense ``3**n`` register.  Each step is
 one row gather and one batched matrix product, emitter ``j``'s label is the
 new top column bit, and the last level is in qubit order.  Samples are
-propagated together in chunks of at most ``_CHUNK_ENTRIES`` entries
-(samples times widest level), and their fidelities are pooled into a
-running mean and variance, so memory does not grow with the sample count.
+propagated together in chunks of at most ``_CHUNK_ENTRIES`` = 8192 entries
+(samples times widest level; about 100 B of peak memory each, so roughly
+0.8 MB a chunk), and their fidelities are pooled into a running mean and
+variance, so memory does not grow with the sample count.
 Two seeded streams, drawn one block per chunk and read in sample order, give
 the transverse normals and the window deviates, so a seeded estimate does not
 depend on the chunking and agrees to round-off with applying the dense
@@ -65,10 +66,11 @@ DEFAULT_WAVELENGTH = 493e-9
 ANNIHILATION_TOL = 1e-12
 
 #: Samples times widest level propagated together, whatever the sample
-#: count: a level then holds at most this many complex entries (32 KiB) and
-#: the row gather of step j at most (j + 1) / 2 times a level.  From n = 8 on
-#: a chunk is a single sample.
-_CHUNK_ENTRIES = 2048
+#: count.  A full chunk's tracemalloc peak is 75-141 B per such entry at
+#: every n = 1..10 (the levels, the row gather and the per-sample weights),
+#: so about 0.8 MB here.  At n = 8 a chunk holds 4 samples; from n = 9 on it
+#: is a single sample and memory no longer depends on this budget.
+_CHUNK_ENTRIES = 8192
 
 
 @dataclass(frozen=True, eq=False)

@@ -244,7 +244,7 @@ def test_pyramid_edges_share_the_pyramid_ket_strings():
 def test_pyramid_edges_reject_foreign_parent_kets():
     config = ds.PolarizerConfig.from_angles([0.0, 1.0, 2.0])
     levels = ds.build_pyramid(config)
-    for bad in ("+e", "eeee", "e+x", "+++"):
+    for bad in ("+e", "eeee", "e+x", "+++", 1, -(10 ** 5000)):
         forged = list(levels)
         forged[1] = ds.PyramidLevel(1, {**levels[1].terms, bad: 1.0 + 0.0j})
         with pytest.raises(ds.InvalidKetError):
@@ -295,6 +295,19 @@ def test_pyramid_text_lists_every_level():
     for m in range(4):
         assert f"step {m}:" in text
     assert "|eee>" in text and "|+++>" in text
+
+
+@pytest.mark.parametrize("terms, error", [
+    ({"e": None}, ds.ConfigError),
+    ({"e": "1"}, ds.ConfigError),
+    ({"e": np.ones(2)}, ds.ConfigError),
+    ({"e": 10 ** 400}, ds.ConfigError),
+    ({1: 1j, "e": 2}, ds.InvalidKetError),
+    ({-(10 ** 5000): 1.0}, ds.InvalidKetError),
+], ids=["none", "string", "array", "huge", "mixed-keys", "huge-key"])
+def test_pyramid_text_rejects_malformed_terms(terms, error):
+    with pytest.raises(error):
+        ds.pyramid_text([ds.PyramidLevel(0, terms)])
 
 
 def test_pyramid_edges_recompose_the_cascade():

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 import dickesim as ds
 
+#: ``str()`` of an int of more than 4300 digits raises ``ValueError``, so
+#: an error message must not format ``-(10 ** 5000)``.
 JUNK = (None, True, np.bool_(False), float("nan"), float("inf"), float("-inf"),
-        10 ** 400, -1, 0, 1.5, "0.5", b"1", [], object())
+        10 ** 400, -(10 ** 5000), -1, 0, 1.5, "0.5", b"1", [], object())
 
-#: Sizes beyond the float range of ``sqrt(C(n, k))`` are ``TooLargeError``;
-#: ``str()`` of an int of more than 4300 digits raises ``ValueError``.
+#: Sizes beyond the float range of ``sqrt(C(n, k))`` are ``TooLargeError``.
 SIZE_JUNK = (-1, 0, 1.5, True, "3", None, 10 ** 400, 10 ** 5000, -(10 ** 5000), 2054)
 
 #: A huge sample count would sample forever before it fails.

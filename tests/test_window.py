@@ -9,7 +9,7 @@ import dickesim as ds
 from conftest import dense_estimate_fidelity, random_config
 from dickesim import window
 from dickesim.core import REGISTER_SIZE_LIMIT
-from dickesim.window import _CHUNK_ENTRIES, _sample_outputs
+from dickesim.window import _sample_outputs
 
 
 def _chain_positions(n, spacing):
@@ -245,12 +245,14 @@ def _window_cases():
 
 
 @pytest.mark.parametrize("config, target", _window_cases())
-def test_estimate_matches_dense_reference(config, target):
+def test_estimate_matches_dense_reference(monkeypatch, config, target):
     n = len(config)
     geo = ds.DetectionGeometry.linear_chain(n, transverse_sigma=20e-9,
                                             window_halfangle=np.deg2rad(2.0))
-    # two full chunks and a partial one
-    chunk = _CHUNK_ENTRIES // max(comb(n, m) << m for m in range(n + 1))
+    # two full chunks and a partial one; a small budget keeps the dense
+    # one-sample-at-a-time oracle short whatever the library's budget
+    monkeypatch.setattr(window, "_CHUNK_ENTRIES", 2048)
+    chunk = window._CHUNK_ENTRIES // max(comb(n, m) << m for m in range(n + 1))
     samples = 2 * max(1, chunk) + 1
     got = ds.estimate_fidelity(config, geo, target=target, samples=samples,
                                seed=100 + n)
@@ -274,6 +276,23 @@ def test_memory_does_not_grow_with_the_sample_count():
         tracemalloc.stop()
     assert est.sample_count == 200_000
     assert peak < 8 * 200_000
+
+
+def test_memory_per_chunk_stays_bounded_at_large_n():
+    # at n = 8 a chunk of 4 samples peaks at about 0.6 MB; a budget that
+    # packed many more samples together would pass 1.6 MB
+    n = 8
+    config = ds.ghz_config(n, 0.0)
+    geo = ds.DetectionGeometry.linear_chain(n)
+    ds.estimate_fidelity(config, geo, samples=1, seed=3)  # build cached tables
+    tracemalloc.start()
+    try:
+        est = ds.estimate_fidelity(config, geo, samples=64, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.sample_count + est.excluded_count == 64
+    assert peak < 1_600_000
 
 
 def test_size_guard_rejects_systems_above_the_limit():
