@@ -7,12 +7,10 @@ estimates realistic preparation fidelities under finite detection windows.
 """
 
 from .cascade import (
-    PathCount,
     PolarizerConfig,
     PyramidLevel,
     build_pyramid,
     dicke_coefficients,
-    path_count,
     pyramid_edges,
     pyramid_text,
 )
@@ -45,18 +43,14 @@ from .entanglement import (
 )
 from .errors import (
     AsymmetricResidueError,
-    ClassDisagreementError,
     ConfigError,
     DickesimError,
     DimensionMismatchError,
     InvalidKetError,
-    NoExcitedPopulationError,
     ResidualExcitationError,
     RootFindingError,
     TooLargeError,
-    WrongArityError,
     ZeroStateError,
-    ZeroVectorError,
 )
 from .synthesis import (
     DEGREE_TOL,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, cycle, product, repeat
-from math import comb, factorial
+from math import factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -27,10 +27,10 @@ from .core import (
     Polarizer,
     SymmetricState,
     _check_register_size,
+    _integer,
     _ket_repr,
     _sequence,
     _sqrt_binomials,
-    _system_size,
 )
 from .errors import ConfigError, InvalidKetError, ZeroStateError
 
@@ -134,19 +134,6 @@ class PyramidLevel:
     terms: dict[str, complex]
 
 
-@dataclass(frozen=True)
-class PathCount:
-    """Quantum-path bookkeeping for one final ket.
-
-    ``orderings`` counts detector-to-emitter assignments (always n!);
-    ``distinct_products`` counts the distinct amplitude products these
-    assignments produce, i.e. the genuinely interfering path classes.
-    """
-
-    orderings: int
-    distinct_products: int
-
-
 @lru_cache(maxsize=None)
 def _ket_table(n: int) -> tuple[tuple[tuple, itemgetter, frozenset, list, list], ...]:
     """Every ket of an ``n``-emitter pyramid, one entry per level.
@@ -191,7 +178,10 @@ def build_pyramid(config) -> list[PyramidLevel]:
     emitters in ``-`` carries ``k! (m-k)! q_k``, where ``q_k`` is the
     ``z**k`` coefficient of the partial product ``prod_{i <= m} (alpha_i +
     beta_i z)``; each of the ``k! (m-k)!`` assignments of the detectors to
-    the ket's emitters contributes the same elementary-symmetric term.
+    the ket's emitters contributes the same elementary-symmetric term.  So
+    the ``n!`` detector-to-emitter orderings that reach a final ket with
+    ``k`` minuses collapse onto ``C(n, k)`` interfering path classes, one
+    per set of ``k`` detectors that put their emitter into ``-``.
 
     Raises
     ------
@@ -216,22 +206,14 @@ def build_pyramid(config) -> list[PyramidLevel]:
     return levels
 
 
-def path_count(n: int, ket: str) -> PathCount:
-    """Count quantum paths from ``|e,...,e>`` to a fully de-excited ket."""
-    _system_size(n)
-    if not isinstance(ket, str) or len(ket) != n:
-        raise InvalidKetError(f"ket {_ket_repr(ket)} is not a string of length {n}")
-    if any(ch not in "+-" for ch in ket):
-        raise InvalidKetError(f"ket {_ket_repr(ket)} must contain only '+' and '-'")
-    k = ket.count("-")
-    return PathCount(orderings=factorial(n), distinct_products=comb(n, k))
-
-
 def _as_levels(levels) -> tuple[PyramidLevel, ...]:
-    """``levels`` as a tuple, or ``ConfigError`` unless each is a :class:`PyramidLevel` of a dict."""
+    """``levels`` as a tuple, or ``ConfigError`` unless each is a :class:`PyramidLevel`
+    of a dict whose step is an integer >= 0."""
     levels = _sequence(levels, "levels")
     if not all(isinstance(x, PyramidLevel) and isinstance(x.terms, dict) for x in levels):
         raise ConfigError("levels must be PyramidLevels whose terms are dicts")
+    for level in levels:
+        _integer(level.step, "pyramid step", 0)
     return levels
 
 
@@ -239,8 +221,9 @@ def pyramid_text(levels: Sequence[PyramidLevel]) -> str:
     """Human-readable dump, one indented block of kets per detection step.
 
     Anything but a sequence of :class:`PyramidLevel` is ``ConfigError``, as
-    is an amplitude that is not a number in the float range; a key that is
-    not a string is ``InvalidKetError``.
+    is a step that is not an integer >= 0 or an amplitude that is not a
+    number in the float range; a key that is not a string is
+    ``InvalidKetError``.
     """
     lines = []
     for level in _as_levels(levels):
@@ -261,14 +244,14 @@ def pyramid_text(levels: Sequence[PyramidLevel]) -> str:
     return "\n".join(lines)
 
 
-def pyramid_edges(config, levels: Sequence[PyramidLevel] | None = None,
-                  ) -> list[tuple[int, str, str, complex]]:
+def pyramid_edges(config, levels: Sequence[PyramidLevel]) -> list[tuple[int, str, str, complex]]:
     """Transition list ``(level, parent_ket, child_ket, weight)``.
 
     ``level`` is the step of the child ket and ``weight`` is the polarizer
     component applied on that edge (``alpha_m`` for an ``e -> +`` transition,
     ``beta_m`` for ``e -> -``).  Parents are the kets of ``levels`` in sorted
-    order, each with one edge pair per excited emitter.
+    order, each with one edge pair per excited emitter; ``levels`` is
+    normally ``build_pyramid(config)``.
 
     Raises
     ------
@@ -276,7 +259,7 @@ def pyramid_edges(config, levels: Sequence[PyramidLevel] | None = None,
         If the configuration has more than ``REGISTER_SIZE_LIMIT`` emitters.
     ConfigError
         If ``levels`` is not a sequence of ``n + 1`` :class:`PyramidLevel`
-        whose terms are dicts.
+        whose terms are dicts and whose steps are integers >= 0.
     InvalidKetError
         If a ket of ``levels[m - 1]`` is not a ket with ``m - 1`` emitters
         out of ``e``.
@@ -284,7 +267,7 @@ def pyramid_edges(config, levels: Sequence[PyramidLevel] | None = None,
     config = _as_config(config)
     n = len(config)
     _check_register_size(n, "pyramid")
-    levels = build_pyramid(config) if levels is None else _as_levels(levels)
+    levels = _as_levels(levels)
     if len(levels) != n + 1:
         raise ConfigError(f"levels must be the {n + 1} PyramidLevels of the pyramid")
     edges: list[tuple[int, str, str, complex]] = []

@@ -28,13 +28,7 @@ from .cascade import (
 )
 from .core import LinearAngle, Polarizer, SymmetricState, _real, _system_size, fidelity
 from .entanglement import classify_from_config, entanglement_report
-from .errors import (
-    ClassDisagreementError,
-    ConfigError,
-    DickesimError,
-    TooLargeError,
-    WrongArityError,
-)
+from .errors import ConfigError, DickesimError, DimensionMismatchError, TooLargeError
 from .synthesis import synthesize
 from .window import DetectionGeometry, estimate_fidelity
 
@@ -97,10 +91,7 @@ def _parse_polarizers(cfg: dict, degrees: bool) -> PolarizerConfig:
         elif "alpha" in entry and "beta" in entry:
             alpha = _parse_complex(entry["alpha"], f"polarizer {i} alpha")
             beta = _parse_complex(entry["beta"], f"polarizer {i} beta")
-            try:
-                pols.append(Polarizer(alpha, beta))
-            except ValueError as exc:
-                raise ConfigError(f"polarizer {i}: {exc}") from exc
+            pols.append(Polarizer(alpha, beta))
         else:
             raise ConfigError(
                 f"polarizer {i} needs either 'theta' or 'alpha'+'beta'")
@@ -241,11 +232,12 @@ def _cmd_classify(args) -> int:
     record["entropies"] = list(report.entropies)
     record["agreement"] = prediction.predicted_class == report.inferred_class
     status = _finish(record, args)
-    if not record["agreement"]:
-        raise ClassDisagreementError(
-            f"config predicts {prediction.predicted_class}, "
-            f"state measures {report.inferred_class}")
-    return status
+    if record["agreement"]:
+        return status
+    print(f"dickesim: concordance violation: config predicts "
+          f"{prediction.predicted_class}, state measures {report.inferred_class}",
+          file=sys.stderr)
+    return EXIT_DISAGREE
 
 
 def _cmd_pyramid(args) -> int:
@@ -380,12 +372,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, WrongArityError, TooLargeError) as exc:
+    except (ConfigError, DimensionMismatchError, TooLargeError) as exc:
         print(f"dickesim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ClassDisagreementError as exc:
-        print(f"dickesim: concordance violation: {exc}", file=sys.stderr)
-        return EXIT_DISAGREE
     except DickesimError as exc:
         print(f"dickesim: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -38,11 +38,9 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     InvalidKetError,
-    NoExcitedPopulationError,
     ResidualExcitationError,
     TooLargeError,
     ZeroStateError,
-    ZeroVectorError,
 )
 
 #: Tolerance for projective equality of polarizer orientations.  Far below any
@@ -120,8 +118,8 @@ class Polarizer:
     """Normalized complex polarization vector ``alpha*s+ + beta*s-``.
 
     ``alpha`` and ``beta`` are the amplitudes on the two circular components.
-    Construction rescales to unit norm; the all-zero vector is rejected and
-    a non-numeric or non-finite component is ``ConfigError``.  The
+    Construction rescales to unit norm; the all-zero vector and a
+    non-numeric or non-finite component are ``ConfigError``.  The
     physically meaningful content is projective: ``alpha/beta`` is the
     orientation (see :func:`same_orientation`).
     """
@@ -144,7 +142,7 @@ class Polarizer:
             raise ConfigError("polarizer components must be finite")
         nrm = hypot(abs(a), abs(b))
         if nrm == 0.0:
-            raise ZeroVectorError("polarizer components are both zero")
+            raise ConfigError("polarizer components are both zero")
         object.__setattr__(self, "alpha", a / nrm)
         object.__setattr__(self, "beta", b / nrm)
 
@@ -249,14 +247,21 @@ class SymmetricState:
 
 
 def _complex_array(values) -> np.ndarray:
-    """``values`` as a complex array; ``ConfigError`` if an entry is no number."""
+    """``values`` as a complex array; ``ConfigError`` if an entry is no finite number.
+
+    A complex array is returned as is and not checked: the detection
+    operator builds one at every step.
+    """
     try:
         array = np.asarray(values, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"coefficients must be numbers: {exc}") from None
-    # numpy parses strings; a complex array, returned as is, holds none
-    if array is not values and np.asarray(values).dtype.kind in "SU":
-        raise ConfigError("coefficients must be numbers, not strings")
+    if array is not values:
+        # numpy parses strings and turns None into NaN
+        if np.asarray(values).dtype.kind in "SU":
+            raise ConfigError("coefficients must be numbers, not strings")
+        if not np.isfinite(array).all():
+            raise ConfigError("coefficients must be finite")
     return array
 
 
@@ -413,7 +418,7 @@ def apply_detection(register: EmitterRegister, polarizer: Polarizer) -> EmitterR
 
     Raises
     ------
-    NoExcitedPopulationError
+    ZeroStateError
         If the resulting register is the zero vector (no excited amplitude
         was available, or everything cancelled).
     """
@@ -424,7 +429,7 @@ def apply_detection(register: EmitterRegister, polarizer: Polarizer) -> EmitterR
         np.full(n, polarizer.beta, dtype=complex),
     )
     if not out.any():
-        raise NoExcitedPopulationError("detection produced the zero vector")
+        raise ZeroStateError("detection produced the zero vector")
     return EmitterRegister(n, out)
 
 

@@ -42,7 +42,7 @@ from .core import (
     _unit_vector,
     same_orientation,
 )
-from .errors import ConfigError, WrongArityError
+from .errors import ConfigError, DimensionMismatchError
 
 #: Threshold separating numerically-zero tangle/entropy from generic nonzero
 #: values after the forward pipeline, used by state-based classification.
@@ -90,11 +90,11 @@ def _as_qubit_amplitudes(state) -> list[complex]:
     """
     if isinstance(state, SymmetricState):
         if state.n != 3:
-            raise WrongArityError(f"need a 3-qubit state, got n={state.n}")
+            raise DimensionMismatchError(f"need a 3-qubit state, got n={state.n}")
         return state.to_qubit_amplitudes().tolist()
     psi = _complex_array(state).reshape(-1)
     if psi.shape != (8,):
-        raise WrongArityError(f"need 8 amplitudes, got {psi.shape}")
+        raise DimensionMismatchError(f"need 8 amplitudes, got {psi.shape}")
     return _unit_vector(psi).tolist()
 
 
@@ -177,7 +177,7 @@ def tangle_closed_form(config) -> float:
     """
     config = _as_config(config)
     if len(config) != 3:
-        raise WrongArityError(f"closed form needs exactly 3 polarizers, got {len(config)}")
+        raise DimensionMismatchError(f"closed form needs exactly 3 polarizers, got {len(config)}")
     norm = 1.0 / np.linalg.norm(_product_polynomial(config) / _sqrt_binomials(3))
     cross = 1.0
     for i, j in _PAIRS:
@@ -256,7 +256,7 @@ def classify_from_config(config) -> ClassPrediction:
     """
     config = _as_config(config)
     if len(config) != 3:
-        raise WrongArityError(f"classification needs 3 polarizers, got {len(config)}")
+        raise DimensionMismatchError(f"classification needs 3 polarizers, got {len(config)}")
     representatives: list = []
     for p in config:
         if not any(same_orientation(p, r) for r in representatives):

@@ -5,14 +5,6 @@ class DickesimError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ZeroVectorError(DickesimError, ValueError):
-    """A polarization vector with both components zero."""
-
-
-class NoExcitedPopulationError(DickesimError):
-    """A detection annihilated the register (no excited amplitude left)."""
-
-
 class ResidualExcitationError(DickesimError):
     """Symmetric projection requested while excited amplitude remains."""
 
@@ -22,7 +14,7 @@ class AsymmetricResidueError(DickesimError):
 
 
 class DimensionMismatchError(DickesimError, ValueError):
-    """Operands describe systems of different size."""
+    """Operands differ in system size, or a fixed-size operation got another size."""
 
 
 class ZeroStateError(DickesimError):
@@ -31,10 +23,6 @@ class ZeroStateError(DickesimError):
 
 class RootFindingError(DickesimError):
     """Polynomial root extraction failed to produce usable roots."""
-
-
-class WrongArityError(DickesimError, ValueError):
-    """Operation defined for a fixed system size got a different one."""
 
 
 class InvalidKetError(DickesimError, ValueError):
@@ -46,8 +34,4 @@ class TooLargeError(DickesimError, ValueError):
 
 
 class ConfigError(DickesimError, ValueError):
-    """Problem with a configuration file or CLI input."""
-
-
-class ClassDisagreementError(DickesimError):
-    """Configuration-based and state-based classifications disagree."""
+    """Problem with a configuration file, CLI input or argument value."""

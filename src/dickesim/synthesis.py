@@ -67,7 +67,11 @@ class _SynthesisPolynomial:
         roots = np.zeros(self.degree, dtype=complex)
         if len(top_first) > 1:
             companion = np.eye(len(top_first) - 1, k=-1, dtype=complex)
-            companion[0] = -top_first[1:] / top_first[0]
+            try:
+                with np.errstate(over="raise"):
+                    companion[0] = -top_first[1:] / top_first[0]
+            except FloatingPointError:
+                raise RootFindingError("companion matrix leaves the float range") from None
             try:
                 roots[:len(companion)] = np.linalg.eigvals(companion)
             except np.linalg.LinAlgError as exc:

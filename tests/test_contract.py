@@ -6,10 +6,16 @@ number, an angle, a ket string, a polarizer configuration, a list of
 numbers or a library object.  Junk put into any one slot must give a result
 or a ``DickesimError``, never a bare ``TypeError``, ``ValueError`` or the
 like.  Every exported callable is either in the table
-or in ``OUT_OF_SCOPE`` with the reason it is not.
+or in ``OUT_OF_SCOPE`` with the reason it is not.  Two guards keep the
+surface honest: every exported exception class is raised somewhere in the
+package, and the benchmark's view of the library still builds.
 """
 
+import ast
+import importlib.util
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +42,7 @@ CONFIG2 = ds.PolarizerConfig.from_angles([0.2, 1.1])
 CONFIG3 = ds.PolarizerConfig.from_angles([0.1, 0.7, 1.9])
 GEO2 = ds.DetectionGeometry.linear_chain(2)
 STATE2 = ds.dicke_coefficients(CONFIG2)
+STATE3 = ds.dicke_coefficients(CONFIG3)
 PYRAMID3 = ds.build_pyramid(CONFIG3)
 POSITIONS2 = [[-2.5e-6, 0.0, 0.0], [2.5e-6, 0.0, 0.0]]
 DIRECTIONS2 = [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
@@ -86,10 +93,9 @@ TABLE = [
                           if levels is None else levels),
      {"config": CONFIG, "levels": OBJECT, "level": OBJECT, "terms": OBJECT}),
     ("pyramid_text",
-     lambda levels=None, level=PYRAMID3[1], terms=PYRAMID3[0].terms: ds.pyramid_text(
-         [ds.PyramidLevel(0, terms), level] if levels is None else levels),
-     {"levels": OBJECT, "level": OBJECT, "terms": OBJECT}),
-    ("path_count", lambda n=3, ket="+-+": ds.path_count(n, ket), {"n": SIZE, "ket": KET}),
+     lambda levels=None, level=PYRAMID3[1], terms=PYRAMID3[0].terms, step=0: ds.pyramid_text(
+         [ds.PyramidLevel(step, terms), level] if levels is None else levels),
+     {"levels": OBJECT, "level": OBJECT, "terms": OBJECT, "step": INTEGER}),
     ("tangle_closed_form", lambda config=CONFIG3: ds.tangle_closed_form(config),
      {"config": CONFIG}),
     ("classify_from_config", lambda config=CONFIG3: ds.classify_from_config(config),
@@ -104,6 +110,14 @@ TABLE = [
       "seed": INTEGER}),
     ("fidelity", lambda a=STATE2, b=STATE2: ds.fidelity(a, b), {"a": OBJECT, "b": OBJECT}),
     ("synthesize", lambda target=STATE2: ds.synthesize(target), {"target": OBJECT}),
+    ("entanglement_report", lambda state=STATE3: ds.entanglement_report(state),
+     {"state": OBJECT}),
+    ("tangle_hyperdeterminant", lambda state=STATE3: ds.tangle_hyperdeterminant(state),
+     {"state": OBJECT}),
+    ("single_qubit_entropy", lambda state=STATE3: ds.single_qubit_entropy(state, 0),
+     {"state": OBJECT}),
+    ("pair_concurrence", lambda state=STATE3: ds.pair_concurrence(state, (0, 1)),
+     {"state": OBJECT}),
 ]
 
 _OBJECT = "takes objects (SymmetricState, EmitterRegister, Polarizer), not values"
@@ -112,14 +126,7 @@ OUT_OF_SCOPE = {
     "apply_detection": _OBJECT,
     "project_symmetric": _OBJECT,
     "same_orientation": _OBJECT,
-    "entanglement_report": _OBJECT,
-    "tangle_hyperdeterminant": _OBJECT,
-    "single_qubit_entropy": _OBJECT + "; an out-of-range qubit index raises "
-                            "the IndexError that test_index_validation pins",
-    "pair_concurrence": _OBJECT + "; an out-of-range qubit index raises "
-                        "the IndexError that test_index_validation pins",
     "PyramidLevel": "record returned by build_pyramid; not validated",
-    "PathCount": "record returned by path_count; not validated",
     "EntanglementReport": "record returned by entanglement_report; not validated",
     "ClassPrediction": "record returned by classify_from_config; not validated",
     "FidelityEstimate": "record returned by estimate_fidelity; not validated",
@@ -208,7 +215,7 @@ def test_non_objects_are_config_errors(call):
 def test_system_sizes_beyond_the_float_range_are_too_large(n):
     for call in (ds.DetectionGeometry.linear_chain, ds.EmitterRegister.ground,
                  lambda n: ds.s_config(n, 0.0), lambda n: ds.w_config(n, 0.0),
-                 lambda n: ds.ghz_config(n, 0.0), lambda n: ds.path_count(n, "+")):
+                 lambda n: ds.ghz_config(n, 0.0)):
         with pytest.raises(ds.TooLargeError):
             call(n)
 
@@ -216,3 +223,29 @@ def test_system_sizes_beyond_the_float_range_are_too_large(n):
 def test_the_largest_system_size_is_valid():
     assert len(ds.s_config(2053, 0.0)) == 2053
     assert ds.DetectionGeometry.linear_chain(2053).n == 2053
+
+
+def test_every_exported_error_is_raised_somewhere():
+    raised = set()
+    for path in Path(ds.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    errors = {name for name, value in vars(ds).items()
+              if isinstance(value, type) and issubclass(value, Exception)}
+    assert errors - {"DickesimError"} <= raised
+
+
+def test_the_benchmark_view_of_the_library_builds(monkeypatch):
+    # benchmarks/probes.py catches ds.DickesimError; nothing is written there
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    lib = workloads.make_lib(ds)
+    assert all(map(callable, vars(lib).values()))
+    assert issubclass(ds.DickesimError, Exception)

@@ -84,7 +84,7 @@ def test_tangle_vanishes_iff_two_orientations_coincide():
 
 
 def test_tangle_closed_form_requires_three_polarizers():
-    with pytest.raises(ds.WrongArityError):
+    with pytest.raises(ds.DimensionMismatchError):
         ds.tangle_closed_form(ds.s_config(4, 0.0))
 
 
@@ -125,9 +125,9 @@ def test_index_validation():
         ds.single_qubit_entropy(ghz_qubit(3, 0.0), 3)
     with pytest.raises(IndexError):
         ds.pair_concurrence(ghz_qubit(3, 0.0), (1, 1))
-    with pytest.raises(ds.WrongArityError):
+    with pytest.raises(ds.DimensionMismatchError):
         ds.tangle_hyperdeterminant(np.ones(4))
-    with pytest.raises(ds.WrongArityError):
+    with pytest.raises(ds.DimensionMismatchError):
         ds.single_qubit_entropy(ds.SymmetricState.from_raw(2, [1, 0, 0]), 0)
 
 

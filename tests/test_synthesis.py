@@ -1,3 +1,4 @@
+import warnings
 from math import comb
 
 import numpy as np
@@ -114,6 +115,17 @@ def test_synthesize_pure_plus_target_needs_no_roots():
     config = ds.synthesize(target)
     assert len(config) == 4
     assert all(p.beta == 0.0 for p in config)
+
+
+def test_companion_overflow_is_a_root_finding_error_without_a_warning():
+    # the companion row holds d_1000 / d_2000 scaled by sqrt(C(2000, k)) ratios
+    raw = np.zeros(2001)
+    raw[1000], raw[2000] = 1.0, 1e-11
+    target = ds.SymmetricState.from_raw(2000, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ds.RootFindingError):
+            ds.synthesize(target)
 
 
 def test_synthesize_fully_inverted_target():
