@@ -76,8 +76,7 @@ def _angle(value, what: str, degrees: bool) -> float:
     return float(np.deg2rad(angle)) if degrees else angle
 
 
-def _parse_polarizers(cfg: dict, degrees: bool) -> PolarizerConfig:
-    n = _system_size(cfg.get("n"))
+def _parse_polarizers(cfg: dict, n: int, degrees: bool) -> PolarizerConfig:
     entries = cfg.get("polarizers")
     if not isinstance(entries, list) or len(entries) != n:
         raise ConfigError(f"'polarizers' must be a list of length n={n}")
@@ -98,8 +97,7 @@ def _parse_polarizers(cfg: dict, degrees: bool) -> PolarizerConfig:
     return PolarizerConfig(tuple(pols))
 
 
-def _parse_target(cfg: dict) -> SymmetricState:
-    n = _system_size(cfg.get("n"))
+def _parse_target(cfg: dict, n: int) -> SymmetricState:
     entries = cfg.get("target")
     if not isinstance(entries, list) or len(entries) != n + 1:
         raise ConfigError(f"'target' must be a list of n+1={n + 1} [re, im] pairs")
@@ -107,9 +105,8 @@ def _parse_target(cfg: dict) -> SymmetricState:
     return SymmetricState.from_raw(n, raw)
 
 
-def _parse_geometry(cfg: dict, degrees: bool) -> DetectionGeometry:
+def _parse_geometry(cfg: dict, n: int, degrees: bool) -> DetectionGeometry:
     """``DetectionGeometry.linear_chain`` with the given keys replacing its defaults."""
-    n = _system_size(cfg.get("n"))
     geo = cfg.get("geometry")
     if not isinstance(geo, dict):
         raise ConfigError("'geometry' section is required for this command")
@@ -126,10 +123,10 @@ def _parse_geometry(cfg: dict, degrees: bool) -> DetectionGeometry:
                                              "window_halfangle", degrees)
     arrays = {key: geo[key]
               for key in ("emitter_positions", "detector_directions") if key in geo}
+    # the geometry itself checks that both arrays are (m, 3)
     geometry = replace(DetectionGeometry.linear_chain(n, **scalars), **arrays)
-    for key in arrays:
-        if getattr(geometry, key).shape != (n, 3):
-            raise ConfigError(f"{key} must be {n} [x,y,z] triples")
+    if geometry.n != n:
+        raise ConfigError(f"geometry arrays must be {n} [x,y,z] triples")
     return geometry
 
 
@@ -152,29 +149,24 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _base_record(command: str, cfg: dict, args) -> dict:
-    return {
-        "tool": "dickesim",
-        "version": __version__,
-        "command": command,
-        "input": {"config": cfg, "flags": {"degrees": bool(args.degrees)}},
-    }
+def _write_record(fields: dict, cfg: dict, args) -> None:
+    """The record ``tool, version, command, <fields>, input``; only fields are rounded."""
+    record = {"tool": "dickesim", "version": __version__, "command": args.command,
+              **_round15(fields),
+              "input": {"config": cfg, "flags": {"degrees": bool(args.degrees)}}}
+    _write(json.dumps(record, indent=2) + "\n", args)
 
 
-def _finish(record: dict, args) -> int:
-    echo = record.pop("input")
-    rounded = _round15(record)
-    rounded["input"] = echo
-    _write_text(json.dumps(rounded, indent=2) + "\n", args.out)
-    return EXIT_OK
-
-
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
+def _write(text: str, args) -> None:
+    """``text`` to ``--out``, else stdout; an unwritable ``--out`` is ``ConfigError``."""
+    if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _report_dict(report) -> dict:
@@ -191,61 +183,53 @@ def _report_dict(report) -> dict:
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    config = _parse_polarizers(cfg, args.degrees)
-    state = dicke_coefficients(config).canonicalized()
-    record = _base_record("simulate", cfg, args)
-    record["system_size"] = len(config)
-    record["dicke_coefficients"] = [_pair(c) for c in state.coeffs]
-    if len(config) == 3:
-        record["entanglement"] = _report_dict(entanglement_report(state))
-    return _finish(record, args)
+def _cmd_simulate(cfg: dict, n: int, args) -> int:
+    state = dicke_coefficients(_parse_polarizers(cfg, n, args.degrees)).canonicalized()
+    fields = {"system_size": n, "dicke_coefficients": [_pair(c) for c in state.coeffs]}
+    if n == 3:
+        fields["entanglement"] = _report_dict(entanglement_report(state))
+    _write_record(fields, cfg, args)
+    return EXIT_OK
 
 
-def _cmd_synthesize(args) -> int:
-    cfg = _load_config(args.config)
-    target = _parse_target(cfg)
+def _cmd_synthesize(cfg: dict, n: int, args) -> int:
+    target = _parse_target(cfg, n)
     config = synthesize(target)
     achieved = dicke_coefficients(config)
-    record = _base_record("synthesize", cfg, args)
-    record["system_size"] = target.n
-    record["polarizers"] = [{"alpha": _pair(p.alpha), "beta": _pair(p.beta)}
-                            for p in config]
-    record["achieved_coefficients"] = [_pair(c)
-                                       for c in achieved.canonicalized().coeffs]
-    record["verification"] = {"round_trip_fidelity": fidelity(achieved, target)}
-    return _finish(record, args)
+    _write_record({
+        "system_size": n,
+        "polarizers": [{"alpha": _pair(p.alpha), "beta": _pair(p.beta)} for p in config],
+        "achieved_coefficients": [_pair(c) for c in achieved.canonicalized().coeffs],
+        "verification": {"round_trip_fidelity": fidelity(achieved, target)},
+    }, cfg, args)
+    return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    cfg = _load_config(args.config)
-    config = _parse_polarizers(cfg, args.degrees)
+def _cmd_classify(cfg: dict, n: int, args) -> int:
+    config = _parse_polarizers(cfg, n, args.degrees)
     prediction = classify_from_config(config)
-    state = dicke_coefficients(config)
-    report = entanglement_report(state)
-    record = _base_record("classify", cfg, args)
-    record["distinct_orientations"] = prediction.distinct_orientations
-    record["config_class"] = prediction.predicted_class
-    record["state_class"] = report.inferred_class
-    record["tangle"] = report.tangle
-    record["entropies"] = list(report.entropies)
-    record["agreement"] = prediction.predicted_class == report.inferred_class
-    status = _finish(record, args)
-    if record["agreement"]:
-        return status
+    report = entanglement_report(dicke_coefficients(config))
+    agreement = prediction.predicted_class == report.inferred_class
+    _write_record({
+        "distinct_orientations": prediction.distinct_orientations,
+        "config_class": prediction.predicted_class,
+        "state_class": report.inferred_class,
+        "tangle": report.tangle,
+        "entropies": list(report.entropies),
+        "agreement": agreement,
+    }, cfg, args)
+    if agreement:
+        return EXIT_OK
     print(f"dickesim: concordance violation: config predicts "
           f"{prediction.predicted_class}, state measures {report.inferred_class}",
           file=sys.stderr)
     return EXIT_DISAGREE
 
 
-def _cmd_pyramid(args) -> int:
-    cfg = _load_config(args.config)
-    config = _parse_polarizers(cfg, args.degrees)
-    if len(config) > PYRAMID_SIZE_LIMIT:
-        raise TooLargeError(
-            f"pyramid output limited to n <= {PYRAMID_SIZE_LIMIT}, got {len(config)}")
+def _cmd_pyramid(cfg: dict, n: int, args) -> int:
+    config = _parse_polarizers(cfg, n, args.degrees)
+    if n > PYRAMID_SIZE_LIMIT:
+        raise TooLargeError(f"pyramid output limited to n <= {PYRAMID_SIZE_LIMIT}, got {n}")
     levels = build_pyramid(config)
     text = pyramid_text(levels)
     csv_lines = ["level,parent_ket,child_ket,amp_re,amp_im"]
@@ -253,21 +237,11 @@ def _cmd_pyramid(args) -> int:
         csv_lines.append(f"{level},{parent},{child},{amp.real:.15g},{amp.imag:.15g}")
     edges_csv = "\n".join(csv_lines)
     if args.out is None:
-        sys.stdout.write(text + "\n\n" + edges_csv + "\n")
-        return EXIT_OK
-    record = _base_record("pyramid", cfg, args)
-    record["system_size"] = len(config)
-    record["pyramid_text"] = text
-    record["pyramid_edges_csv"] = edges_csv
-    return _finish(record, args)
-
-
-def _resolve_sampling(cfg: dict, args) -> tuple[int, int]:
-    samples = args.samples if args.samples is not None else cfg.get("samples")
-    if samples is None:
-        raise ConfigError("'samples' must be given in the config or via --samples")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    return samples, seed
+        _write(text + "\n\n" + edges_csv + "\n", args)
+    else:
+        _write_record({"system_size": n, "pyramid_text": text,
+                       "pyramid_edges_csv": edges_csv}, cfg, args)
+    return EXIT_OK
 
 
 def _parse_sweep(spec: str, degrees: bool) -> np.ndarray:
@@ -285,41 +259,50 @@ def _parse_sweep(spec: str, degrees: bool) -> np.ndarray:
     return np.deg2rad(values) if degrees else values
 
 
-def _cmd_fidelity(args) -> int:
-    cfg = _load_config(args.config)
-    config = _parse_polarizers(cfg, args.degrees)
-    geometry = _parse_geometry(cfg, args.degrees)
-    target = _parse_target(cfg) if "target" in cfg else None
-    samples, seed = _resolve_sampling(cfg, args)
+def _cmd_fidelity(cfg: dict, n: int, args) -> int:
+    config = _parse_polarizers(cfg, n, args.degrees)
+    geometry = _parse_geometry(cfg, n, args.degrees)
+    target = _parse_target(cfg, n) if "target" in cfg else None
+    samples = args.samples if args.samples is not None else cfg.get("samples")
+    if samples is None:
+        raise ConfigError("'samples' must be given in the config or via --samples")
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
 
     if args.sweep is not None:
-        lines = ["window_halfangle,mean_fidelity,standard_error,"
-                 "sample_count,excluded_count"]
+        lines = ["window_halfangle,mean_fidelity,standard_error,sample_count,excluded_count"]
         for window in _parse_sweep(args.sweep, args.degrees):
             est = estimate_fidelity(config,
                                     replace(geometry, window_halfangle=float(window)),
                                     target=target, samples=samples, seed=seed)
-            lines.append(f"{window:.15g},{est.mean_fidelity:.15g},"
-                         f"{est.standard_error:.15g},{est.sample_count},"
-                         f"{est.excluded_count}")
-        _write_text("\n".join(lines) + "\n", args.out)
+            lines.append(f"{window:.15g},{est.mean_fidelity:.15g},{est.standard_error:.15g},"
+                         f"{est.sample_count},{est.excluded_count}")
+        _write("\n".join(lines) + "\n", args)
         return EXIT_OK
 
-    est = estimate_fidelity(config, geometry, target=target,
-                            samples=samples, seed=seed)
-    record = _base_record("fidelity", cfg, args)
-    record["system_size"] = len(config)
-    record["fidelity_estimate"] = asdict(est)
-    record["parameters"] = {
-        "samples": samples,
-        "seed": seed,
-        "wavelength": geometry.wavelength,
-        "transverse_sigma": geometry.transverse_sigma,
-        "window_halfangle": geometry.window_halfangle,
-        "emitter_positions": geometry.emitter_positions.tolist(),
-        "detector_directions": geometry.detector_directions.tolist(),
-    }
-    return _finish(record, args)
+    est = estimate_fidelity(config, geometry, target=target, samples=samples, seed=seed)
+    _write_record({
+        "system_size": n,
+        "fidelity_estimate": asdict(est),
+        "parameters": {
+            "samples": samples, "seed": seed,
+            "wavelength": geometry.wavelength,
+            "transverse_sigma": geometry.transverse_sigma,
+            "window_halfangle": geometry.window_halfangle,
+            "emitter_positions": geometry.emitter_positions.tolist(),
+            "detector_directions": geometry.detector_directions.tolist(),
+        },
+    }, cfg, args)
+    return EXIT_OK
+
+
+#: verb -> (handler, help); each handler gets the loaded config and its checked ``n``
+VERBS = {
+    "simulate": (_cmd_simulate, "forward-map a polarizer configuration"),
+    "synthesize": (_cmd_synthesize, "design polarizers for a target state"),
+    "classify": (_cmd_classify, "orientation-count vs state classification (n=3)"),
+    "pyramid": (_cmd_pyramid, "dump the cascade's intermediate states"),
+    "fidelity": (_cmd_fidelity, "Monte-Carlo detection-window fidelity"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -333,45 +316,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "multi-qubit states from polarized photodetection.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, text) in VERBS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         p.add_argument("--degrees", action="store_true",
                        help="interpret input angles as degrees")
-
-    p = sub.add_parser("simulate", help="forward-map a polarizer configuration")
-    common(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("synthesize", help="design polarizers for a target state")
-    common(p)
-    p.set_defaults(handler=_cmd_synthesize)
-
-    p = sub.add_parser("classify", help="orientation-count vs state classification (n=3)")
-    common(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("pyramid", help="dump the cascade's intermediate states")
-    common(p)
-    p.set_defaults(handler=_cmd_pyramid)
-
-    p = sub.add_parser("fidelity", help="Monte-Carlo detection-window fidelity")
-    common(p)
+    p = sub.choices["fidelity"]
     p.add_argument("--samples", type=int, default=None,
                    help="override the sample count from the config")
     p.add_argument("--seed", type=int, default=None,
                    help="override the random seed from the config")
     p.add_argument("--sweep", default=None, metavar="START:STOP:COUNT",
                    help="emit a CSV over window halfangles instead of a record")
-    p.set_defaults(handler=_cmd_fidelity)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler = VERBS[args.command][0]
     try:
-        return args.handler(args)
+        cfg = _load_config(args.config)
+        return handler(cfg, _system_size(cfg.get("n")), args)
     except (ConfigError, DimensionMismatchError, TooLargeError) as exc:
         print(f"dickesim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

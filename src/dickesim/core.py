@@ -247,21 +247,16 @@ class SymmetricState:
 
 
 def _complex_array(values) -> np.ndarray:
-    """``values`` as a complex array; ``ConfigError`` if an entry is no finite number.
-
-    A complex array is returned as is and not checked: the detection
-    operator builds one at every step.
-    """
+    """``values`` as a complex array; ``ConfigError`` if an entry is no finite number."""
     try:
         array = np.asarray(values, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"coefficients must be numbers: {exc}") from None
-    if array is not values:
-        # numpy parses strings and turns None into NaN
-        if np.asarray(values).dtype.kind in "SU":
-            raise ConfigError("coefficients must be numbers, not strings")
-        if not np.isfinite(array).all():
-            raise ConfigError("coefficients must be finite")
+    # numpy parses strings and turns None into NaN
+    if array is not values and np.asarray(values).dtype.kind in "SU":
+        raise ConfigError("coefficients must be numbers, not strings")
+    if not np.isfinite(array).all():
+        raise ConfigError("coefficients must be finite")
     return array
 
 

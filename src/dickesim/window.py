@@ -112,6 +112,9 @@ class DetectionGeometry:
             dirs = np.asarray(self.detector_directions, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"geometry values must be numeric: {exc}") from exc
+        if any(np.asarray(raw).dtype.kind in "SU"  # numpy parses strings
+               for raw in (self.emitter_positions, self.detector_directions)):
+            raise ConfigError("geometry values must be numbers, not strings")
         if pos.ndim != 2 or pos.shape[1] != 3 or len(pos) < 1:
             raise ConfigError(f"emitter_positions must be (n >= 1, 3), got {pos.shape}")
         if dirs.shape != pos.shape:

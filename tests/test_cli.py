@@ -104,6 +104,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(out.read_text())["command"] == "simulate"
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, where):
+    cfg = _write(tmp_path, "c.json", _theta_config([0.0]))
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "record.json"
+    code, printed = _run(capsys, ["simulate", "--config", cfg, "--out", str(out)])
+    assert code == 2 and printed == ""
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 # ---------------------------------------------------------------------------
@@ -370,6 +378,47 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# record layout
+# ---------------------------------------------------------------------------
+
+_RECORD_FIELDS = {
+    "simulate": ["system_size", "dicke_coefficients", "entanglement"],
+    "synthesize": ["system_size", "polarizers", "achieved_coefficients", "verification"],
+    "classify": ["distinct_orientations", "config_class", "state_class", "tangle",
+                 "entropies", "agreement"],
+    "pyramid": ["system_size", "pyramid_text", "pyramid_edges_csv"],
+    "fidelity": ["system_size", "fidelity_estimate", "parameters"],
+}
+
+_VERB_CONFIGS = {
+    "simulate": _theta_config(GHZ_THETAS),
+    "synthesize": {"n": 2, "target": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.8]]},
+    "classify": _theta_config([0.1, 1.0, 2.0]),
+    "pyramid": _theta_config([0.2, 1.1]),
+    "fidelity": _fidelity_config(np.deg2rad(0.5), 5e-9, samples=20),
+}
+
+
+@pytest.mark.parametrize("verb", list(_RECORD_FIELDS))
+def test_record_layout_and_out_file_match_stdout(tmp_path, capsys, verb):
+    cfg = _write(tmp_path, "c.json", _VERB_CONFIGS[verb])
+    code, printed = _run(capsys, [verb, "--config", cfg])
+    assert code == 0
+    out = tmp_path / "record.json"
+    code, nothing = _run(capsys, [verb, "--config", cfg, "--out", str(out)])
+    assert code == 0 and nothing == ""
+    written = out.read_bytes()
+    record = json.loads(written)
+    assert list(record) == ["tool", "version", "command", *_RECORD_FIELDS[verb], "input"]
+    assert record["command"] == verb
+    assert list(record["input"]) == ["config", "flags"]
+    if verb == "pyramid":  # stdout holds the record's text and CSV, not the record
+        assert printed == record["pyramid_text"] + "\n\n" + record["pyramid_edges_csv"] + "\n"
+    else:
+        assert written == printed.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
 # exit codes and validation
 # ---------------------------------------------------------------------------
 
@@ -414,15 +463,21 @@ def test_unknown_geometry_key(tmp_path, capsys):
 
 
 def test_malformed_geometry_values(tmp_path, capsys):
+    chain = ds.DetectionGeometry.linear_chain(4)
+    # numbers spelled as strings, which numpy would parse
+    spelled = [{key: [[str(x) for x in row] for row in getattr(chain, key).tolist()]}
+               for key in ("emitter_positions", "detector_directions")]
     for patch in ({"transverse_sigma": "tiny"},
                   {"wavelength": None},
                   {"emitter_positions": [[0.0, 0.0], [1.0, 0.0]]},
-                  {"spacing": [5e-6]}):
+                  {"spacing": [5e-6]},
+                  *spelled):
         payload = _fidelity_config()
         payload["geometry"].update(patch)
         cfg = _write(tmp_path, "f.json", payload)
-        code, _ = _run(capsys, ["fidelity", "--config", cfg])
+        code, out = _run(capsys, ["fidelity", "--config", cfg])
         assert code == 2, patch
+        assert out == ""
 
 
 def test_non_finite_geometry_is_a_config_error(tmp_path, capsys):

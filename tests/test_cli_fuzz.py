@@ -2,7 +2,8 @@
 
 Whatever the configuration says, every verb must exit with a documented
 code (0, 2, 3 or 4), raise nothing past ``main``, print nothing on a
-configuration or computation error, and print only strict JSON records.
+configuration or computation error, and print only strict JSON records;
+``fidelity`` must reject a geometry holding a string with exit 2.
 """
 
 import contextlib
@@ -22,7 +23,10 @@ _junk = st.one_of(st.none(), st.text(max_size=3), _numbers,
 _pairs = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
 _polarizers = st.one_of(st.fixed_dictionaries({"theta": st.floats(-10.0, 10.0)}),
                         st.fixed_dictionaries({"alpha": _pairs, "beta": _pairs}))
-_triples = st.lists(st.floats(-1e-5, 1e-5), min_size=3, max_size=3)
+_coordinates = st.floats(-1e-5, 1e-5)
+# numpy would parse a numeric string such as "1e-06"; the CLI must reject it
+_triples = (st.lists(_coordinates, min_size=3, max_size=3)
+            | st.lists(_coordinates | _coordinates.map(str), min_size=3, max_size=3))
 
 
 @st.composite
@@ -54,6 +58,14 @@ def _configs(draw):
     return cfg
 
 
+def _holds_a_string(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(_holds_a_string(v) for v in value)
+    return isinstance(value, str)
+
+
 def _check_strict_output(out: str) -> None:
     if out.startswith("{"):
         json.dumps(json.loads(out), allow_nan=False)
@@ -81,6 +93,8 @@ def test_every_config_exits_with_a_documented_code(tmp_path_factory, verb, cfg, 
         code = main(argv)
     out = stdout.getvalue()
     assert code in (0, 2, 3, 4), (code, stderr.getvalue())
+    if verb == "fidelity" and _holds_a_string(cfg.get("geometry")):
+        assert code == 2, stderr.getvalue()  # strings are not numbers
     if code in (2, 3):
         assert out == ""
     else:

@@ -277,6 +277,9 @@ def test_non_finite_coefficients_are_a_config_error(bad):
         ds.SymmetricState.from_raw(2, [1.0, bad, 0.0])
     with pytest.raises(ds.ConfigError):
         ds.EmitterRegister(1, [bad, 0.0, 0.0])
+    # a complex array is checked too, not passed through
+    with pytest.raises(ds.ConfigError):
+        ds.EmitterRegister(1, np.array([bad, 0.0, 0.0], dtype=complex))
 
 
 _NON_NUMERIC_INPUTS = {

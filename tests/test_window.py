@@ -130,6 +130,12 @@ def test_geometry_validation():
             ds.DetectionGeometry(pos, 0.0, 493e-9, dirs, bad)
     with pytest.raises(ds.ConfigError):
         ds.DetectionGeometry([["a", 0.0, 0.0]] * 2, 0.0, 493e-9, dirs, 0.0)
+    # numeric strings too, which numpy would parse
+    for strings in ([["0", "0", "0"], ["5e-6", "0", "0"]], [[0, 0, 0], [5e-6, "0", 0]]):
+        with pytest.raises(ds.ConfigError):
+            ds.DetectionGeometry(strings, 0.0, 493e-9, dirs, 0.0)
+    with pytest.raises(ds.ConfigError):
+        ds.DetectionGeometry(pos, 0.0, 493e-9, [["0", "1", "0"], [0, "-1", 0]], 0.0)
     # integers beyond the float range and booleans are not geometry values
     for bad in (10 ** 400, True):
         with pytest.raises(ds.ConfigError):
