@@ -12,7 +12,6 @@ from .cascade import (
     build_pyramid,
     dicke_coefficients,
     pyramid_edges,
-    pyramid_text,
 )
 from .core import (
     NORM_TOL,
@@ -36,8 +35,6 @@ from .entanglement import (
     EntanglementReport,
     classify_from_config,
     entanglement_report,
-    pair_concurrence,
-    single_qubit_entropy,
     tangle_closed_form,
     tangle_hyperdeterminant,
 )

@@ -217,33 +217,6 @@ def _as_levels(levels) -> tuple[PyramidLevel, ...]:
     return levels
 
 
-def pyramid_text(levels: Sequence[PyramidLevel]) -> str:
-    """Human-readable dump, one indented block of kets per detection step.
-
-    Anything but a sequence of :class:`PyramidLevel` is ``ConfigError``, as
-    is a step that is not an integer >= 0 or an amplitude that is not a
-    number in the float range; a key that is not a string is
-    ``InvalidKetError``.
-    """
-    lines = []
-    for level in _as_levels(levels):
-        terms = level.terms
-        if not all(map(isinstance, terms, repeat(str))):
-            raise InvalidKetError("pyramid kets must be strings")
-        kets = sorted(terms)
-        amps = [terms[ket] for ket in kets]
-        if not all(map(isinstance, amps, repeat((complex, float, int, np.number)))):
-            raise ConfigError("pyramid amplitudes must be numbers")
-        try:
-            amps = list(map(complex, amps))
-        except OverflowError:
-            raise ConfigError("pyramid amplitudes must lie in the float range") from None
-        lines.append(f"step {level.step}:")
-        lines.extend(f"  |{ket}>  {amp.real:+.12g}{amp.imag:+.12g}j"
-                     for ket, amp in zip(kets, amps))
-    return "\n".join(lines)
-
-
 def pyramid_edges(config, levels: Sequence[PyramidLevel]) -> list[tuple[int, str, str, complex]]:
     """Transition list ``(level, parent_ket, child_ket, weight)``.
 

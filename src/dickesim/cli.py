@@ -19,13 +19,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .cascade import (
-    PolarizerConfig,
-    build_pyramid,
-    dicke_coefficients,
-    pyramid_edges,
-    pyramid_text,
-)
+from .cascade import PolarizerConfig, build_pyramid, dicke_coefficients, pyramid_edges
 from .core import LinearAngle, Polarizer, SymmetricState, _real, _system_size, fidelity
 from .entanglement import classify_from_config, entanglement_report
 from .errors import ConfigError, DickesimError, DimensionMismatchError, TooLargeError
@@ -84,16 +78,16 @@ def _parse_polarizers(cfg: dict, n: int, degrees: bool) -> PolarizerConfig:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"polarizer {i} must be an object")
-        if "theta" in entry:
+        if entry.keys() == {"theta"}:
             pols.append(LinearAngle(_angle(entry["theta"], f"polarizer {i} theta",
                                            degrees)).to_polarizer())
-        elif "alpha" in entry and "beta" in entry:
+        elif entry.keys() == {"alpha", "beta"}:
             alpha = _parse_complex(entry["alpha"], f"polarizer {i} alpha")
             beta = _parse_complex(entry["beta"], f"polarizer {i} beta")
             pols.append(Polarizer(alpha, beta))
         else:
-            raise ConfigError(
-                f"polarizer {i} needs either 'theta' or 'alpha'+'beta'")
+            raise ConfigError(f"polarizer {i} needs either 'theta' or 'alpha'+'beta', "
+                              f"got keys {sorted(entry)}")
     return PolarizerConfig(tuple(pols))
 
 
@@ -231,7 +225,12 @@ def _cmd_pyramid(cfg: dict, n: int, args) -> int:
     if n > PYRAMID_SIZE_LIMIT:
         raise TooLargeError(f"pyramid output limited to n <= {PYRAMID_SIZE_LIMIT}, got {n}")
     levels = build_pyramid(config)
-    text = pyramid_text(levels)
+    lines = []
+    for level in levels:
+        lines.append(f"step {level.step}:")
+        lines.extend(f"  |{ket}>  {amp.real:+.12g}{amp.imag:+.12g}j"
+                     for ket, amp in sorted(level.terms.items()))
+    text = "\n".join(lines)
     csv_lines = ["level,parent_ket,child_ket,amp_re,amp_im"]
     for level, parent, child, amp in pyramid_edges(config, levels):
         csv_lines.append(f"{level},{parent},{child},{amp.real:.15g},{amp.imag:.15g}")

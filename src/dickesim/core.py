@@ -71,9 +71,13 @@ def _integer(value, what: str, minimum: int) -> int:
     return value
 
 
+#: What ``float()`` and numpy would convert, but is not a number.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
 def _real(value, what: str) -> float:
     """``value`` as a finite float, else ``ConfigError``: booleans and strings are not numbers."""
-    if isinstance(value, (bool, np.bool_, str, bytes)):
+    if isinstance(value, _NOT_NUMBERS):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
@@ -82,6 +86,39 @@ def _real(value, what: str) -> float:
     if not isfinite(x):
         raise ConfigError(f"{what} must be finite, got {x}")
     return x
+
+
+def _numbers(values, dtype, what: str) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (``complex`` or ``float``), else ``ConfigError``.
+
+    Every entry must be a finite number.  Booleans, strings and bytes are
+    not numbers, whether they set an ndarray's dtype or sit inside a list or
+    an object array, and a complex entry is no real one.  A list is read as
+    an object array, so that each entry is judged rather than the dtype
+    numpy would promote it to.  An ndarray of ``dtype`` is returned as is.
+    """
+    try:
+        raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    except ValueError as exc:  # nested arrays of different shapes
+        raise ConfigError(f"{what} must be numbers: {exc}") from None
+    kind = raw.dtype.kind
+    if kind == "O":  # a list or an object array: the kind of its worst entry
+        entries = raw.ravel().tolist()
+        if any(isinstance(x, _NOT_NUMBERS) for x in entries):
+            kind = "U"
+        elif any(isinstance(x, (complex, np.complexfloating)) for x in entries):
+            kind = "c"
+    if kind in "bSU":
+        raise ConfigError(f"{what} must be numbers, not booleans or strings")
+    if kind == "c" and dtype is float:
+        raise ConfigError(f"{what} must be real numbers")
+    try:
+        array = np.asarray(raw, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be numbers: {exc}") from None
+    if not np.isfinite(array).all():  # numpy turns None into NaN
+        raise ConfigError(f"{what} must be finite")
+    return array
 
 
 #: Largest system size whose ``sqrt(C(n, k))`` is finite (see :func:`_sqrt_binomials`).
@@ -129,9 +166,8 @@ class Polarizer:
 
     def __post_init__(self) -> None:
         # scalar math, not numpy ufuncs: synthesis builds n of these per call;
-        # complex() parses strings and takes booleans (bytes it rejects itself)
-        if (isinstance(self.alpha, (str, bool, np.bool_))
-                or isinstance(self.beta, (str, bool, np.bool_))):
+        # complex() parses strings and takes booleans
+        if isinstance(self.alpha, _NOT_NUMBERS) or isinstance(self.beta, _NOT_NUMBERS):
             raise ConfigError("polarizer components must be numbers, not strings or booleans")
         try:
             a = complex(self.alpha)
@@ -207,7 +243,7 @@ class SymmetricState:
 
     def __post_init__(self) -> None:
         _system_size(self.n)
-        c = _complex_array(self.coeffs)
+        c = _numbers(self.coeffs, complex, "coefficients")
         if c.shape != (self.n + 1,):
             raise ConfigError(f"expected {self.n + 1} coefficients, got shape {c.shape}")
         # written so that a NaN norm fails it
@@ -224,7 +260,7 @@ class SymmetricState:
         """
         if not isinstance(raw, np.ndarray):
             raw = _sequence(raw, "coefficients")
-        return cls(n, _unit_vector(_complex_array(raw)))
+        return cls(n, _unit_vector(_numbers(raw, complex, "coefficients")))
 
     def canonicalized(self) -> "SymmetricState":
         """Copy with the first coefficient above ``NORM_TOL`` made real and positive."""
@@ -244,20 +280,6 @@ class SymmetricState:
         """
         weights = self.coeffs / _sqrt_binomials(self.n)
         return weights[_bit_counts(self.n)]
-
-
-def _complex_array(values) -> np.ndarray:
-    """``values`` as a complex array; ``ConfigError`` if an entry is no finite number."""
-    try:
-        array = np.asarray(values, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"coefficients must be numbers: {exc}") from None
-    # numpy parses strings and turns None into NaN
-    if array is not values and np.asarray(values).dtype.kind in "SU":
-        raise ConfigError("coefficients must be numbers, not strings")
-    if not np.isfinite(array).all():
-        raise ConfigError("coefficients must be finite")
-    return array
 
 
 def _unit_vector(v: np.ndarray) -> np.ndarray:
@@ -361,7 +383,7 @@ class EmitterRegister:
 
     def __post_init__(self) -> None:
         length = _register_length(self.n)
-        a = _complex_array(self.amps)
+        a = _numbers(self.amps, complex, "amplitudes")
         if a.shape != (length,):
             raise ConfigError(f"expected {length} amplitudes, got shape {a.shape}")
         object.__setattr__(self, "amps", a)

@@ -8,7 +8,7 @@ have neither.  This module computes the measures two independent ways:
 
 * directly from the state vector (Cayley 2x2x2 hyperdeterminant, von
   Neumann entropies of the one-qubit marginals, Wootters concurrence of
-  the two-qubit marginals), and
+  the two-qubit marginals), all in :func:`entanglement_report`, and
 * in closed form from the polarizer settings of a three-detector cascade,
   where the tangle factorizes over pairwise orientation differences.
 
@@ -20,29 +20,22 @@ Python complexes, because on 2x2 and 8-element arrays numpy's per-call
 overhead costs far more than the arithmetic.  The hyperdeterminant is a
 polynomial in the amplitudes, and each one-qubit marginal is a 2x2 matrix
 whose spectrum has a closed form.  The pair concurrences keep an SVD, one
-stacked call over every pair asked for, for the precision reason given in
-:func:`pair_concurrence`.  The report and the single-measure functions share
-these helpers, so each measure has one implementation; the numpy versions
-they replaced are the oracles of the test suite.
+stacked call over the three pairs, for the precision reason given in
+:func:`_concurrences`.  The report and :func:`tangle_hyperdeterminant`
+share these helpers, so each measure has one implementation; the numpy
+versions they replaced are the oracles of the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log, log1p, log2, sqrt
+from math import log, log1p, log2, sqrt
 
 import numpy as np
 
 from .cascade import _as_config, _product_polynomial
-from .core import (
-    SymmetricState,
-    _complex_array,
-    _integer,
-    _sqrt_binomials,
-    _unit_vector,
-    same_orientation,
-)
-from .errors import ConfigError, DimensionMismatchError
+from .core import SymmetricState, _numbers, _sqrt_binomials, _unit_vector, same_orientation
+from .errors import DimensionMismatchError
 
 #: Threshold separating numerically-zero tangle/entropy from generic nonzero
 #: values after the forward pipeline, used by state-based classification.
@@ -92,7 +85,7 @@ def _as_qubit_amplitudes(state) -> list[complex]:
         if state.n != 3:
             raise DimensionMismatchError(f"need a 3-qubit state, got n={state.n}")
         return state.to_qubit_amplitudes().tolist()
-    psi = _complex_array(state).reshape(-1)
+    psi = _numbers(state, complex, "amplitudes").reshape(-1)
     if psi.shape != (8,):
         raise DimensionMismatchError(f"need 8 amplitudes, got {psi.shape}")
     return _unit_vector(psi).tolist()
@@ -132,10 +125,24 @@ def _entropy(psi: list[complex], qubit: int) -> float:
     return -(p * log2(p) + (1.0 - p) * log1p(-p) / _LN2)
 
 
-def _concurrences(psi: list[complex], pairs) -> list[float]:
-    """Concurrences of the given pairs from one stacked SVD; see pair_concurrence."""
+def _concurrences(psi: list[complex]) -> list[float]:
+    """Wootters concurrences of the two-qubit marginals of ``_PAIRS``.
+
+    The generic formula sorts the root-eigenvalues of
+    ``rho (sy x sy) rho* (sy x sy)`` and takes ``l1 - l2 - l3 - l4``.
+    Because the total state is pure, each marginal has rank at most two and
+    only two of those values survive; they are the singular values of the
+    2x2 matrix ``M^T (sy x sy) M`` with ``M`` the pair-versus-rest reshape
+    of the amplitudes.  Its four entries are quadratic in the amplitudes and
+    are formed in scalar arithmetic, but the singular values still come from
+    an SVD, one stacked call for all three pairs: the closed form
+    ``l1 - l2 = sqrt(|T|_F**2 - 2 |det T|)`` for that matrix ``T``, like
+    square roots of eigenvalues, takes the root of a quantity that is zero up
+    to rounding near a product state, which would cost half the working
+    precision.
+    """
     mats = []
-    for i, j in pairs:
+    for i, j in _PAIRS:
         bi, bj = 1 << i, 1 << j
         r = 7 ^ bi ^ bj  # the remaining qubit's bit
         # (bit_i, bit_j) = 00, 01, 10, 11, each with the remaining qubit 0 / 1
@@ -186,45 +193,6 @@ def tangle_closed_form(config) -> float:
     return float(min((4.0 / 27.0) * norm ** 4 * cross, 1.0))
 
 
-def _qubit(index) -> int:
-    """``index`` if it is 0, 1 or 2: ``ConfigError`` if it is not an
-    integer, ``IndexError`` if it is one outside that range (the minimum
-    ``-inf`` lets every integer through ``_integer``)."""
-    if _integer(index, "qubit index", -inf) not in (0, 1, 2):
-        raise IndexError(f"qubit index {index} outside 0..2")
-    return index
-
-
-def single_qubit_entropy(state, qubit: int) -> float:
-    """Von Neumann entropy (bits) of one qubit's marginal; ``0 log 0 = 0``."""
-    return _entropy(_as_qubit_amplitudes(state), _qubit(qubit))
-
-
-def pair_concurrence(state, pair: tuple[int, int]) -> float:
-    """Wootters concurrence of a two-qubit marginal of the pure state.
-
-    The generic formula sorts the root-eigenvalues of
-    ``rho (sy x sy) rho* (sy x sy)`` and takes ``l1 - l2 - l3 - l4``.
-    Because the total state is pure, the marginal has rank at most two and
-    only two of those values survive; they are the singular values of the
-    2x2 matrix ``M^T (sy x sy) M`` with ``M`` the pair-versus-rest reshape
-    of the amplitudes.  Its four entries are quadratic in the amplitudes and
-    are formed in scalar arithmetic, but the singular values still come from
-    an SVD (one stacked call for all pairs a report needs): the closed form
-    ``l1 - l2 = sqrt(|T|_F**2 - 2 |det T|)`` for that matrix ``T``, like
-    square roots of eigenvalues, takes the root of a quantity that is zero up
-    to rounding near a product state, which would cost half the working
-    precision.
-    """
-    try:
-        i, j = pair
-    except (TypeError, ValueError):
-        raise ConfigError(f"qubit pair must hold two indices, got {pair!r}") from None
-    if _qubit(i) == _qubit(j):
-        raise IndexError(f"invalid qubit pair {pair}")
-    return _concurrences(_as_qubit_amplitudes(state), ((i, j),))[0]
-
-
 def _infer_class(tangle: float, entropies: tuple[float, ...]) -> str:
     if tangle > CLASS_TOL:
         return GHZ_CLASS
@@ -243,7 +211,7 @@ def entanglement_report(state) -> EntanglementReport:
     psi = _as_qubit_amplitudes(state)
     tangle = _tangle(psi)
     entropies = (_entropy(psi, 0), _entropy(psi, 1), _entropy(psi, 2))
-    concurrences = dict(zip(_PAIRS, _concurrences(psi, _PAIRS)))
+    concurrences = dict(zip(_PAIRS, _concurrences(psi)))
     return EntanglementReport(tangle, entropies, concurrences,
                               _infer_class(tangle, entropies))
 

@@ -53,7 +53,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .cascade import _as_config, dicke_coefficients
-from .core import SymmetricState, _check_register_size, _integer, _real, _system_size
+from .core import SymmetricState, _check_register_size, _integer, _numbers, _real, _system_size
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -107,21 +107,13 @@ class DetectionGeometry:
         wavelength = _real(self.wavelength, "wavelength")
         window = _real(self.window_halfangle, "window_halfangle")
         sigma = _real(self.transverse_sigma, "transverse_sigma")
-        try:
-            pos = np.asarray(self.emitter_positions, dtype=float)
-            dirs = np.asarray(self.detector_directions, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"geometry values must be numeric: {exc}") from exc
-        if any(np.asarray(raw).dtype.kind in "SU"  # numpy parses strings
-               for raw in (self.emitter_positions, self.detector_directions)):
-            raise ConfigError("geometry values must be numbers, not strings")
+        pos = _numbers(self.emitter_positions, float, "geometry values")
+        dirs = _numbers(self.detector_directions, float, "geometry values")
         if pos.ndim != 2 or pos.shape[1] != 3 or len(pos) < 1:
             raise ConfigError(f"emitter_positions must be (n >= 1, 3), got {pos.shape}")
         if dirs.shape != pos.shape:
             raise ConfigError(
                 f"detector_directions {dirs.shape} must match emitter_positions {pos.shape}")
-        if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(dirs)):
-            raise ConfigError("positions and directions must be finite")
         if wavelength <= 0:
             raise ConfigError("wavelength must be positive")
         if window < 0:

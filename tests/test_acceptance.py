@@ -127,18 +127,20 @@ def test_criterion_5_operational_classification():
 def test_criterion_6_measure_anchors():
     failures = []
     w_entropy = np.log2(3) - 2.0 / 3.0
+    w_report = ds.entanglement_report(w_qubit(3, 0.0))
+    ghz_report = ds.entanglement_report(ghz_qubit(3, 0.0))
     for q in range(3):
-        s = ds.single_qubit_entropy(w_qubit(3, 0.0), q)
+        s = w_report.entropies[q]
         if abs(s - w_entropy) > 1e-10:
             failures.append(f"single-excitation entropy qubit {q}: {s}")
-        s = ds.single_qubit_entropy(ghz_qubit(3, 0.0), q)
+        s = ghz_report.entropies[q]
         if abs(s - 1.0) > 1e-12:
             failures.append(f"maximally-entangled entropy qubit {q}: {s}")
     for pair in ((0, 1), (0, 2), (1, 2)):
-        c = ds.pair_concurrence(w_qubit(3, 0.0), pair)
+        c = w_report.pair_concurrences[pair]
         if abs(c - 2.0 / 3.0) > 1e-10:
             failures.append(f"single-excitation concurrence {pair}: {c}")
-        c = ds.pair_concurrence(ghz_qubit(3, 0.0), pair)
+        c = ghz_report.pair_concurrences[pair]
         if c > 1e-10:
             failures.append(f"maximally-entangled concurrence {pair}: {c}")
     _criterion(6, "entropy and concurrence anchors", failures)

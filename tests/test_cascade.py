@@ -291,32 +291,15 @@ def test_pyramid_final_level_sums_path_classes():
             assert final[ket] == pytest.approx(amp, abs=1e-12)
 
 
-def test_pyramid_text_lists_every_level():
-    config = ds.PolarizerConfig.from_angles([0.0, 1.0, 2.0])
-    text = ds.pyramid_text(ds.build_pyramid(config))
-    for m in range(4):
-        assert f"step {m}:" in text
-    assert "|eee>" in text and "|+++>" in text
-
-
 @pytest.mark.parametrize("step", [-1, 1.5, None, "x", True, -(10 ** 5000)],
                          ids=["negative", "float", "none", "string", "bool", "huge"])
 def test_pyramid_text_rejects_malformed_steps(step):
+    """The step check that guarded the pyramid text dump now guards ``pyramid_edges``."""
+    config = ds.PolarizerConfig.from_angles([0.0, 1.0])
+    levels = ds.build_pyramid(config)
+    levels[0] = ds.PyramidLevel(step, levels[0].terms)
     with pytest.raises(ds.ConfigError):
-        ds.pyramid_text([ds.PyramidLevel(step, {})])
-
-
-@pytest.mark.parametrize("terms, error", [
-    ({"e": None}, ds.ConfigError),
-    ({"e": "1"}, ds.ConfigError),
-    ({"e": np.ones(2)}, ds.ConfigError),
-    ({"e": 10 ** 400}, ds.ConfigError),
-    ({1: 1j, "e": 2}, ds.InvalidKetError),
-    ({-(10 ** 5000): 1.0}, ds.InvalidKetError),
-], ids=["none", "string", "array", "huge", "mixed-keys", "huge-key"])
-def test_pyramid_text_rejects_malformed_terms(terms, error):
-    with pytest.raises(error):
-        ds.pyramid_text([ds.PyramidLevel(0, terms)])
+        ds.pyramid_edges(config, levels)
 
 
 def test_pyramid_edges_recompose_the_cascade():

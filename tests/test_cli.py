@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dickesim as ds
+from conftest import random_config, reference_pyramid
 from dickesim.cli import main
 
 
@@ -209,6 +210,26 @@ def test_pyramid_text_and_edges(tmp_path, capsys):
     lines = csv_part.strip().splitlines()
     assert lines[0] == "level,parent_ket,child_ket,amp_re,amp_im"
     assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+
+def test_pyramid_dump_matches_the_string_slicing_reference(tmp_path, capsys):
+    rng = np.random.default_rng(61)
+    for n in range(1, 5):
+        config = random_config(rng, n)
+        cfg = _write(tmp_path, "c.json", {"n": n, "polarizers": [
+            {"alpha": [p.alpha.real, p.alpha.imag], "beta": [p.beta.real, p.beta.imag]}
+            for p in config]})
+        code, out = _run(capsys, ["pyramid", "--config", cfg])
+        assert code == 0
+        blocks = out.split("\n\n", 1)[0].split("step ")[1:]
+        assert [block.split(":", 1)[0] for block in blocks] == [str(m) for m in range(n + 1)]
+        for block, want in zip(blocks, reference_pyramid(config)):
+            rows = [line.split() for line in block.splitlines()[1:]]
+            kets = [ket.strip("|>") for ket, _ in rows]
+            assert kets == sorted(want)
+            for ket, (_, amp) in zip(kets, rows):
+                # 12 significant digits are printed
+                assert complex(amp) == pytest.approx(want[ket], rel=1e-11, abs=1e-12)
 
 
 def test_pyramid_two_levels_for_single_emitter(tmp_path, capsys):
@@ -452,6 +473,20 @@ def test_zero_polarizer_is_a_config_error(tmp_path, capsys):
         "n": 1, "polarizers": [{"alpha": [0.0, 0.0], "beta": [0.0, 0.0]}]})
     code, _ = _run(capsys, ["simulate", "--config", cfg])
     assert code == 2
+
+
+@pytest.mark.parametrize("entry", [
+    {"theta": 0.0, "alpha": [0.0, 0.0], "beta": [1.0, 0.0]},
+    {"theta": 0.0, "thetta": 1.0},
+    {"alpha": [1.0, 0.0], "beta": [0.0, 0.0], "gamma": [0.0, 0.0]},
+    {"alpha": [1.0, 0.0]},
+    {},
+], ids=["theta-and-components", "unknown-key", "extra-component", "alpha-only", "empty"])
+def test_polarizer_entry_needs_exactly_theta_or_alpha_and_beta(tmp_path, capsys, entry):
+    for verb in ("simulate", "pyramid"):
+        cfg = _write(tmp_path, "c.json", {"n": 1, "polarizers": [entry]})
+        code, out = _run(capsys, [verb, "--config", cfg])
+        assert code == 2 and out == ""
 
 
 def test_unknown_geometry_key(tmp_path, capsys):

@@ -3,7 +3,8 @@
 Whatever the configuration says, every verb must exit with a documented
 code (0, 2, 3 or 4), raise nothing past ``main``, print nothing on a
 configuration or computation error, and print only strict JSON records;
-``fidelity`` must reject a geometry holding a string with exit 2.
+``fidelity`` must reject a geometry holding a string, and every verb that
+reads polarizers an entry with an extra key, with exit 2.
 """
 
 import contextlib
@@ -66,6 +67,12 @@ def _holds_a_string(value) -> bool:
     return isinstance(value, str)
 
 
+def _has_an_extra_polarizer_key(cfg) -> bool:
+    polarizers = cfg.get("polarizers")
+    return isinstance(polarizers, list) and any(
+        isinstance(entry, dict) and "extra" in entry for entry in polarizers)
+
+
 def _check_strict_output(out: str) -> None:
     if out.startswith("{"):
         json.dumps(json.loads(out), allow_nan=False)
@@ -95,6 +102,8 @@ def test_every_config_exits_with_a_documented_code(tmp_path_factory, verb, cfg, 
     assert code in (0, 2, 3, 4), (code, stderr.getvalue())
     if verb == "fidelity" and _holds_a_string(cfg.get("geometry")):
         assert code == 2, stderr.getvalue()  # strings are not numbers
+    if verb != "synthesize" and _has_an_extra_polarizer_key(cfg):
+        assert code == 2, stderr.getvalue()  # only 'theta' or 'alpha'+'beta'
     if code in (2, 3):
         assert out == ""
     else:

@@ -6,14 +6,14 @@ number, an angle, a ket string, a polarizer configuration, a list of
 numbers or a library object.  Junk put into any one slot must give a result
 or a ``DickesimError``, never a bare ``TypeError``, ``ValueError`` or the
 like.  Every exported callable is either in the table
-or in ``OUT_OF_SCOPE`` with the reason it is not.  Two guards keep the
+or in ``OUT_OF_SCOPE`` with the reason it is not.  Three guards keep the
 surface honest: every exported exception class is raised somewhere in the
-package, and the benchmark's view of the library still builds.
+package, every exported callable has a caller in the package or the
+benchmark, and the benchmark's view of the library still builds.
 """
 
 import ast
 import importlib.util
-import re
 import sys
 from pathlib import Path
 
@@ -88,14 +88,10 @@ TABLE = [
      {"config": CONFIG}),
     ("build_pyramid", lambda config=CONFIG3: ds.build_pyramid(config), {"config": CONFIG}),
     ("pyramid_edges",
-     lambda config=CONFIG3, levels=None, level=PYRAMID3[1], terms=PYRAMID3[0].terms:
-         ds.pyramid_edges(config, [ds.PyramidLevel(0, terms), level, *PYRAMID3[2:]]
+     lambda config=CONFIG3, levels=None, level=PYRAMID3[1], terms=PYRAMID3[0].terms, step=0:
+         ds.pyramid_edges(config, [ds.PyramidLevel(step, terms), level, *PYRAMID3[2:]]
                           if levels is None else levels),
-     {"config": CONFIG, "levels": OBJECT, "level": OBJECT, "terms": OBJECT}),
-    ("pyramid_text",
-     lambda levels=None, level=PYRAMID3[1], terms=PYRAMID3[0].terms, step=0: ds.pyramid_text(
-         [ds.PyramidLevel(step, terms), level] if levels is None else levels),
-     {"levels": OBJECT, "level": OBJECT, "terms": OBJECT, "step": INTEGER}),
+     {"config": CONFIG, "levels": OBJECT, "level": OBJECT, "terms": OBJECT, "step": INTEGER}),
     ("tangle_closed_form", lambda config=CONFIG3: ds.tangle_closed_form(config),
      {"config": CONFIG}),
     ("classify_from_config", lambda config=CONFIG3: ds.classify_from_config(config),
@@ -113,10 +109,6 @@ TABLE = [
     ("entanglement_report", lambda state=STATE3: ds.entanglement_report(state),
      {"state": OBJECT}),
     ("tangle_hyperdeterminant", lambda state=STATE3: ds.tangle_hyperdeterminant(state),
-     {"state": OBJECT}),
-    ("single_qubit_entropy", lambda state=STATE3: ds.single_qubit_entropy(state, 0),
-     {"state": OBJECT}),
-    ("pair_concurrence", lambda state=STATE3: ds.pair_concurrence(state, (0, 1)),
      {"state": OBJECT}),
 ]
 
@@ -166,40 +158,12 @@ def test_every_exported_callable_is_in_the_table_or_out_of_scope():
             "DetectionGeometry.linear_chain", "EmitterRegister.ground"} <= tabled
 
 
-#: Qubit indices that are not integers and qubit pairs that are not pairs;
-#: integers outside 0..2 raise the IndexError that test_index_validation pins.
-INDEX_JUNK = [j for j in JUNK if type(j) is not int]
-PAIR_JUNK = [None, 1, (0,), (0, 1, 2), "01", []] + [(0, j) for j in INDEX_JUNK]
-
-
-def _junk_id(value):
-    """``repr`` without object addresses, so that test ids are stable."""
-    return re.sub(r" at 0x[0-9a-f]+", "", repr(value))
-
-
-@pytest.mark.parametrize("junk", INDEX_JUNK, ids=_junk_id)
-def test_junk_qubit_index_is_config_error(junk):
-    state = ds.dicke_coefficients(CONFIG3)
-    with pytest.raises(ds.ConfigError):
-        ds.single_qubit_entropy(state, junk)
-    with pytest.raises(ds.ConfigError):
-        ds.pair_concurrence(state, (junk, 1))
-
-
-@pytest.mark.parametrize("junk", PAIR_JUNK, ids=_junk_id)
-def test_junk_qubit_pair_is_config_error(junk):
-    with pytest.raises(ds.ConfigError):
-        ds.pair_concurrence(ds.dicke_coefficients(CONFIG3), junk)
-
-
 #: Object arguments given something else.
 OBJECT_CALLS = {
     "estimate_fidelity-geometry": lambda: ds.estimate_fidelity(CONFIG2, None),
     "estimate_fidelity-target": lambda: ds.estimate_fidelity(CONFIG2, GEO2, target=5),
     "fidelity-a": lambda: ds.fidelity(None, STATE2),
     "fidelity-b": lambda: ds.fidelity(STATE2, 5),
-    "pyramid_text-none": lambda: ds.pyramid_text(None),
-    "pyramid_text-level": lambda: ds.pyramid_text([None]),
     "pyramid_edges-terms": lambda: ds.pyramid_edges(
         CONFIG3, [ds.PyramidLevel(0, None), *PYRAMID3[1:]]),
 }
@@ -238,14 +202,34 @@ def test_every_exported_error_is_raised_somewhere():
     assert errors - {"DickesimError"} <= raised
 
 
-def test_the_benchmark_view_of_the_library_builds(monkeypatch):
-    # benchmarks/probes.py catches ds.DickesimError; nothing is written there
+def _benchmark_lib(monkeypatch):
+    """The benchmark's view of the library, loaded without writing there."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     spec.loader.exec_module(workloads)
-    lib = workloads.make_lib(ds)
+    return workloads.make_lib(ds)
+
+
+def test_the_benchmark_view_of_the_library_builds(monkeypatch):
+    # benchmarks/probes.py catches ds.DickesimError
+    lib = _benchmark_lib(monkeypatch)
     assert all(map(callable, vars(lib).values()))
     assert issubclass(ds.DickesimError, Exception)
+
+
+def test_every_exported_callable_has_a_caller(monkeypatch):
+    # a caller names it in another module of the package, or the benchmark uses it
+    named = set()
+    for path in Path(ds.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+    exported = {name for name, value in vars(ds).items()
+                if not name.startswith("_") and callable(value)}
+    assert exported - named - vars(_benchmark_lib(monkeypatch)).keys() == set()

@@ -282,6 +282,33 @@ def test_non_finite_coefficients_are_a_config_error(bad):
         ds.EmitterRegister(1, np.array([bad, 0.0, 0.0], dtype=complex))
 
 
+#: ``size`` -> an array or list that numpy turns into numbers, although an
+#: entry is a boolean, a string or bytes.
+_DISGUISED_NUMBERS = {
+    "object-strings": lambda size: np.array(["1"] + [0] * (size - 1), dtype=object),
+    "object-bytes": lambda size: np.array([b"1"] + [0] * (size - 1), dtype=object),
+    "object-bool": lambda size: np.array([True] + [0] * (size - 1), dtype=object),
+    "object-numpy-bool": lambda size: np.array([np.True_] + [0] * (size - 1), dtype=object),
+    "bool-array": lambda size: np.array([True] + [False] * (size - 1)),
+    "bool-list": lambda size: [True] + [False] * (size - 1),
+    "bool-in-float-list": lambda size: [True] + [0.5] * (size - 1),
+    "string-array": lambda size: np.array(["1"] + ["0"] * (size - 1)),
+    "bytes-array": lambda size: np.array([b"1"] + [b"0"] * (size - 1)),
+}
+
+
+@pytest.mark.parametrize("make", _DISGUISED_NUMBERS.values(), ids=_DISGUISED_NUMBERS.keys())
+def test_booleans_and_strings_inside_arrays_are_not_numbers(make):
+    with pytest.raises(ds.ConfigError):
+        ds.EmitterRegister(1, make(3))
+    with pytest.raises(ds.ConfigError):
+        ds.SymmetricState.from_raw(1, make(2))
+    with pytest.raises(ds.ConfigError):
+        ds.entanglement_report(make(8))
+    with pytest.raises(ds.ConfigError):
+        ds.tangle_hyperdeterminant(make(8))
+
+
 _NON_NUMERIC_INPUTS = {
     "polarizer-none": lambda: ds.Polarizer(None, 1),
     "polarizer-str": lambda: ds.Polarizer("x", 1),
@@ -294,6 +321,12 @@ _NON_NUMERIC_INPUTS = {
     "state-str": lambda: ds.SymmetricState(1, ["a", 1]),
     "synthesize-none": lambda: ds.synthesize(None),
     "amplitudes-str": lambda: ds.entanglement_report(["a"] + [0] * 7),
+    # ragged nesting fails inside numpy's conversion
+    "register-ragged-list": lambda: ds.EmitterRegister(1, [[1.0, 0.0], [0.0]]),
+    "register-ragged-arrays": lambda: ds.EmitterRegister(1, [np.zeros((1, 2)),
+                                                             np.zeros((1, 1))]),
+    "register-unbroadcastable-arrays": lambda: ds.EmitterRegister(1, [np.zeros((2, 2)),
+                                                                      np.zeros((2, 1))]),
     "empty-config": lambda: ds.PolarizerConfig(()),
     "dicke-empty": lambda: ds.dicke_coefficients([]),
     # booleans are not numbers anywhere in the library

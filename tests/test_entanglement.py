@@ -107,28 +107,26 @@ def test_tangle_decreases_monotonically_while_orientations_merge():
 
 def test_entropy_anchors():
     for q in range(3):
-        assert ds.single_qubit_entropy(s_qubit(3, 0.4), q) <= 1e-12
-        assert ds.single_qubit_entropy(ghz_qubit(3, 0.0), q) == pytest.approx(1.0, abs=1e-12)
-        assert ds.single_qubit_entropy(w_qubit(3, 0.0), q) == pytest.approx(
+        assert ds.entanglement_report(s_qubit(3, 0.4)).entropies[q] <= 1e-12
+        assert ds.entanglement_report(ghz_qubit(3, 0.0)).entropies[q] == pytest.approx(
+            1.0, abs=1e-12)
+        assert ds.entanglement_report(w_qubit(3, 0.0)).entropies[q] == pytest.approx(
             np.log2(3) - 2.0 / 3.0, abs=1e-10)
 
 
 def test_pair_concurrence_anchors():
     for pair in ((0, 1), (0, 2), (1, 2)):
-        assert ds.pair_concurrence(w_qubit(3, 0.0), pair) == pytest.approx(2.0 / 3.0, abs=1e-10)
-        assert ds.pair_concurrence(ghz_qubit(3, 0.0), pair) <= 1e-10
-        assert ds.pair_concurrence(s_qubit(3, 1.1), pair) <= 1e-10
+        assert ds.entanglement_report(w_qubit(3, 0.0)).pair_concurrences[pair] == \
+            pytest.approx(2.0 / 3.0, abs=1e-10)
+        assert ds.entanglement_report(ghz_qubit(3, 0.0)).pair_concurrences[pair] <= 1e-10
+        assert ds.entanglement_report(s_qubit(3, 1.1)).pair_concurrences[pair] <= 1e-10
 
 
 def test_index_validation():
-    with pytest.raises(IndexError):
-        ds.single_qubit_entropy(ghz_qubit(3, 0.0), 3)
-    with pytest.raises(IndexError):
-        ds.pair_concurrence(ghz_qubit(3, 0.0), (1, 1))
     with pytest.raises(ds.DimensionMismatchError):
         ds.tangle_hyperdeterminant(np.ones(4))
     with pytest.raises(ds.DimensionMismatchError):
-        ds.single_qubit_entropy(ds.SymmetricState.from_raw(2, [1, 0, 0]), 0)
+        ds.entanglement_report(ds.SymmetricState.from_raw(2, [1, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +242,9 @@ def _assert_measures_match_oracles(psi):
     for q in range(3):
         assert report.entropies[q] >= 0.0
         assert report.entropies[q] == pytest.approx(entropy_oracle(psi, q), abs=1e-12)
-        assert ds.single_qubit_entropy(psi, q) == report.entropies[q]
     for pair in ((0, 1), (0, 2), (1, 2)):
         want = concurrence_oracle(psi, pair)
         assert report.pair_concurrences[pair] == pytest.approx(want, abs=1e-12)
-        for ordered in (pair, pair[::-1]):
-            assert ds.pair_concurrence(psi, ordered) == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=200)
@@ -274,10 +269,6 @@ def test_non_finite_amplitudes_are_a_config_error(bad):
         ds.entanglement_report(psi)
     with pytest.raises(ds.ConfigError):
         ds.tangle_hyperdeterminant(psi)
-    with pytest.raises(ds.ConfigError):
-        ds.single_qubit_entropy(psi, 0)
-    with pytest.raises(ds.ConfigError):
-        ds.pair_concurrence(psi, (0, 1))
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e300])

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from math import comb
 
 import numpy as np
@@ -146,6 +147,32 @@ def test_geometry_validation():
             ds.DetectionGeometry(pos, 0.0, 493e-9, dirs, bad)
     with pytest.raises(ds.ConfigError):
         ds.DetectionGeometry([[10 ** 400, 0, 0], [0, 0, 0]], 0.0, 493e-9, dirs, 0.0)
+    # object arrays of strings, boolean arrays and booleans among floats
+    for disguised in (pos.astype(str).astype(object), pos.astype(bool),
+                      [[True, 0.0, 0.0], [5e-6, 0.0, 0.0]]):
+        with pytest.raises(ds.ConfigError):
+            ds.DetectionGeometry(disguised, 0.0, 493e-9, dirs, 0.0)
+        with pytest.raises(ds.ConfigError):
+            ds.DetectionGeometry(pos, 0.0, 493e-9, disguised, 0.0)
+
+
+@pytest.mark.parametrize("imaginary", [
+    lambda pos: pos + 1e-6j,
+    lambda pos: pos.astype(complex),
+    lambda pos: pos.astype(complex).astype(object),
+    lambda pos: [[complex(x) for x in row] for row in pos.tolist()],
+], ids=["complex-array", "real-valued-complex-array", "object-complex", "complex-list"])
+def test_complex_geometry_is_a_config_error(imaginary):
+    # a complex position or direction is not a real number, even with no
+    # imaginary part; numpy would drop it with only a ComplexWarning
+    pos = _chain_positions(2, 5e-6)
+    dirs = np.tile([0.0, 1.0, 0.0], (2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ds.ConfigError):
+            ds.DetectionGeometry(imaginary(pos), 0.0, 493e-9, dirs, 0.0)
+        with pytest.raises(ds.ConfigError):
+            ds.DetectionGeometry(pos, 0.0, 493e-9, imaginary(dirs), 0.0)
 
 
 def test_transverse_basis_is_fixed_at_construction():
