@@ -18,7 +18,6 @@ from .core import (
     ORIENT_TOL,
     RESIDUAL_TOL,
     EmitterRegister,
-    LinearAngle,
     Polarizer,
     SymmetricState,
     apply_detection,

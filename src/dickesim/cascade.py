@@ -23,11 +23,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
-    LinearAngle,
     Polarizer,
     SymmetricState,
     _check_register_size,
-    _integer,
     _ket_repr,
     _sequence,
     _sqrt_binomials,
@@ -56,8 +54,7 @@ class PolarizerConfig:
     @classmethod
     def from_angles(cls, angles: Iterable[float]) -> "PolarizerConfig":
         """Linear polarizers at the given angles (radians)."""
-        return cls(tuple(LinearAngle(t).to_polarizer()
-                         for t in _sequence(angles, "angles")))
+        return cls(tuple(map(Polarizer.linear, _sequence(angles, "angles"))))
 
     def __len__(self) -> int:
         return len(self.polarizers)
@@ -206,17 +203,6 @@ def build_pyramid(config) -> list[PyramidLevel]:
     return levels
 
 
-def _as_levels(levels) -> tuple[PyramidLevel, ...]:
-    """``levels`` as a tuple, or ``ConfigError`` unless each is a :class:`PyramidLevel`
-    of a dict whose step is an integer >= 0."""
-    levels = _sequence(levels, "levels")
-    if not all(isinstance(x, PyramidLevel) and isinstance(x.terms, dict) for x in levels):
-        raise ConfigError("levels must be PyramidLevels whose terms are dicts")
-    for level in levels:
-        _integer(level.step, "pyramid step", 0)
-    return levels
-
-
 def pyramid_edges(config, levels: Sequence[PyramidLevel]) -> list[tuple[int, str, str, complex]]:
     """Transition list ``(level, parent_ket, child_ket, weight)``.
 
@@ -232,7 +218,7 @@ def pyramid_edges(config, levels: Sequence[PyramidLevel]) -> list[tuple[int, str
         If the configuration has more than ``REGISTER_SIZE_LIMIT`` emitters.
     ConfigError
         If ``levels`` is not a sequence of ``n + 1`` :class:`PyramidLevel`
-        whose terms are dicts and whose steps are integers >= 0.
+        whose terms are dicts and whose steps are the ints ``0..n`` in order.
     InvalidKetError
         If a ket of ``levels[m - 1]`` is not a ket with ``m - 1`` emitters
         out of ``e``.
@@ -240,9 +226,12 @@ def pyramid_edges(config, levels: Sequence[PyramidLevel]) -> list[tuple[int, str
     config = _as_config(config)
     n = len(config)
     _check_register_size(n, "pyramid")
-    levels = _as_levels(levels)
-    if len(levels) != n + 1:
-        raise ConfigError(f"levels must be the {n + 1} PyramidLevels of the pyramid")
+    levels = _sequence(levels, "levels")
+    if not all(isinstance(x, PyramidLevel) and isinstance(x.terms, dict) for x in levels):
+        raise ConfigError("levels must be PyramidLevels whose terms are dicts")
+    # types first: a bool step equals an int, and an array step compares elementwise
+    if [(type(x.step), x.step) for x in levels] != [(int, m) for m in range(n + 1)]:
+        raise ConfigError(f"levels must be the {n + 1} PyramidLevels of steps 0..{n}")
     edges: list[tuple[int, str, str, complex]] = []
     for (m, p), (parents, _, known, flat_parents, children) in zip(
             enumerate(config, start=1), _ket_table(n)):

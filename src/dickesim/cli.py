@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .cascade import PolarizerConfig, build_pyramid, dicke_coefficients, pyramid_edges
-from .core import LinearAngle, Polarizer, SymmetricState, _real, _system_size, fidelity
+from .core import Polarizer, SymmetricState, _real, _system_size, fidelity
 from .entanglement import classify_from_config, entanglement_report
 from .errors import ConfigError, DickesimError, DimensionMismatchError, TooLargeError
 from .synthesis import synthesize
@@ -79,8 +79,8 @@ def _parse_polarizers(cfg: dict, n: int, degrees: bool) -> PolarizerConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"polarizer {i} must be an object")
         if entry.keys() == {"theta"}:
-            pols.append(LinearAngle(_angle(entry["theta"], f"polarizer {i} theta",
-                                           degrees)).to_polarizer())
+            pols.append(Polarizer.linear(_angle(entry["theta"], f"polarizer {i} theta",
+                                                degrees)))
         elif entry.keys() == {"alpha", "beta"}:
             alpha = _parse_complex(entry["alpha"], f"polarizer {i} alpha")
             beta = _parse_complex(entry["beta"], f"polarizer {i} beta")
@@ -144,10 +144,14 @@ def _pair(z: complex) -> list[float]:
 
 
 def _write_record(fields: dict, cfg: dict, args) -> None:
-    """The record ``tool, version, command, <fields>, input``; only fields are rounded."""
+    """The record ``tool, version, command, <fields>, input``; only fields are rounded.
+
+    ``input`` reruns it: the config, ``--degrees``, and ``--samples``/``--seed`` if given.
+    """
+    given = {k: v for k, v in vars(args).items() if k in ("samples", "seed") and v is not None}
     record = {"tool": "dickesim", "version": __version__, "command": args.command,
               **_round15(fields),
-              "input": {"config": cfg, "flags": {"degrees": bool(args.degrees)}}}
+              "input": {"config": cfg, "flags": {"degrees": bool(args.degrees), **given}}}
     _write(json.dumps(record, indent=2) + "\n", args)
 
 

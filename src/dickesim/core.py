@@ -190,28 +190,18 @@ class Polarizer:
     def sigma_minus() -> "Polarizer":
         return Polarizer(0.0, 1.0)
 
+    @staticmethod
+    def linear(theta: float) -> "Polarizer":
+        """Linear polarizer ``(e^{-i t}, e^{i t}) / sqrt(2)`` at ``t = theta mod pi``.
 
-@dataclass(frozen=True)
-class LinearAngle:
-    """Linear polarizer orientation, an angle reduced to ``[0, pi)``.
-
-    Converts to the polarizer ``(e^{-i theta}, e^{i theta}) / sqrt(2)``.
-    Orientation is invariant under ``theta -> theta + pi`` (the reduction
-    only changes a global phase).  A non-numeric or non-finite angle is
-    ``ConfigError``.
-    """
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        t = _real(self.theta, "angle") % pi
+        Orientation is invariant under ``theta -> theta + pi`` (the reduction
+        only changes a global phase).  A non-numeric or non-finite angle is
+        ``ConfigError``.
+        """
+        t = _real(theta, "angle") % pi
         if t == pi:  # tiny negative inputs can wrap onto pi itself
             t = 0.0
-        object.__setattr__(self, "theta", t)
-
-    def to_polarizer(self) -> Polarizer:
-        return Polarizer(np.exp(-1j * self.theta) / np.sqrt(2.0),
-                         np.exp(1j * self.theta) / np.sqrt(2.0))
+        return Polarizer(np.exp(-1j * t) / np.sqrt(2.0), np.exp(1j * t) / np.sqrt(2.0))
 
 
 def same_orientation(p: Polarizer, q: Polarizer) -> bool:
@@ -219,7 +209,11 @@ def same_orientation(p: Polarizer, q: Polarizer) -> bool:
 
     The cross term vanishes exactly when the two polarization vectors differ
     only by a global phase, which is the physically relevant equivalence.
+    Arguments that are not :class:`Polarizer` are ``ConfigError``.
     """
+    if not (isinstance(p, Polarizer) and isinstance(q, Polarizer)):
+        raise ConfigError(f"same_orientation takes two Polarizers, got "
+                          f"{type(p).__name__} and {type(q).__name__}")
     return abs(p.alpha * q.beta - q.alpha * p.beta) <= ORIENT_TOL
 
 
@@ -435,10 +429,15 @@ def apply_detection(register: EmitterRegister, polarizer: Polarizer) -> EmitterR
 
     Raises
     ------
+    ConfigError
+        If the arguments are not an ``EmitterRegister`` and a ``Polarizer``.
     ZeroStateError
         If the resulting register is the zero vector (no excited amplitude
         was available, or everything cancelled).
     """
+    if not (isinstance(register, EmitterRegister) and isinstance(polarizer, Polarizer)):
+        raise ConfigError(f"apply_detection takes an EmitterRegister and a Polarizer, got "
+                          f"{type(register).__name__} and {type(polarizer).__name__}")
     n = register.n
     out = _detection_kernel(
         register.amps, n,
@@ -458,6 +457,8 @@ def project_symmetric(register: EmitterRegister) -> SymmetricState:
 
     Raises
     ------
+    ConfigError
+        If ``register`` is not an :class:`EmitterRegister`.
     ResidualExcitationError
         If any ket containing ``e`` carries amplitude above ``RESIDUAL_TOL``.
     AsymmetricResidueError
@@ -466,6 +467,8 @@ def project_symmetric(register: EmitterRegister) -> SymmetricState:
     ZeroStateError
         If the register is the zero vector.
     """
+    if not isinstance(register, EmitterRegister):
+        raise ConfigError(f"register must be an EmitterRegister, got {type(register).__name__}")
     n = register.n
     amps = register.amps
     tensor = amps.reshape((3,) * n)

@@ -18,8 +18,6 @@ product targets are provided alongside the generic construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cascade import PolarizerConfig
@@ -30,56 +28,46 @@ from .errors import ConfigError, RootFindingError
 DEGREE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class _SynthesisPolynomial:
-    """Root-finding polynomial associated with a symmetric target state.
+def _synthesis_polynomial(target: SymmetricState) -> np.ndarray:
+    """Coefficients of the root-finding polynomial of ``target``, ``z**k`` at index ``k``.
 
-    ``coeffs[k]`` multiplies ``z**k``; the leading coefficient is nonzero by
-    construction (the degree is the largest target index above
-    ``DEGREE_TOL``, and a normalized target has some ``|d_k|`` of at least
-    ``1/sqrt(n + 1)``).
+    The degree ``len(coeffs) - 1`` is the largest target index above
+    ``DEGREE_TOL``, so the leading coefficient is nonzero (a normalized
+    target has some ``|d_k|`` of at least ``1/sqrt(n + 1)``).
     """
+    d = target.coeffs
+    k_max = int(np.nonzero(np.abs(d) > DEGREE_TOL)[0][-1])
+    roots = _sqrt_binomials(target.n)[:k_max + 1]
+    signs = (-1.0) ** np.arange(k_max, -1, -1)
+    return signs * (roots / roots[k_max]) * d[:k_max + 1]
 
-    degree: int
-    coeffs: np.ndarray
 
-    @classmethod
-    def from_state(cls, target: SymmetricState) -> "_SynthesisPolynomial":
-        d = target.coeffs
-        n = target.n
-        k_max = int(np.nonzero(np.abs(d) > DEGREE_TOL)[0][-1])
-        roots = _sqrt_binomials(n)[:k_max + 1]
-        signs = (-1.0) ** np.arange(k_max, -1, -1)
-        return cls(k_max, signs * (roots / roots[k_max]) * d[:k_max + 1])
+def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrix of ``coeffs``; empty for degree 0.
 
-    def roots(self) -> np.ndarray:
-        """Eigenvalues of the companion matrix; empty for degree 0.
-
-        The matrix is the one ``np.roots`` builds, so the roots are its
-        roots bit for bit: ``k`` vanishing low-order coefficients become
-        ``k`` exact zero roots, appended last, and the remaining polynomial
-        goes to one ``np.linalg.eigvals`` call without ``np.roots``' wrapper.
-        """
-        if self.degree == 0:
-            return np.zeros(0, dtype=complex)
-        zeros = int(np.flatnonzero(self.coeffs)[0])
-        top_first = self.coeffs[zeros:][::-1]
-        roots = np.zeros(self.degree, dtype=complex)
-        if len(top_first) > 1:
-            companion = np.eye(len(top_first) - 1, k=-1, dtype=complex)
-            try:
-                with np.errstate(over="raise"):
-                    companion[0] = -top_first[1:] / top_first[0]
-            except FloatingPointError:
-                raise RootFindingError("companion matrix leaves the float range") from None
-            try:
-                roots[:len(companion)] = np.linalg.eigvals(companion)
-            except np.linalg.LinAlgError as exc:
-                raise RootFindingError(
-                    f"companion eigensolver failed: {exc}") from exc
-        if not np.all(np.isfinite(roots)):
-            raise RootFindingError("non-finite root encountered")
-        return roots
+    The matrix is the one ``np.roots`` builds, so the roots are its
+    roots bit for bit: ``k`` vanishing low-order coefficients become
+    ``k`` exact zero roots, appended last, and the remaining polynomial
+    goes to one ``np.linalg.eigvals`` call without ``np.roots``' wrapper.
+    """
+    zeros = int(np.flatnonzero(coeffs)[0])
+    top_first = coeffs[zeros:][::-1]
+    roots = np.zeros(len(coeffs) - 1, dtype=complex)
+    if len(top_first) > 1:
+        companion = np.eye(len(top_first) - 1, k=-1, dtype=complex)
+        try:
+            with np.errstate(over="raise"):
+                companion[0] = -top_first[1:] / top_first[0]
+        except FloatingPointError:
+            raise RootFindingError("companion matrix leaves the float range") from None
+        try:
+            roots[:len(companion)] = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError as exc:
+            raise RootFindingError(
+                f"companion eigensolver failed: {exc}") from exc
+    if not np.all(np.isfinite(roots)):
+        raise RootFindingError("non-finite root encountered")
+    return roots
 
 
 def synthesize(target: SymmetricState) -> PolarizerConfig:
@@ -95,9 +83,8 @@ def synthesize(target: SymmetricState) -> PolarizerConfig:
     if not isinstance(target, SymmetricState):
         raise ConfigError(
             f"target must be a SymmetricState, got {type(target).__name__}")
-    poly = _SynthesisPolynomial.from_state(target)
-    pols = [Polarizer(r, 1.0) for r in poly.roots()]
-    pols.extend(Polarizer.sigma_plus() for _ in range(target.n - poly.degree))
+    pols = [Polarizer(r, 1.0) for r in _polynomial_roots(_synthesis_polynomial(target))]
+    pols.extend(Polarizer.sigma_plus() for _ in range(target.n - len(pols)))
     return PolarizerConfig(tuple(pols))
 
 

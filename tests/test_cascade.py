@@ -113,7 +113,7 @@ def test_binomial_roots_are_plain_float_roots_below_the_float_range(n):
 
 @pytest.mark.parametrize("n", [2054, 2500])
 def test_dicke_coefficients_beyond_the_float_range_are_too_large(n):
-    config = ds.PolarizerConfig((ds.LinearAngle(0.3).to_polarizer(),) * n)
+    config = ds.PolarizerConfig((ds.Polarizer.linear(0.3),) * n)
     with pytest.raises(ds.TooLargeError):
         ds.dicke_coefficients(config)
 
@@ -291,10 +291,13 @@ def test_pyramid_final_level_sums_path_classes():
             assert final[ket] == pytest.approx(amp, abs=1e-12)
 
 
-@pytest.mark.parametrize("step", [-1, 1.5, None, "x", True, -(10 ** 5000)],
-                         ids=["negative", "float", "none", "string", "bool", "huge"])
+@pytest.mark.parametrize("step", [-1, 1.5, None, "x", True, -(10 ** 5000), 1,
+                                  np.array([0, 1])],
+                         ids=["negative", "float", "none", "string", "bool", "huge",
+                              "not-its-position", "array"])
 def test_pyramid_text_rejects_malformed_steps(step):
-    """The step check that guarded the pyramid text dump now guards ``pyramid_edges``."""
+    """The step check that guarded the pyramid text dump now guards ``pyramid_edges``:
+    level ``m`` must have the int step ``m``."""
     config = ds.PolarizerConfig.from_angles([0.0, 1.0])
     levels = ds.build_pyramid(config)
     levels[0] = ds.PyramidLevel(step, levels[0].terms)

@@ -319,6 +319,19 @@ def test_fidelity_flag_overrides(tmp_path, capsys):
     assert record["parameters"]["seed"] == 4
 
 
+def test_fidelity_record_with_flag_overrides_reruns_from_its_own_input(tmp_path, capsys):
+    cfg = _write(tmp_path, "f.json",
+                 _fidelity_config(np.deg2rad(0.5), 5e-9, samples=10, seed=1))
+    first = _run_record(capsys, ["fidelity", "--config", cfg,
+                                 "--samples", "25", "--seed", "4"])
+    flags = first["input"]["flags"]
+    assert flags == {"degrees": False, "samples": 25, "seed": 4}
+    echoed = _write(tmp_path, "echo.json", first["input"]["config"])
+    argv = ["fidelity", "--config", echoed, "--samples", str(flags["samples"]),
+            "--seed", str(flags["seed"])]
+    assert _run_record(capsys, argv) == first
+
+
 def test_fidelity_requires_samples(tmp_path, capsys):
     payload = _fidelity_config()
     del payload["samples"]

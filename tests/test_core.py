@@ -36,7 +36,7 @@ def test_make_polarizer_rescales():
 def test_make_polarizer_matches_linear_angle():
     theta = np.pi / 4
     p = ds.Polarizer(np.exp(-1j * theta), np.exp(1j * theta))
-    q = ds.LinearAngle(theta).to_polarizer()
+    q = ds.Polarizer.linear(theta)
     assert p.alpha == pytest.approx(np.exp(-1j * theta) / np.sqrt(2))
     assert p.beta == pytest.approx(np.exp(1j * theta) / np.sqrt(2))
     assert ds.same_orientation(p, q)
@@ -64,7 +64,7 @@ def test_non_finite_polarizer_is_a_config_error(alpha, beta):
 @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
 def test_non_finite_linear_angle_is_a_config_error(theta):
     with pytest.raises(ds.ConfigError):
-        ds.LinearAngle(theta)
+        ds.Polarizer.linear(theta)
 
 
 def test_polarizer_unit_norm_random():
@@ -75,20 +75,27 @@ def test_polarizer_unit_norm_random():
 
 
 def test_linear_angle_reduced_to_half_turn():
-    assert ds.LinearAngle(np.pi + 0.3).theta == pytest.approx(0.3)
-    assert ds.LinearAngle(-0.2).theta == pytest.approx(np.pi - 0.2)
-    assert ds.LinearAngle(np.pi).theta == 0.0
+    def at(t):
+        return pytest.approx([np.exp(-1j * t) / np.sqrt(2), np.exp(1j * t) / np.sqrt(2)])
+
+    p = ds.Polarizer.linear(np.pi + 0.3)
+    assert [p.alpha, p.beta] == at(0.3)
+    p = ds.Polarizer.linear(-0.2)
+    assert [p.alpha, p.beta] == at(np.pi - 0.2)
+    # pi itself, and a tiny negative angle that wraps onto pi, land on 0
+    assert ds.Polarizer.linear(np.pi) == ds.Polarizer.linear(0.0)
+    assert ds.Polarizer.linear(-1e-17) == ds.Polarizer.linear(0.0)
     # reduction only changes a global phase, never the orientation
-    a = ds.LinearAngle(0.7).to_polarizer()
-    b = ds.LinearAngle(0.7 + np.pi).to_polarizer()
+    a = ds.Polarizer.linear(0.7)
+    b = ds.Polarizer.linear(0.7 + np.pi)
     assert ds.same_orientation(a, b)
 
 
 def test_same_orientation_examples():
     sp = ds.Polarizer.sigma_plus()
     assert ds.same_orientation(sp, sp)
-    horizontal = ds.LinearAngle(0.0).to_polarizer()
-    vertical = ds.LinearAngle(np.pi / 2).to_polarizer()
+    horizontal = ds.Polarizer.linear(0.0)
+    vertical = ds.Polarizer.linear(np.pi / 2)
     assert not ds.same_orientation(horizontal, vertical)
     p = random_polarizer(np.random.default_rng(5))
     phased = ds.Polarizer(np.exp(0.73j) * p.alpha, np.exp(0.73j) * p.beta)
@@ -159,7 +166,7 @@ def test_corner_ket_collects_all_orderings():
 
 def test_apply_detection_raises_when_nothing_excited():
     reg = ds.EmitterRegister.ground(2)
-    p = ds.LinearAngle(0.3).to_polarizer()
+    p = ds.Polarizer.linear(0.3)
     reg = ds.apply_detection(reg, p)
     reg = ds.apply_detection(reg, p)
     with pytest.raises(ds.ZeroStateError):
@@ -313,8 +320,8 @@ _NON_NUMERIC_INPUTS = {
     "polarizer-none": lambda: ds.Polarizer(None, 1),
     "polarizer-str": lambda: ds.Polarizer("x", 1),
     "polarizer-huge-int": lambda: ds.Polarizer(10 ** 400, 1),
-    "angle-huge-int": lambda: ds.LinearAngle(10 ** 400),
-    "angle-none": lambda: ds.LinearAngle(None),
+    "angle-huge-int": lambda: ds.Polarizer.linear(10 ** 400),
+    "angle-none": lambda: ds.Polarizer.linear(None),
     "from-raw-str": lambda: ds.SymmetricState.from_raw(1, ["a", 1]),
     "from-raw-huge-int": lambda: ds.SymmetricState.from_raw(1, [10 ** 400, 1]),
     "from-raw-not-iterable": lambda: ds.SymmetricState.from_raw(1, None),
@@ -330,7 +337,7 @@ _NON_NUMERIC_INPUTS = {
     "empty-config": lambda: ds.PolarizerConfig(()),
     "dicke-empty": lambda: ds.dicke_coefficients([]),
     # booleans are not numbers anywhere in the library
-    "angle-bool": lambda: ds.LinearAngle(True),
+    "angle-bool": lambda: ds.Polarizer.linear(True),
     "polarizer-bool": lambda: ds.Polarizer(True, 0),
     "polarizer-numpy-bool": lambda: ds.Polarizer(1, np.True_),
     "chain-spacing-bool": lambda: ds.DetectionGeometry.linear_chain(3, spacing=True),
@@ -361,7 +368,7 @@ _INVALID_INPUTS = {
     "state-size-none": (lambda: ds.SymmetricState(None, [1]), ds.ConfigError),
     "state-size-bool": (lambda: ds.SymmetricState(True, [1, 0]), ds.ConfigError),
     "state-size-float": (lambda: ds.SymmetricState(2.0, [1, 0, 0]), ds.ConfigError),
-    "angle-numeric-str": (lambda: ds.LinearAngle("0.5"), ds.ConfigError),
+    "angle-numeric-str": (lambda: ds.Polarizer.linear("0.5"), ds.ConfigError),
     "polarizer-numeric-str": (lambda: ds.Polarizer("1", "1j"), ds.ConfigError),
     "from-raw-numeric-str": (lambda: ds.SymmetricState.from_raw(1, ["1", "1"]), ds.ConfigError),
     "ghz-size-1": (lambda: ds.ghz_config(1, 0), ds.ConfigError),

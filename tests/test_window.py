@@ -253,7 +253,7 @@ def test_default_geometry_beats_entanglement_threshold():
 def test_every_sample_annihilated_raises():
     # two detections through the same orientation, with a half-wavelength
     # path difference on the second detector: the register cancels exactly
-    p = ds.LinearAngle(0.0).to_polarizer()
+    p = ds.Polarizer.linear(0.0)
     config = ds.PolarizerConfig((p, p))
     wavelength = 4e-6
     positions = np.array([[0.0, 0.0, 0.0], [wavelength / 2, 0.0, 0.0]])
