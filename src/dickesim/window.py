@@ -27,16 +27,21 @@ defaults use a 493 nm dipole transition typical of trapped ions.
 
 Computation: every emitter gives up exactly one photon, so a sample's
 amplitude on ``|x_0 ... x_{n-1}>`` is a sum over which detector took which
-emitter's photon.  The sum is built in emitter order: once emitters
-``0..j-1`` are placed, only ``C(n, j) 2**j`` partial sums remain, one per
-set of detectors used and labels of those emitters (layout in
-``_level_tables``), never the dense ``3**n`` register.  Each step is
-one row gather and one batched matrix product, emitter ``j``'s label is the
-new top column bit, and the last level is in qubit order.  Samples are
-propagated together in chunks of at most ``_CHUNK_ENTRIES`` = 8192 entries
-(samples times widest level; about 100 B of peak memory each, so roughly
-0.8 MB a chunk), and their fidelities are pooled into a running mean and
-variance, so memory does not grow with the sample count.
+emitter's photon, never the dense ``3**n`` register.  The sum meets in the
+middle.  Emitters ``0..h-1`` and ``h..n-1`` (``h = n // 2``) each run a half
+cascade in emitter order: once ``m`` of a half's emitters are placed, only
+``C(n, m) 2**m`` partial sums remain, one per set of detectors used and
+labels of those emitters (layout in ``_level_tables``).  A step is a few
+elementwise multiply-adds over all samples of a chunk at once.  One matrix
+product per sample then joins the halves, pairing each detector set of the
+low half with its complement in the high half, and lands in qubit order.
+The phases ``k r_j . nhat_i`` of a chunk are built first as one
+``(count, n, n)`` array (``_sample_phases``), and the cascade reads only
+those and the polarizers (``_cascade_outputs``).  Samples are propagated
+together in chunks of at most ``_CHUNK_ENTRIES`` = 8192 entries (samples
+times the widest half level, about 100-170 B of peak memory each, so
+roughly 0.8-1.4 MB a chunk), and their fidelities are pooled into a running
+mean and variance, so memory does not grow with the sample count.
 Two seeded streams, drawn one block per chunk and read in sample order, give
 the transverse normals and the window deviates, so a seeded estimate does not
 depend on the chunking and agrees to round-off with applying the dense
@@ -65,11 +70,13 @@ DEFAULT_WAVELENGTH = 493e-9
 #: Register norm below which a sample counts as annihilated by cancellation.
 ANNIHILATION_TOL = 1e-12
 
-#: Samples times widest level propagated together, whatever the sample
-#: count.  A full chunk's tracemalloc peak is 75-141 B per such entry at
-#: every n = 1..10 (the levels, the row gather and the per-sample weights),
-#: so about 0.8 MB here.  At n = 8 a chunk holds 4 samples; from n = 9 on it
-#: is a single sample and memory no longer depends on this budget.
+#: Samples times widest half level propagated together, whatever the sample
+#: count.  A full chunk's tracemalloc peak is 98-169 B per such entry at
+#: every n = 1..10 (highest at n <= 4, where the phases and weights of many
+#: samples dominate; the two half levels, their row gathers and the join
+#: otherwise), so 0.8-1.4 MB here.  A chunk holds 7 samples at n = 8 and 2
+#: at n = 9; from n = 10 on it is a single sample and memory no longer
+#: depends on this budget.
 _CHUNK_ENTRIES = 8192
 
 
@@ -248,7 +255,7 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
 
     normal_rng, window_rng = map(np.random.default_rng,
                                  np.random.SeedSequence(seed).spawn(2))
-    widest = max(comb(n, m) << m for m in range(n + 1))
+    widest = max(comb(n, m) << m for m in range(n - n // 2 + 1))
     chunk = max(1, _CHUNK_ENTRIES // widest)
     components = np.array([[p.alpha, p.beta] for p in config])
     # running count, mean and sum of squared deviations, merged chunk by
@@ -282,16 +289,15 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
 
 @lru_cache(maxsize=None)
 def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Gather tables for the cascade of :func:`_sample_outputs`, in emitter order.
+    """Gather tables for the half cascades of :func:`_cascade_outputs`.
 
-    Once emitters ``0..m-1`` have each given their photon to a different
-    detector, a partial sum is indexed by the set of ``m`` detectors used
-    and by those emitters' labels.  Level ``m`` is stored as an array of
-    shape ``(C(n, m), 2**m)``: rows are the sets of ``m`` detectors in the
-    order of ``itertools.combinations(range(n), m)``, and bit ``p`` of the
-    column is 1 when emitter ``p`` sits in ``-`` (else ``+``).  Level ``n``
-    therefore has a single row whose columns are the qubit indices of
-    :meth:`SymmetricState.to_qubit_amplitudes`.
+    Once emitters ``0..m-1`` of a half have each given their photon to a
+    different detector, a partial sum is indexed by the set of ``m``
+    detectors used and by those emitters' labels.  Level ``m`` is stored as
+    an array of shape ``(2**m, C(n, m), count)``: bit ``p`` of the first
+    index is 1 when emitter ``p`` sits in ``-`` (else ``+``), the second
+    index runs over the sets of ``m`` detectors in the order of
+    ``itertools.combinations(range(n), m)``, and samples come last.
 
     Entry ``m`` is ``(src, detector)``, both of shape ``(m + 1, C(n, m + 1))``:
     for each level-``m + 1`` set and position ``p``, ``detector[p]`` is the
@@ -312,38 +318,92 @@ def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(tables)
 
 
+def _sample_phases(geometry: DetectionGeometry, normals: np.ndarray,
+                   deviates: np.ndarray) -> np.ndarray:
+    """Far-field phases of ``count`` samples, shape ``(count, n, n)``.
+
+    Row ``s`` of ``normals`` ``(count, 2n)`` and ``deviates`` ``(count, n)``
+    holds sample ``s``'s unit emitter displacements along the two transverse
+    axes and its window deviates in ``[-1, 1)``.  ``phases[s, j, i]`` is
+    ``k r_j . nhat_i``: emitter ``j``'s displaced position along detector
+    ``i``'s direction, rotated about z by the deviate times the halfangle.
+    The result is a view of an ``(n, n, count)`` array, samples last, which
+    is the layout :func:`_cascade_outputs` works in.
+    """
+    n = geometry.n
+    vx, vy, vz = geometry.detector_directions.T
+    zero = np.zeros(n)
+    # a direction rotated by delta about z is cos(delta) flat + sin(delta) turned + up
+    parts = np.array([[vx, vy, zero], [-vy, vx, zero], [zero, zero, vz]])
+    # the mean emitter positions, then the two jitter axes scaled by sigma
+    points = np.vstack([geometry.emitter_positions,
+                        geometry.transverse_sigma * geometry.transverse_basis])
+    table = (geometry.wavenumber * (points @ parts))[..., None]  # (3, n + 2, n, 1)
+    delta = deviates.T * geometry.window_halfangle
+    # along[e, i, s]: k times point e along sample s's rotated direction i
+    along = np.cos(delta) * table[0] + np.sin(delta) * table[1] + table[2]
+    jitter = np.ascontiguousarray(normals.T)[:, None, :]
+    phases = along[:n] + jitter[:n] * along[n] + jitter[n:] * along[n + 1]
+    return phases.transpose(2, 0, 1)
+
+
+def _half_cascade(weights: np.ndarray) -> np.ndarray:
+    """Level ``m`` of the cascade of the ``m`` emitters in ``weights``.
+
+    ``weights[j, b, i, s]`` is detector ``i``'s term for the half's emitter
+    ``j``'s photon in label ``b``, in sample ``s``.  Each step hands the next
+    emitter's photon to each detector not yet used, and its label becomes
+    the new top bit of the first index (layout in :func:`_level_tables`).
+    A step is ``m + 1`` elementwise multiply-adds over whole levels; no
+    emitter gives level 0, a single empty set.
+    """
+    count = weights.shape[-1]
+    level = np.ones((1, 1, count), dtype=complex)
+    for w, (src, detector) in zip(weights, _level_tables(weights.shape[2])):
+        # terms[b, 0, p, row, s]: w's term for the row's p-th smallest detector
+        terms = np.take(w, detector, axis=1)[:, None]
+        step = terms[:, :, 0] * np.take(level, src[0], axis=1)
+        for p in range(1, len(src)):
+            step += terms[:, :, p] * np.take(level, src[p], axis=1)
+        level = step.reshape(-1, src.shape[1], count)
+    return level
+
+
+def _cascade_outputs(components: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Unnormalized cascade outputs of ``count`` samples, shape ``(count, 2**n)``.
+
+    ``components[i]`` holds detector ``i``'s polarizer ``(alpha, beta)`` and
+    ``phases`` is :func:`_sample_phases`'s ``(count, n, n)``.  Columns are
+    qubit indices (bit ``j`` set = emitter ``j`` in ``-``).
+
+    Emitters ``0..h-1`` and ``h..n-1`` (``h = n // 2``) run their own half
+    cascades over all ``n`` detectors.  The halves are joined by one matrix
+    product per sample: each set of ``h`` detectors the low half used meets
+    the high half's row of the other ``n - h``.  ``combinations`` lists the
+    complements of the ``h``-sets in reverse order, so that row is the same
+    row counted from the end.  The join sums the same ``n!`` products per
+    amplitude as a single cascade, in another order, and subtracts nothing.
+    """
+    count, n, _ = phases.shape
+    h = n // 2
+    # weights[j, b, i, s]: detector i's term for emitter j's photon in label b;
+    # cos and sin of a real array cost a fraction of a complex exp
+    phases = phases.transpose(1, 2, 0)
+    unit = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=unit.real)
+    np.sin(phases, out=unit.imag)
+    weights = unit[:, None] * components.T[:, :, None]
+    low, high = _half_cascade(weights[:h]), _half_cascade(weights[h:])
+    # (count, 2**(n - h), C(n, h)) @ (count, C(n, h), 2**h): the high half's
+    # labels are the top bits
+    joined = high[:, ::-1].transpose(2, 0, 1) @ low.transpose(2, 1, 0)
+    return joined.reshape(count, -1)
+
+
 def _sample_outputs(components: np.ndarray, geometry: DetectionGeometry,
                     normals: np.ndarray, deviates: np.ndarray) -> np.ndarray:
     """Unnormalized cascade outputs of ``count`` samples, shape ``(count, 2**n)``.
 
-    ``components[i]`` holds detector ``i``'s polarizer ``(alpha, beta)``.
-    Row ``s`` of ``normals`` ``(count, 2n)`` and ``deviates`` ``(count, n)``
-    holds sample ``s``'s unit emitter displacements along the two transverse
-    axes and its window deviates in ``[-1, 1)``.  Columns are qubit indices
-    (bit ``j`` set = emitter ``j`` in ``-``).
+    The phases of :func:`_sample_phases` fed to :func:`_cascade_outputs`.
     """
-    n = geometry.n
-    count = len(normals)
-    sigma = geometry.transverse_sigma
-    t1, t2 = geometry.transverse_basis
-    positions = (geometry.emitter_positions
-                 + (normals[:, :n, None] * sigma) * t1
-                 + (normals[:, n:, None] * sigma) * t2)
-    # emitter axis second, detector axis last: path[s, j, i] is emitter j's
-    # path length along detector i's direction, rotated about z by its deviate
-    delta = deviates * geometry.window_halfangle
-    c, s = np.cos(delta)[:, None], np.sin(delta)[:, None]
-    vx, vy, vz = geometry.detector_directions.T
-    px, py, pz = positions.transpose(2, 0, 1)[..., None]
-    path = (c * vx - s * vy) * px + (s * vx + c * vy) * py + vz * pz
-    # weights[s, j, i, b]: detector i's term for emitter j's photon in label b
-    weights = np.exp(1j * geometry.wavenumber * path)[..., None] * components
-    # emitter order: step j hands emitter j's photon to each detector not yet
-    # used, and its label becomes the new top column bit
-    levels = np.ones((count, 1, 1), dtype=complex)
-    for j, (src, detector) in enumerate(_level_tables(n)):
-        # (S, rows, 2, j + 1) @ (S, rows, j + 1, 2**j)
-        terms = np.take(weights[:, j], detector.T, axis=1).swapaxes(-1, -2)
-        levels = terms @ np.take(levels, src.T, axis=1)
-        levels = levels.reshape(count, src.shape[1], -1)
-    return levels[:, 0, :]
+    return _cascade_outputs(components, _sample_phases(geometry, normals, deviates))

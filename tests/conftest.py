@@ -193,16 +193,42 @@ def roots_oracle(coeffs):
 
 # --- dense reference for the window Monte Carlo ----------------------------
 
+def dense_sample_output(config, geometry, normals, deviates):
+    """One window sample's cascade output on the full ``3**n`` register, qubit order.
+
+    ``normals`` holds the sample's ``2n`` unit transverse displacements (n
+    along each transverse axis), ``deviates`` its ``n`` window deviates in
+    ``[-1, 1)``, one per detector.  Every detection is applied by the dense
+    kernel behind ``apply_detection``.
+    """
+    from dickesim.core import _detection_kernel
+
+    n = len(config)
+    t1, t2 = geometry.transverse_basis
+    sigma = geometry.transverse_sigma
+    positions = (geometry.emitter_positions
+                 + np.outer(normals[:n] * sigma, t1) + np.outer(normals[n:] * sigma, t2))
+    amps = ds.EmitterRegister.ground(n).amps
+    for i, polarizer in enumerate(config):
+        delta = deviates[i] * geometry.window_halfangle
+        v = geometry.detector_directions[i]
+        c, s = np.cos(delta), np.sin(delta)
+        nhat = np.array([c * v[0] - s * v[1], s * v[0] + c * v[1], v[2]])
+        phases = np.exp(1j * geometry.wavenumber * (positions @ nhat))
+        amps = _detection_kernel(amps, n, polarizer.alpha * phases,
+                                 polarizer.beta * phases)
+    # no emitter in e; flattened in ascending register order, which is the qubit order
+    return amps.reshape((3,) * n)[(slice(1, None),) * n].reshape(-1)
+
+
 def dense_estimate_fidelity(config, geometry, target=None, samples=1000, seed=0):
     """Window Monte Carlo on the full ``3**n`` register, one sample at a time.
 
     Same two random streams as ``estimate_fidelity``, read one sample at a
     time: from the first, n + n transverse normals per sample; from the
-    second, one scalar uniform per detector.  Every detection is applied by
-    the dense kernel behind ``apply_detection``.
+    second, one uniform deviate per detector.  Each sample is
+    :func:`dense_sample_output`.
     """
-    from dickesim.core import _detection_kernel
-
     config = ds.PolarizerConfig(tuple(config))
     n = len(config)
     if target is None:
@@ -210,28 +236,11 @@ def dense_estimate_fidelity(config, geometry, target=None, samples=1000, seed=0)
     target_qubit = target.to_qubit_amplitudes()
     normal_rng, window_rng = map(np.random.default_rng,
                                  np.random.SeedSequence(seed).spawn(2))
-    t1, t2 = geometry.transverse_basis
-    k = geometry.wavenumber
-    halfwidth = geometry.window_halfangle
-    sigma = geometry.transverse_sigma
     fidelities = []
     excluded = 0
     for _ in range(samples):
-        g1 = normal_rng.normal(0.0, 1.0, size=n) * sigma
-        g2 = normal_rng.normal(0.0, 1.0, size=n) * sigma
-        positions = (geometry.emitter_positions
-                     + np.outer(g1, t1) + np.outer(g2, t2))
-        amps = ds.EmitterRegister.ground(n).amps
-        for i, polarizer in enumerate(config):
-            delta = window_rng.uniform(-1.0, 1.0) * halfwidth
-            v = geometry.detector_directions[i]
-            c, s = np.cos(delta), np.sin(delta)
-            nhat = np.array([c * v[0] - s * v[1], s * v[0] + c * v[1], v[2]])
-            phases = np.exp(1j * k * (positions @ nhat))
-            amps = _detection_kernel(amps, n, polarizer.alpha * phases,
-                                     polarizer.beta * phases)
-        # no emitter in e; flattened in ascending register order, which is the qubit order
-        psi = amps.reshape((3,) * n)[(slice(1, None),) * n].reshape(-1)
+        psi = dense_sample_output(config, geometry, normal_rng.normal(0.0, 1.0, size=2 * n),
+                                  window_rng.uniform(-1.0, 1.0, size=n))
         nrm = np.linalg.norm(psi)
         if nrm < 1e-12:
             excluded += 1

@@ -1,16 +1,19 @@
 import itertools
 import tracemalloc
 import warnings
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dickesim as ds
-from conftest import dense_estimate_fidelity, random_config
+from conftest import dense_estimate_fidelity, dense_sample_output, random_config
 from dickesim import window
 from dickesim.core import REGISTER_SIZE_LIMIT
-from dickesim.window import _sample_outputs
+from dickesim.window import _cascade_outputs, _sample_outputs
 
 
 def _chain_positions(n, spacing):
@@ -19,7 +22,7 @@ def _chain_positions(n, spacing):
 
 
 # ---------------------------------------------------------------------------
-# the emitter-order cascade against the dense register
+# the joined half cascades against the dense register
 # ---------------------------------------------------------------------------
 
 def _fixed_outputs(config, positions, directions, wavelength=493e-9):
@@ -58,7 +61,8 @@ def test_coinciding_emitters_give_a_common_phase_times_the_ideal_output():
 
 def test_orthogonal_direction_gives_the_ideal_cascade():
     rng = np.random.default_rng(52)
-    for n in range(1, 8):
+    # past n = 8 a chunk holds one or two samples, and odd n splits unevenly
+    for n in range(1, 11):
         config = random_config(rng, n)
         positions = _chain_positions(n, 5e-6)
         direction = np.array([0.0, 1.0, 0.0])
@@ -68,6 +72,65 @@ def test_orthogonal_direction_gives_the_ideal_cascade():
         want = _dense_output(config)
         # the same terms as the dense cascade, summed in another order
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_phases_that_factor_give_a_global_phase_times_the_ideal_output(n):
+    # with phi_ji = a_i + b_j every assignment of detectors to emitters picks
+    # up the same phase exp(i (sum a + sum b)), so interference is untouched
+    rng = np.random.default_rng(70 + n)
+    config = random_config(rng, n)
+    components = np.array([[p.alpha, p.beta] for p in config])
+    a, b = rng.uniform(-np.pi, np.pi, (2, 3, n))  # three samples
+    phases = a[:, None, :] + b[:, :, None]  # phases[s, j, i] = a_i + b_j
+    got = _cascade_outputs(components, phases)
+    ideal = (ds.dicke_coefficients(config).to_qubit_amplitudes()
+             * np.linalg.norm(_dense_output(config)))
+    for s in range(3):
+        want = np.exp(1j * (a[s].sum() + b[s].sum())) * ideal
+        assert np.abs(got[s] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_complements_of_the_m_sets_come_in_reverse_order():
+    # the join of the two half cascades pairs row r of the low half with row
+    # -1 - r of the high half
+    for n in range(1, 9):
+        for m in range(n + 1):
+            rest = [tuple(sorted(set(range(n)) - set(s)))
+                    for s in itertools.combinations(range(n), m)]
+            assert rest == list(itertools.combinations(range(n), n - m))[::-1]
+
+
+@st.composite
+def _window_samples(draw):
+    """Random polarizers, emitters and detectors, with directions off the z-y plane."""
+    n = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+    parts = draw(hnp.arrays(float, (n, 4), elements=unit))
+    config = ds.PolarizerConfig(tuple(
+        ds.Polarizer(complex(r[0], r[1]), complex(r[2] + 2.0, r[3])) for r in parts))
+    positions = draw(hnp.arrays(float, (n, 3), elements=st.floats(-1e-6, 1e-6)))
+    directions = draw(hnp.arrays(float, (n, 3), elements=unit))
+    # v_x != 0: the window then turns part of x into y, which no chain test does
+    directions[:, 0] = draw(hnp.arrays(float, n, elements=st.floats(0.1, 1.0)
+                                       | st.floats(-1.0, -0.1)))
+    geo = ds.DetectionGeometry(positions, draw(st.floats(0.0, 50e-9)), 493e-9,
+                               directions, draw(st.floats(0.0, 0.3)))
+    normals = draw(hnp.arrays(float, (count, 2 * n), elements=st.floats(-3.0, 3.0)))
+    deviates = draw(hnp.arrays(float, (count, n), elements=st.floats(-1.0, 1.0)))
+    return config, geo, normals, deviates
+
+
+@given(_window_samples())
+def test_sample_outputs_match_the_dense_kernel_sample_by_sample(case):
+    config, geo, normals, deviates = case
+    components = np.array([[p.alpha, p.beta] for p in config])
+    got = _sample_outputs(components, geo, normals, deviates)
+    for s in range(len(normals)):
+        want = dense_sample_output(config, geo, normals[s], deviates[s])
+        # each amplitude sums n! products of unit-bounded terms
+        np.testing.assert_allclose(got[s], want, rtol=0, atol=1e-13 * factorial(len(config)))
 
 
 def test_half_wavelength_flips_the_sign_of_the_displaced_emitters_terms():
@@ -285,7 +348,7 @@ def test_estimate_matches_dense_reference(monkeypatch, config, target):
     # two full chunks and a partial one; a small budget keeps the dense
     # one-sample-at-a-time oracle short whatever the library's budget
     monkeypatch.setattr(window, "_CHUNK_ENTRIES", 2048)
-    chunk = window._CHUNK_ENTRIES // max(comb(n, m) << m for m in range(n + 1))
+    chunk = window._CHUNK_ENTRIES // max(comb(n, m) << m for m in range(n - n // 2 + 1))
     samples = 2 * max(1, chunk) + 1
     got = ds.estimate_fidelity(config, geo, target=target, samples=samples,
                                seed=100 + n)
@@ -311,21 +374,24 @@ def test_memory_does_not_grow_with_the_sample_count():
     assert peak < 8 * 200_000
 
 
-def test_memory_per_chunk_stays_bounded_at_large_n():
-    # at n = 8 a chunk of 4 samples peaks at about 0.6 MB; a budget that
-    # packed many more samples together would pass 1.6 MB
-    n = 8
+@pytest.mark.parametrize("n, samples, bound", [(8, 64, 1_600_000), (10, 8, 1_200_000)],
+                         ids=["n8", "n10"])
+def test_memory_per_chunk_stays_bounded_at_large_n(n, samples, bound):
+    # a chunk of 7 samples peaks at about 0.9 MB at n = 8, and of one sample
+    # at about 0.85 MB at n = 10; a budget that packed many more samples
+    # together would pass 1.6 MB at n = 8, and a single cascade over the
+    # full levels (15360 entries at n = 10) reaches about 1.4 MB
     config = ds.ghz_config(n, 0.0)
     geo = ds.DetectionGeometry.linear_chain(n)
     ds.estimate_fidelity(config, geo, samples=1, seed=3)  # build cached tables
     tracemalloc.start()
     try:
-        est = ds.estimate_fidelity(config, geo, samples=64, seed=3)
+        est = ds.estimate_fidelity(config, geo, samples=samples, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert est.sample_count + est.excluded_count == 64
-    assert peak < 1_600_000
+    assert est.sample_count + est.excluded_count == samples
+    assert peak < bound
 
 
 def test_size_guard_rejects_systems_above_the_limit():
