@@ -302,11 +302,12 @@ def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     Entry ``m`` is ``(src, detector)``, both of shape ``(m + 1, C(n, m + 1))``:
     for each level-``m + 1`` set and position ``p``, ``detector[p]`` is the
     set's ``p``-th smallest detector and ``src[p]`` the level-``m`` row of
-    the set without it.
+    the set without it.  The entries stop at level ``n - n // 2``, the
+    larger half's last.
     """
     tables = []
     row_of = {(): 0}  # set of m detectors -> its row in level m
-    for m in range(1, n + 1):
+    for m in range(1, n - n // 2 + 1):
         sets = list(combinations(range(n), m))
         detector = np.array(sets, dtype=np.intp).T
         src = np.array([[row_of[s[:p] + s[p + 1:]] for s in sets] for p in range(m)],
@@ -354,8 +355,8 @@ def _half_cascade(weights: np.ndarray) -> np.ndarray:
     ``j``'s photon in label ``b``, in sample ``s``.  Each step hands the next
     emitter's photon to each detector not yet used, and its label becomes
     the new top bit of the first index (layout in :func:`_level_tables`).
-    A step is ``m + 1`` elementwise multiply-adds over whole levels; no
-    emitter gives level 0, a single empty set.
+    A step is ``m + 1`` elementwise multiply-adds over whole levels.  With
+    no emitters the result is level 0: the empty set, with weight 1.
     """
     count = weights.shape[-1]
     level = np.ones((1, 1, count), dtype=complex)
