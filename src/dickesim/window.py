@@ -36,8 +36,9 @@ elementwise multiply-adds over all samples of a chunk at once.  One matrix
 product per sample then joins the halves, pairing each detector set of the
 low half with its complement in the high half, and lands in qubit order.
 The phases ``k r_j . nhat_i`` of a chunk are built first as one
-``(count, n, n)`` array (``_sample_phases``), and the cascade reads only
-those and the polarizers (``_cascade_outputs``).  Samples are propagated
+``(count, n, n)`` array (``_sample_phases``) from a table that the geometry
+builds once (``DetectionGeometry.phase_table``), and the cascade reads only
+those phases and the polarizers (``_cascade_outputs``).  Samples are propagated
 together in chunks of at most ``_CHUNK_ENTRIES`` = 8192 entries (samples
 times the widest half level, about 100-170 B of peak memory each, so
 roughly 0.8-1.4 MB a chunk), and their fidelities are pooled into a running
@@ -45,7 +46,9 @@ mean and variance, so memory does not grow with the sample count.
 Two seeded streams, drawn one block per chunk and read in sample order, give
 the transverse normals and the window deviates, so a seeded estimate does not
 depend on the chunking and agrees to round-off with applying the dense
-detection kernel one sample at a time.
+detection kernel one sample at a time.  What does not depend on the samples
+(the geometry's table, the seeded streams, the target's bra) is built once
+per call or per geometry, outside the chunk loop.
 """
 
 from __future__ import annotations
@@ -98,9 +101,18 @@ class DetectionGeometry:
     window_halfangle : float
         Angular half-width (radians) of each detector's azimuthal window.
 
-    ``transverse_basis`` is derived on construction: two unit vectors, shape
-    ``(2, 3)``, spanning the plane orthogonal to the emitter line, along
-    which the jitter is drawn.  Invalid values raise ``ConfigError``.
+    Two fields are derived on construction.  ``transverse_basis``: two unit
+    vectors, shape ``(2, 3)``, spanning the plane orthogonal to the emitter
+    line, along which the jitter is drawn.  ``phase_table``: shape
+    ``(3, n + 2, n)``, the wavenumber times each point along each part of
+    each detector's direction.  The points are the ``n`` mean positions and
+    the two basis vectors scaled by ``transverse_sigma``.  The parts are the
+    flat direction, the flat direction turned by 90 degrees about z, and its
+    z component; a window rotation weights the first two with the cosine and
+    sine of its angle.  The positions and directions are copies, and those
+    four arrays are read-only, so a later edit of the caller's arrays cannot
+    change the geometry, and ``dataclasses.replace`` builds them anew.
+    Invalid values raise ``ConfigError``.
     """
 
     emitter_positions: np.ndarray
@@ -109,6 +121,7 @@ class DetectionGeometry:
     detector_directions: np.ndarray
     window_halfangle: float
     transverse_basis: np.ndarray = field(init=False, repr=False)
+    phase_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         wavelength = _real(self.wavelength, "wavelength")
@@ -130,14 +143,23 @@ class DetectionGeometry:
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(norms == 0):
             raise ConfigError("detector directions must be nonzero")
-        object.__setattr__(self, "emitter_positions", pos)
         object.__setattr__(self, "wavelength", wavelength)
         object.__setattr__(self, "window_halfangle", window)
         object.__setattr__(self, "transverse_sigma", sigma)
-        object.__setattr__(self, "detector_directions", dirs / norms[:, None])
+        pos = np.copy(pos)  # the caller's array may change later; this may not
+        dirs = dirs / norms[:, None]
         basis = _transverse_basis(pos)
-        basis.setflags(write=False)
-        object.__setattr__(self, "transverse_basis", basis)
+        vx, vy, vz = dirs.T
+        zero = np.zeros(len(pos))
+        # a direction rotated by delta about z is cos(delta) flat + sin(delta) turned + up
+        parts = np.array([[vx, vy, zero], [-vy, vx, zero], [zero, zero, vz]])
+        # the mean emitter positions, then the two jitter axes scaled by sigma
+        points = np.vstack([pos, sigma * basis])
+        table = self.wavenumber * (points @ parts)
+        for name, value in (("emitter_positions", pos), ("detector_directions", dirs),
+                            ("transverse_basis", basis), ("phase_table", table)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -251,10 +273,11 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     if target.n != n:
         raise DimensionMismatchError(
             f"target has {target.n} qubits, configuration has {n}")
-    target_qubit = target.to_qubit_amplitudes()
+    bra = target.to_qubit_amplitudes().conj()
 
-    normal_rng, window_rng = map(np.random.default_rng,
-                                 np.random.SeedSequence(seed).spawn(2))
+    # the children of SeedSequence(seed).spawn(2), without building the parent
+    normal_rng, window_rng = (
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(2))
     widest = max(comb(n, m) << m for m in range(n - n // 2 + 1))
     chunk = max(1, _CHUNK_ENTRIES // widest)
     components = np.array([[p.alpha, p.beta] for p in config])
@@ -269,7 +292,9 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
                               window_rng.uniform(-1.0, 1.0, (count, n)))
         nrm = np.linalg.norm(psi, axis=1)
         alive = nrm >= ANNIHILATION_TOL
-        overlap = (psi[alive] * target_qubit.conj()).sum(axis=1) / nrm[alive]
+        if not alive.all():
+            psi, nrm = psi[alive], nrm[alive]
+        overlap = (psi * bra).sum(axis=1) / nrm
         if overlap.size == 0:
             continue
         values = np.abs(overlap) ** 2
@@ -299,15 +324,18 @@ def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     index runs over the sets of ``m`` detectors in the order of
     ``itertools.combinations(range(n), m)``, and samples come last.
 
-    Entry ``m`` is ``(src, detector)``, both of shape ``(m + 1, C(n, m + 1))``:
-    for each level-``m + 1`` set and position ``p``, ``detector[p]`` is the
-    set's ``p``-th smallest detector and ``src[p]`` the level-``m`` row of
-    the set without it.  The entries stop at level ``n - n // 2``, the
-    larger half's last.
+    Level 1 needs no table: its row ``i`` is the set ``{i}``, so a half's
+    first emitter's weights are level 1 as they stand.  Entry ``m - 1``
+    leads from level ``m >= 1`` to ``m + 1`` and is ``(src, detector)``, both
+    of shape ``(m + 1, C(n, m + 1))``: for each level-``m + 1`` set and
+    position ``p``, ``detector[p]`` is the set's ``p``-th smallest detector
+    and ``src[p]`` the level-``m`` row of the set without it.  The entries
+    stop at level ``n - n // 2``, the larger half's last, so ``n <= 3`` has
+    none.
     """
     tables = []
-    row_of = {(): 0}  # set of m detectors -> its row in level m
-    for m in range(1, n - n // 2 + 1):
+    row_of = {(i,): i for i in range(n)}  # set of m detectors -> its row in level m
+    for m in range(2, n - n // 2 + 1):
         sets = list(combinations(range(n), m))
         detector = np.array(sets, dtype=np.intp).T
         src = np.array([[row_of[s[:p] + s[p + 1:]] for s in sets] for p in range(m)],
@@ -328,18 +356,13 @@ def _sample_phases(geometry: DetectionGeometry, normals: np.ndarray,
     axes and its window deviates in ``[-1, 1)``.  ``phases[s, j, i]`` is
     ``k r_j . nhat_i``: emitter ``j``'s displaced position along detector
     ``i``'s direction, rotated about z by the deviate times the halfangle.
-    The result is a view of an ``(n, n, count)`` array, samples last, which
-    is the layout :func:`_cascade_outputs` works in.
+    Only the rotation and the displacement depend on the sample; the rest
+    is ``geometry.phase_table``, built once with the geometry.  The result
+    is a view of an ``(n, n, count)`` array, samples last, which is the
+    layout :func:`_cascade_outputs` works in.
     """
     n = geometry.n
-    vx, vy, vz = geometry.detector_directions.T
-    zero = np.zeros(n)
-    # a direction rotated by delta about z is cos(delta) flat + sin(delta) turned + up
-    parts = np.array([[vx, vy, zero], [-vy, vx, zero], [zero, zero, vz]])
-    # the mean emitter positions, then the two jitter axes scaled by sigma
-    points = np.vstack([geometry.emitter_positions,
-                        geometry.transverse_sigma * geometry.transverse_basis])
-    table = (geometry.wavenumber * (points @ parts))[..., None]  # (3, n + 2, n, 1)
+    table = geometry.phase_table[..., None]  # (3, n + 2, n, 1)
     delta = deviates.T * geometry.window_halfangle
     # along[e, i, s]: k times point e along sample s's rotated direction i
     along = np.cos(delta) * table[0] + np.sin(delta) * table[1] + table[2]
@@ -352,15 +375,19 @@ def _half_cascade(weights: np.ndarray) -> np.ndarray:
     """Level ``m`` of the cascade of the ``m`` emitters in ``weights``.
 
     ``weights[j, b, i, s]`` is detector ``i``'s term for the half's emitter
-    ``j``'s photon in label ``b``, in sample ``s``.  Each step hands the next
-    emitter's photon to each detector not yet used, and its label becomes
-    the new top bit of the first index (layout in :func:`_level_tables`).
-    A step is ``m + 1`` elementwise multiply-adds over whole levels.  With
-    no emitters the result is level 0: the empty set, with weight 1.
+    ``j``'s photon in label ``b``, in sample ``s``.  Level 1 is ``weights[0]``
+    itself, already in the level layout (see :func:`_level_tables`), and is
+    returned as that view for a one-emitter half.  Each further step hands
+    the next emitter's photon to each detector not yet used, and its label
+    becomes the new top bit of the first index.  A step is ``m + 1``
+    elementwise multiply-adds over whole levels.  With no emitters the
+    result is level 0: the empty set, with weight 1.
     """
     count = weights.shape[-1]
-    level = np.ones((1, 1, count), dtype=complex)
-    for w, (src, detector) in zip(weights, _level_tables(weights.shape[2])):
+    if len(weights) == 0:
+        return np.ones((1, 1, count), dtype=complex)
+    level = weights[0]
+    for w, (src, detector) in zip(weights[1:], _level_tables(weights.shape[2])):
         # terms[b, 0, p, row, s]: w's term for the row's p-th smallest detector
         terms = np.take(w, detector, axis=1)[:, None]
         step = terms[:, :, 0] * np.take(level, src[0], axis=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -246,6 +247,38 @@ def test_transverse_basis_is_fixed_at_construction():
     assert not geo.transverse_basis.flags.writeable
 
 
+def test_geometry_does_not_follow_later_edits_of_the_callers_arrays():
+    n = 3
+    pos = _chain_positions(n, 5e-6)
+    dirs = np.array(ds.DetectionGeometry.linear_chain(n).detector_directions)
+    geo = ds.DetectionGeometry(pos, 5e-9, 493e-9, dirs, np.deg2rad(0.5))
+    config = ds.ghz_config(n, 0.0)
+    want = ds.estimate_fidelity(config, geo, samples=50, seed=4)
+    # moving one emitter off the chain or turning one detector would dephase
+    pos[1, 1] += 1e-7
+    dirs[0] = [0.3, 0.0, 1.0]
+    assert ds.estimate_fidelity(config, geo, samples=50, seed=4) == want
+    for name in ("emitter_positions", "detector_directions", "transverse_basis",
+                 "phase_table"):
+        array = getattr(geo, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+
+
+def test_replace_builds_the_phase_table_anew():
+    geo = ds.DetectionGeometry.linear_chain(3)
+    moved = geo.emitter_positions + [[0.0, 1e-7, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    got = dataclasses.replace(geo, emitter_positions=moved)
+    want = ds.DetectionGeometry(moved, geo.transverse_sigma, geo.wavelength,
+                                geo.detector_directions, geo.window_halfangle)
+    np.testing.assert_array_equal(got.phase_table, want.phase_table)
+    assert got.phase_table.shape == (3, 3 + 2, 3)
+    assert not np.array_equal(got.phase_table, geo.phase_table)
+    wider = dataclasses.replace(geo, window_halfangle=0.1)
+    np.testing.assert_array_equal(wider.phase_table, geo.phase_table)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo estimate
 # ---------------------------------------------------------------------------
@@ -277,6 +310,70 @@ def test_estimate_is_deterministic_for_fixed_seed():
     assert a == b
     c = ds.estimate_fidelity(config, geo, samples=200, seed=124)
     assert a.mean_fidelity != c.mean_fidelity
+
+
+@pytest.mark.parametrize("state, n, samples, seed, mean, stderr", [
+    ("ghz", 3, 200, 123, "0x1.d174d3a698e05p-1", "0x1.40890115a33e5p-8"),
+    ("w", 5, 100, 7, "0x1.e1d540a2a7006p-1", "0x1.575582021eba1p-8"),
+    ("ghz", 8, 16, 11, "0x1.d26096acc16bep-2", "0x1.384cec4df8e55p-4"),
+], ids=["ghz3", "w5", "ghz8"])
+def test_seeded_estimates_keep_their_recorded_values(state, n, samples, seed, mean, stderr):
+    # recorded once from the library at the default chain; a changed stream
+    # or sample order moves these at the percent level, while the join's
+    # BLAS rounding stays far below the bound
+    config = (ds.ghz_config if state == "ghz" else ds.w_config)(n, 0.0)
+    geo = ds.DetectionGeometry.linear_chain(n)
+    est = ds.estimate_fidelity(config, geo, samples=samples, seed=seed)
+    assert est.mean_fidelity == pytest.approx(float.fromhex(mean), abs=1e-12)
+    assert est.standard_error == pytest.approx(float.fromhex(stderr), abs=1e-12)
+    assert (est.sample_count, est.excluded_count) == (samples, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 40, 2 ** 63, 2 ** 200,
+                                  np.int64(5), np.uint64(2 ** 64 - 1)])
+def test_streams_are_the_children_that_spawn_gives(seed):
+    # estimate_fidelity builds SeedSequence(seed).spawn(2)'s children directly
+    spawned = np.random.SeedSequence(seed).spawn(2)
+    for i, child in enumerate(spawned):
+        direct = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        assert direct.bit_generator.state == np.random.default_rng(child).bit_generator.state
+        np.testing.assert_array_equal(direct.standard_normal(6),
+                                      np.random.default_rng(child).standard_normal(6))
+
+
+@pytest.mark.parametrize("cap", [1, 1 << 16], ids=["one-sample-chunks", "one-chunk"])
+def test_a_partly_annihilated_run_pools_only_the_survivors(monkeypatch, cap):
+    # exact cancellation has probability zero under continuous draws, so a
+    # patched kernel zeroes chosen samples, alone in their chunk or among
+    # survivors in one chunk
+    n, samples, dead = 4, 40, {0, 3, 4, 17, 39}
+    config = ds.ghz_config(n, 0.3)
+    geo = ds.DetectionGeometry.linear_chain(n, transverse_sigma=20e-9,
+                                            window_halfangle=np.deg2rad(2.0))
+    kernel = window._cascade_outputs
+    outputs = []
+
+    def zeroing(components, phases):
+        out = kernel(components, phases)
+        start = sum(map(len, outputs))
+        outputs.append(out.copy())
+        for s in range(len(out)):
+            if start + s in dead:
+                out[s] = 0.0
+        return out
+
+    monkeypatch.setattr(window, "_CHUNK_ENTRIES", cap)
+    monkeypatch.setattr(window, "_cascade_outputs", zeroing)
+    est = ds.estimate_fidelity(config, geo, samples=samples, seed=21)
+    psi = np.concatenate(outputs)
+    assert len(psi) == samples
+    target = ds.dicke_coefficients(config).to_qubit_amplitudes()
+    fidelity = np.abs(psi @ target.conj()) ** 2 / np.linalg.norm(psi, axis=1) ** 2
+    alive = fidelity[[s not in dead for s in range(samples)]]
+    assert (est.sample_count, est.excluded_count) == (samples - len(dead), len(dead))
+    assert est.mean_fidelity == pytest.approx(alive.mean(), abs=1e-12)
+    assert est.standard_error == pytest.approx(
+        alive.std(ddof=1) / np.sqrt(alive.size), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 5])
