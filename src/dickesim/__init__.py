@@ -42,7 +42,6 @@ from .errors import (
     ConfigError,
     DickesimError,
     DimensionMismatchError,
-    InvalidKetError,
     ResidualExcitationError,
     RootFindingError,
     TooLargeError,

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -247,7 +248,8 @@ def _cmd_pyramid(cfg: dict, n: int, args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep(spec: str, degrees: bool) -> np.ndarray:
+def _parse_sweep(spec: str, degrees: bool) -> Iterator[float]:
+    """The points of ``START:STOP:COUNT``, one at a time, by ``np.linspace``'s arithmetic."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--sweep expects START:STOP:COUNT, got {spec!r}")
@@ -258,8 +260,16 @@ def _parse_sweep(spec: str, degrees: bool) -> np.ndarray:
         raise ConfigError(f"cannot parse sweep {spec!r}: {exc}") from exc
     if count < 2 or not 0.0 <= start <= stop < np.inf:
         raise ConfigError(f"sweep needs 0 <= START <= STOP and COUNT >= 2, got {spec!r}")
-    values = np.linspace(start, stop, count)
-    return np.deg2rad(values) if degrees else values
+    div, delta = count - 1, stop - start
+    try:
+        step = delta / div
+    except OverflowError:  # a COUNT beyond the float range, whose step rounds to 0
+        step = 0.0
+    for k in range(div):
+        # linspace divides first when the step is 0 (START == STOP, or an underflow)
+        value = k * step + start if step else k / div * delta + start
+        yield np.deg2rad(value) if degrees else value
+    yield np.deg2rad(stop) if degrees else stop
 
 
 def _cmd_fidelity(cfg: dict, n: int, args) -> int:

@@ -13,8 +13,6 @@ representation conventions are fixed once and for all:
   ``n-1-j``; its block ``[1:, ..., 1:]`` (no emitter in ``e``) flattens in
   ascending register order, which is the qubit order of
   :meth:`SymmetricState.to_qubit_amplitudes`.
-* Ket strings spell emitters left to right starting with emitter 0, over the
-  alphabet ``e+-`` (so ``"+e-"`` has emitter 0 in ``+``, emitter 2 in ``-``).
 * A detection event is non-unitary and shrinks the register norm; nothing is
   renormalized until a full cascade has been applied.
 * Symmetric ``n``-qubit states are stored as coefficients ``d_0 .. d_n`` over
@@ -25,7 +23,6 @@ representation conventions are fixed once and for all:
 from __future__ import annotations
 
 import cmath
-import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, frexp, hypot, isfinite, ldexp, pi, sqrt
@@ -37,7 +34,6 @@ from .errors import (
     AsymmetricResidueError,
     ConfigError,
     DimensionMismatchError,
-    InvalidKetError,
     ResidualExcitationError,
     TooLargeError,
     ZeroStateError,
@@ -54,11 +50,9 @@ NORM_TOL = 1e-12
 #: Amplitude allowed outside the projected subspace before erroring.
 RESIDUAL_TOL = 1e-10
 
-LEVEL_CHARS = "e+-"
-
-#: Largest system whose ``3**n`` kets are built: the dense register, the
-#: pyramid and the window Monte Carlo (whose work per sample grows as
-#: ``n * 3**n`` and widest level as ``3**n / sqrt(n)``).
+#: Largest system for the dense register and the pyramid, which build all
+#: ``3**n`` kets, and for the window Monte Carlo, whose widest array per
+#: sample is the half level (59,136 entries at n = 12).
 REGISTER_SIZE_LIMIT = 12
 
 
@@ -141,7 +135,7 @@ def _sequence(values, what: str) -> tuple:
 
 
 def _check_register_size(n: int, what: str) -> None:
-    """``TooLargeError`` when ``what`` would build the kets of ``n > REGISTER_SIZE_LIMIT``."""
+    """``TooLargeError`` when ``what`` is asked for ``n > REGISTER_SIZE_LIMIT`` emitters."""
     if n > REGISTER_SIZE_LIMIT:
         raise TooLargeError(f"{what} limited to n <= {REGISTER_SIZE_LIMIT}, got {n}")
 
@@ -183,14 +177,6 @@ class Polarizer:
         object.__setattr__(self, "beta", b / nrm)
 
     @staticmethod
-    def sigma_plus() -> "Polarizer":
-        return Polarizer(1.0, 0.0)
-
-    @staticmethod
-    def sigma_minus() -> "Polarizer":
-        return Polarizer(0.0, 1.0)
-
-    @staticmethod
     def linear(theta: float) -> "Polarizer":
         """Linear polarizer ``(e^{-i t}, e^{i t}) / sqrt(2)`` at ``t = theta mod pi``.
 
@@ -229,7 +215,7 @@ class SymmetricState:
     :meth:`canonicalized` explicitly to rotate the first nonzero coefficient
     onto the positive real axis.  A system size that is not an integer >= 1,
     and coefficients that are not numbers or not normalized (non-finite ones
-    included), are ``ConfigError``.
+    included), are ``ConfigError``.  ``coeffs`` is a read-only copy.
     """
 
     n: int
@@ -243,6 +229,8 @@ class SymmetricState:
         # written so that a NaN norm fails it
         if not abs(np.linalg.norm(c) - 1.0) <= NORM_TOL:
             raise ConfigError("coefficients are not normalized; use from_raw()")
+        c = c.copy()  # the caller's array may change later; this may not
+        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
@@ -342,21 +330,6 @@ def _bit_counts(n: int) -> np.ndarray:
     return counts
 
 
-def _ket_repr(ket) -> str:
-    """A would-be ket for an error message: a string's shortened ``repr``, else its type.
-
-    ``repr`` of an int of more than 4300 digits raises ``ValueError``.
-    """
-    if isinstance(ket, str):
-        return reprlib.repr(ket)
-    return f"of type {type(ket).__name__}"
-
-
-def _ket_index(ket: str) -> int:
-    """Register index of a ket string over ``e+-``, emitter 0 first."""
-    return sum(LEVEL_CHARS.index(ch) * 3 ** j for j, ch in enumerate(ket))
-
-
 def _register_length(n) -> int:
     """``3**n`` for a valid register size, checked before anything is allocated."""
     _check_register_size(_system_size(n), "emitter register")
@@ -369,7 +342,7 @@ class EmitterRegister:
 
     A size that is not an integer >= 1, or amplitudes that are not ``3**n``
     numbers, are ``ConfigError``; a size above ``REGISTER_SIZE_LIMIT`` is
-    ``TooLargeError``.
+    ``TooLargeError``.  ``amps`` is a read-only copy.
     """
 
     n: int
@@ -380,6 +353,8 @@ class EmitterRegister:
         a = _numbers(self.amps, complex, "amplitudes")
         if a.shape != (length,):
             raise ConfigError(f"expected {length} amplitudes, got shape {a.shape}")
+        a = a.copy()  # the caller's array may change later; this may not
+        a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
     @classmethod
@@ -388,12 +363,6 @@ class EmitterRegister:
         amps = np.zeros(_register_length(n), dtype=complex)
         amps[0] = 1.0
         return cls(n, amps)
-
-    def amplitude(self, ket: str) -> complex:
-        """Amplitude of a ket string of ``n`` letters from ``e+-``, else ``InvalidKetError``."""
-        if not (isinstance(ket, str) and len(ket) == self.n and set(ket) <= set(LEVEL_CHARS)):
-            raise InvalidKetError(f"ket {_ket_repr(ket)} is not {self.n} letters over 'e+-'")
-        return complex(self.amps[_ket_index(ket)])
 
 
 def _detection_kernel(amps: np.ndarray, n: int,

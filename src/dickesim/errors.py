@@ -25,10 +25,6 @@ class RootFindingError(DickesimError):
     """Polynomial root extraction failed to produce usable roots."""
 
 
-class InvalidKetError(DickesimError, ValueError):
-    """A computational ket string violates the expected alphabet."""
-
-
 class TooLargeError(DickesimError, ValueError):
     """Requested output would be unreasonably large."""
 

@@ -84,7 +84,7 @@ def synthesize(target: SymmetricState) -> PolarizerConfig:
         raise ConfigError(
             f"target must be a SymmetricState, got {type(target).__name__}")
     pols = [Polarizer(r, 1.0) for r in _polynomial_roots(_synthesis_polynomial(target))]
-    pols.extend(Polarizer.sigma_plus() for _ in range(target.n - len(pols)))
+    pols.extend(Polarizer(1.0, 0.0) for _ in range(target.n - len(pols)))
     return PolarizerConfig(tuple(pols))
 
 

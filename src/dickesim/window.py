@@ -287,9 +287,9 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     kept, mean, m2 = 0, 0.0, 0.0
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        psi = _sample_outputs(components, geometry,
-                              normal_rng.standard_normal((count, 2 * n)),
-                              window_rng.uniform(-1.0, 1.0, (count, n)))
+        psi = _cascade_outputs(components, _sample_phases(
+            geometry, normal_rng.standard_normal((count, 2 * n)),
+            window_rng.uniform(-1.0, 1.0, (count, n))))
         nrm = np.linalg.norm(psi, axis=1)
         alive = nrm >= ANNIHILATION_TOL
         if not alive.all():
@@ -426,12 +426,3 @@ def _cascade_outputs(components: np.ndarray, phases: np.ndarray) -> np.ndarray:
     # labels are the top bits
     joined = high[:, ::-1].transpose(2, 0, 1) @ low.transpose(2, 1, 0)
     return joined.reshape(count, -1)
-
-
-def _sample_outputs(components: np.ndarray, geometry: DetectionGeometry,
-                    normals: np.ndarray, deviates: np.ndarray) -> np.ndarray:
-    """Unnormalized cascade outputs of ``count`` samples, shape ``(count, 2**n)``.
-
-    The phases of :func:`_sample_phases` fed to :func:`_cascade_outputs`.
-    """
-    return _cascade_outputs(components, _sample_phases(geometry, normals, deviates))

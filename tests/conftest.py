@@ -19,6 +19,11 @@ settings.register_profile("dickesim", deadline=None, derandomize=True, database=
 settings.load_profile("dickesim")
 
 
+#: The circular polarizers that put every detected emitter in ``+``, or in ``-``.
+PLUS = ds.Polarizer(1.0, 0.0)
+MINUS = ds.Polarizer(0.0, 1.0)
+
+
 def random_polarizer(rng):
     v = rng.normal(size=4)
     return ds.Polarizer(complex(v[0], v[1]), complex(v[2], v[3]))
@@ -112,6 +117,16 @@ def w_qubit(n, phi):
 def ket_string(index, n):
     """Spell a register index as a ket over ``e+-``, emitter 0 (the lowest digit) first."""
     return "".join("e+-"[index // 3 ** j % 3] for j in range(n))
+
+
+def ket_amplitudes(register):
+    """A register's amplitudes as ``{ket string: amplitude}`` over all ``3**n`` kets."""
+    return {ket_string(i, register.n): amp for i, amp in enumerate(register.amps.tolist())}
+
+
+def register_amps(n, terms):
+    """The ``3**n`` register amplitudes of ``{ket string: amplitude}``, zero elsewhere."""
+    return np.array([terms.get(ket_string(i, n), 0.0) for i in range(3 ** n)], dtype=complex)
 
 
 def qubit_fidelity(a, b):

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 import dickesim as ds
-from dickesim.core import _ket_index
 from conftest import (
+    MINUS,
+    PLUS,
     ghz_qubit,
-    ket_string,
     oracle_forward,
     qubit_fidelity,
     random_config,
     random_polarizer,
+    register_amps,
     separated_config,
     s_qubit,
     w_qubit,
@@ -152,10 +153,7 @@ def test_criterion_7_pyramid_consistency():
     for trial in range(20):
         config = random_config(rng, 3)
         levels = ds.build_pyramid(config)
-        amps = np.zeros(27, dtype=complex)
-        for ket, amp in levels[-1].terms.items():
-            amps[_ket_index(ket)] = amp
-        projected = ds.project_symmetric(ds.EmitterRegister(3, amps))
+        projected = ds.project_symmetric(ds.EmitterRegister(3, register_amps(3, levels[-1].terms)))
         f = ds.fidelity(projected, ds.dicke_coefficients(config))
         if f < 1 - 1e-10:
             failures.append(f"trial {trial}: final level fidelity {f}")
@@ -236,11 +234,8 @@ def test_criterion_9_property_suites():
         for p in config:
             reg = ds.apply_detection(reg, p)
         i, j = rng.choice(n, size=2, replace=False)
-        swapped = np.empty_like(reg.amps)
-        for idx in range(3 ** n):
-            ket = list(ket_string(idx, n))
-            ket[i], ket[j] = ket[j], ket[i]
-            swapped[_ket_index("".join(ket))] = reg.amps[idx]
+        # emitter j is axis n-1-j of the register read as a (3,)*n tensor
+        swapped = reg.amps.reshape((3,) * n).swapaxes(n - 1 - i, n - 1 - j).reshape(-1)
         if not np.allclose(swapped, reg.amps, atol=1e-10):
             failures.append(f"symmetry trial {trial}")
         try:
@@ -253,8 +248,8 @@ def test_criterion_9_property_suites():
         n = int(rng.integers(3, 7))
         n_plus = int(rng.integers(0, n))
         n_minus = int(rng.integers(0, n - n_plus))
-        pols = ([ds.Polarizer.sigma_plus()] * n_plus
-                + [ds.Polarizer.sigma_minus()] * n_minus
+        pols = ([PLUS] * n_plus
+                + [MINUS] * n_minus
                 + [random_polarizer(rng) for _ in range(n - n_plus - n_minus)])
         order = rng.permutation(n)
         config = ds.PolarizerConfig(tuple(pols[i] for i in order))

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import dickesim as ds
 from dickesim.cascade import _product_polynomial
-from dickesim.core import _ket_index, _sqrt_binomials
+from dickesim.core import _sqrt_binomials
 from conftest import (
+    MINUS,
+    PLUS,
     enumerate_paths,
     oracle_forward,
     product_polynomial_oracle,
@@ -19,11 +21,12 @@ from conftest import (
     random_polarizer,
     reference_pyramid,
     reference_pyramid_edges,
+    register_amps,
 )
 
 
 def test_all_plus_configuration():
-    config = ds.PolarizerConfig(tuple([ds.Polarizer.sigma_plus()] * 3))
+    config = ds.PolarizerConfig((PLUS,) * 3)
     state = ds.dicke_coefficients(config)
     np.testing.assert_allclose(state.coeffs, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
@@ -75,8 +78,8 @@ def test_coefficient_vanishing_bounds():
         n = int(rng.integers(3, 7))
         n_plus = int(rng.integers(0, n))
         n_minus = int(rng.integers(0, n - n_plus))
-        pols = ([ds.Polarizer.sigma_plus()] * n_plus
-                + [ds.Polarizer.sigma_minus()] * n_minus
+        pols = ([PLUS] * n_plus
+                + [MINUS] * n_minus
                 + [random_polarizer(rng) for _ in range(n - n_plus - n_minus)])
         config = ds.PolarizerConfig(tuple(pols))
         coeffs = ds.dicke_coefficients(config).coeffs
@@ -151,9 +154,7 @@ def test_pyramid_final_level_reproduces_closed_form():
         n = int(rng.integers(1, 6))
         config = random_config(rng, n)
         levels = ds.build_pyramid(config)
-        amps = np.zeros(3 ** n, dtype=complex)
-        for ket, amp in levels[-1].terms.items():
-            amps[_ket_index(ket)] = amp
+        amps = register_amps(n, levels[-1].terms)
         projected = ds.project_symmetric(ds.EmitterRegister(n, amps))
         assert ds.fidelity(projected, ds.dicke_coefficients(config)) >= 1 - 1e-10
 
@@ -166,9 +167,7 @@ def test_pyramid_levels_match_register_cascade():
         reg = ds.EmitterRegister.ground(n)
         for m, p in enumerate(config, start=1):
             reg = ds.apply_detection(reg, p)
-            dense = np.zeros(3 ** n, dtype=complex)
-            for ket, amp in levels[m].terms.items():
-                dense[_ket_index(ket)] = amp
+            dense = register_amps(n, levels[m].terms)
             np.testing.assert_allclose(dense, reg.amps, rtol=0, atol=1e-12)
 
 
@@ -202,8 +201,7 @@ def test_pyramid_matches_string_reference():
             if trial:
                 # sigma+/- polarizers leave structural zeros in the levels
                 for i in rng.choice(n, size=(n + 1) // 2, replace=False):
-                    pols[i] = (ds.Polarizer.sigma_plus() if rng.random() < 0.5
-                               else ds.Polarizer.sigma_minus())
+                    pols[i] = PLUS if rng.random() < 0.5 else MINUS
             _assert_pyramid_matches_string_reference(ds.PolarizerConfig(tuple(pols)))
     # the named recipes cancel amplitudes on the way to their targets
     for n in range(3, 9):
@@ -214,7 +212,7 @@ def test_pyramid_matches_string_reference():
 
 _unit_parts = st.floats(-1.0, 1.0)
 _polarizers = st.one_of(
-    st.sampled_from([ds.Polarizer.sigma_plus(), ds.Polarizer.sigma_minus()]),
+    st.sampled_from([PLUS, MINUS]),
     st.tuples(_unit_parts, _unit_parts, _unit_parts, _unit_parts)
     .filter(lambda v: np.hypot(np.hypot(v[0], v[1]), np.hypot(v[2], v[3])) > 1e-3)
     .map(lambda v: ds.Polarizer(complex(v[0], v[1]), complex(v[2], v[3]))))
@@ -248,7 +246,7 @@ def test_pyramid_edges_reject_foreign_parent_kets():
     for bad in ("+e", "eeee", "e+x", "+++", 1, -(10 ** 5000)):
         forged = list(levels)
         forged[1] = ds.PyramidLevel(1, {**levels[1].terms, bad: 1.0 + 0.0j})
-        with pytest.raises(ds.InvalidKetError):
+        with pytest.raises(ds.ConfigError):
             ds.pyramid_edges(config, forged)
 
 

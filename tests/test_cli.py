@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import dickesim as ds
-from conftest import random_config, reference_pyramid
-from dickesim.cli import main
+from conftest import ket_amplitudes, random_config, reference_pyramid
+from dickesim.cli import _parse_sweep, main
 
 
 def _write(tmp_path, name, payload):
@@ -256,8 +256,9 @@ def test_pyramid_edges_match_brute_force(tmp_path, capsys):
     reg = ds.EmitterRegister.ground(2)
     for p in config:
         reg = ds.apply_detection(reg, p)
+    dense = ket_amplitudes(reg)
     for ket, amp in amps.items():
-        assert amp == pytest.approx(reg.amplitude(ket), abs=1e-12)
+        assert amp == pytest.approx(dense[ket], abs=1e-12)
 
 
 def test_pyramid_size_guard(tmp_path, capsys):
@@ -602,6 +603,26 @@ def test_bad_sweep_spec(tmp_path, capsys):
     cfg = _write(tmp_path, "f.json", _fidelity_config())
     code, _ = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "oops"])
     assert code == 2
+
+
+@pytest.mark.parametrize("count", [10 ** 12, 10 ** 20, 10 ** 400], ids=["1e12", "1e20", "1e400"])
+def test_a_huge_sweep_count_allocates_nothing_up_front(tmp_path, capsys, count):
+    # the points are made one at a time, so the first one meets the sample check
+    cfg = _write(tmp_path, "f.json", _fidelity_config(samples=0))
+    code, out = _run(capsys, ["fidelity", "--config", cfg, "--sweep", f"0:1:{count}"])
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("spec", ["0:1:3", "0:0.02:2", "0.5:0.5:4", "0:0:2", "1e-5:0.3:33",
+                                  "3:7.25:17", "0:5e-324:7", "1e-300:1e-300:5"])
+@pytest.mark.parametrize("degrees", [False, True], ids=["radians", "degrees"])
+def test_sweep_points_are_those_of_linspace_bit_for_bit(spec, degrees):
+    start, stop, count = spec.split(":")
+    want = np.linspace(float(start), float(stop), int(count))
+    if degrees:
+        want = np.deg2rad(want)
+    assert [float(x).hex() for x in _parse_sweep(spec, degrees)] == list(map(float.hex, want))
 
 
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf"),

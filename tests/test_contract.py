@@ -2,14 +2,15 @@
 
 For every exported callable the table below gives one valid call and the
 argument slots that take a system size, a sample count, an integer, a real
-number, an angle, a ket string, a polarizer configuration, a list of
-numbers or a library object.  Junk put into any one slot must give a result
-or a ``DickesimError``, never a bare ``TypeError``, ``ValueError`` or the
-like.  Every exported callable is either in the table
-or in ``OUT_OF_SCOPE`` with the reason it is not.  Three guards keep the
-surface honest: every exported exception class is raised somewhere in the
-package, every exported callable has a caller in the package or the
-benchmark, and the benchmark's view of the library still builds.
+number, an angle, a polarizer configuration, a list of numbers or a library
+object.  Junk put into any one slot must give a result or a
+``DickesimError``, never a bare ``TypeError``, ``ValueError`` or the like.
+Every exported callable is either in the table or in ``OUT_OF_SCOPE`` with
+the reason it is not.  Four guards keep the surface honest: every exported
+exception class is raised somewhere in the package, every exported callable
+and every public method, staticmethod, classmethod and property of an
+exported class has a caller in the package or the benchmark, and the
+benchmark's view of the library still builds.
 """
 
 import ast
@@ -25,6 +26,11 @@ from hypothesis import strategies as st
 
 import dickesim as ds
 
+PACKAGE = Path(ds.__file__).parent
+#: The package modules that can call an export: all but ``__init__.py``.
+MODULES = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
 #: ``str()`` of an int of more than 4300 digits raises ``ValueError``, so
 #: an error message must not format ``-(10 ** 5000)``.
 JUNK = (None, True, np.bool_(False), float("nan"), float("inf"), float("-inf"),
@@ -36,8 +42,8 @@ SIZE_JUNK = (-1, 0, 1.5, True, "3", None, 10 ** 400, 10 ** 5000, -(10 ** 5000), 
 #: A huge sample count would sample forever before it fails.
 COUNT_JUNK = (-1, 0, 1.5, True, "3", None)
 
-SIZE, COUNT, INTEGER, REAL, ANGLE, KET, CONFIG, NUMBERS, OBJECT = (
-    "size", "count", "integer", "real", "angle", "ket", "config", "numbers", "object")
+SIZE, COUNT, INTEGER, REAL, ANGLE, CONFIG, NUMBERS, OBJECT = (
+    "size", "count", "integer", "real", "angle", "config", "numbers", "object")
 
 CONFIG2 = ds.PolarizerConfig.from_angles([0.2, 1.1])
 CONFIG3 = ds.PolarizerConfig.from_angles([0.1, 0.7, 1.9])
@@ -68,8 +74,6 @@ TABLE = [
     ("EmitterRegister", lambda n=1, a0=1.0: ds.EmitterRegister(n, [a0, 0.0, 0.0]),
      {"n": SIZE, "a0": REAL}),
     ("EmitterRegister.ground", lambda n=2: ds.EmitterRegister.ground(n), {"n": SIZE}),
-    ("EmitterRegister.amplitude", lambda ket="e+": ds.EmitterRegister.ground(2).amplitude(ket),
-     {"ket": KET}),
     ("PolarizerConfig", lambda polarizers=CONFIG3.polarizers: ds.PolarizerConfig(polarizers),
      {"polarizers": CONFIG}),
     ("PolarizerConfig.from_angles", lambda angles=(0.1, 0.7, 1.9): ds.PolarizerConfig.from_angles(
@@ -207,7 +211,7 @@ def test_the_largest_system_size_is_valid():
 
 def test_every_exported_error_is_raised_somewhere():
     raised = set()
-    for path in Path(ds.__file__).parent.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
@@ -220,7 +224,7 @@ def test_every_exported_error_is_raised_somewhere():
 
 def _benchmark_lib(monkeypatch):
     """The benchmark's view of the library, loaded without writing there."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    path = BENCHMARKS / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -236,16 +240,33 @@ def test_the_benchmark_view_of_the_library_builds(monkeypatch):
     assert issubclass(ds.DickesimError, Exception)
 
 
+def _named(paths):
+    """Every name that the files at ``paths`` use as an ``ast.Name`` or ``ast.Attribute``."""
+    named = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return named
+
+
 def test_every_exported_callable_has_a_caller(monkeypatch):
     # a caller names it in another module of the package, or the benchmark uses it
-    named = set()
-    for path in Path(ds.__file__).parent.glob("*.py"):
-        if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
     exported = {name for name, value in vars(ds).items()
                 if not name.startswith("_") and callable(value)}
-    assert exported - named - vars(_benchmark_lib(monkeypatch)).keys() == set()
+    assert exported - _named(MODULES) - vars(_benchmark_lib(monkeypatch)).keys() == set()
+
+
+def test_every_public_member_of_an_exported_class_has_a_caller():
+    # a method, staticmethod, classmethod or property is named in another
+    # module of the package or in the benchmark
+    named = _named(MODULES + sorted(BENCHMARKS.glob("*.py")))
+    uncalled = {f"{name}.{attr}" for name, cls in vars(ds).items()
+                if isinstance(cls, type) and not issubclass(cls, Exception)
+                for attr, member in vars(cls).items()
+                if not attr.startswith("_") and attr not in named
+                and (inspect.isfunction(member)
+                     or isinstance(member, (staticmethod, classmethod, property)))}
+    assert uncalled == set()

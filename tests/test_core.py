@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 
 import dickesim as ds
-from dickesim.core import REGISTER_SIZE_LIMIT, _ket_index
+from dickesim.core import REGISTER_SIZE_LIMIT
 from conftest import (
+    MINUS,
+    PLUS,
     enumerate_paths,
     ghz_qubit,
+    ket_amplitudes,
     ket_string,
     qubit_fidelity,
     random_config,
     random_polarizer,
+    register_amps,
     s_qubit,
 )
 
@@ -92,8 +96,7 @@ def test_linear_angle_reduced_to_half_turn():
 
 
 def test_same_orientation_examples():
-    sp = ds.Polarizer.sigma_plus()
-    assert ds.same_orientation(sp, sp)
+    assert ds.same_orientation(PLUS, PLUS)
     horizontal = ds.Polarizer.linear(0.0)
     vertical = ds.Polarizer.linear(np.pi / 2)
     assert not ds.same_orientation(horizontal, vertical)
@@ -129,18 +132,18 @@ def test_same_orientation_equivalence_relation():
 # ---------------------------------------------------------------------------
 
 def test_apply_detection_single_emitter():
-    reg = ds.apply_detection(ds.EmitterRegister.ground(1), ds.Polarizer.sigma_plus())
+    reg = ds.apply_detection(ds.EmitterRegister.ground(1), PLUS)
     np.testing.assert_allclose(reg.amps, [0.0, 1.0, 0.0])
 
 
 def test_apply_detection_two_emitters_branches_coherently():
     p = random_polarizer(np.random.default_rng(2))
-    reg = ds.apply_detection(ds.EmitterRegister.ground(2), p)
-    assert reg.amplitude("+e") == pytest.approx(p.alpha)
-    assert reg.amplitude("-e") == pytest.approx(p.beta)
-    assert reg.amplitude("e+") == pytest.approx(p.alpha)
-    assert reg.amplitude("e-") == pytest.approx(p.beta)
-    assert reg.amplitude("ee") == 0.0
+    amps = ket_amplitudes(ds.apply_detection(ds.EmitterRegister.ground(2), p))
+    assert amps["+e"] == pytest.approx(p.alpha)
+    assert amps["-e"] == pytest.approx(p.beta)
+    assert amps["e+"] == pytest.approx(p.alpha)
+    assert amps["e-"] == pytest.approx(p.beta)
+    assert amps["ee"] == 0.0
 
 
 def test_three_detections_match_path_enumeration():
@@ -149,9 +152,9 @@ def test_three_detections_match_path_enumeration():
     reg = ds.EmitterRegister.ground(3)
     for p in config:
         reg = ds.apply_detection(reg, p)
-    expected = enumerate_paths(config)
-    for ket, amp in expected.items():
-        assert reg.amplitude(ket) == pytest.approx(amp, abs=1e-12)
+    amps = ket_amplitudes(reg)
+    for ket, amp in enumerate_paths(config).items():
+        assert amps[ket] == pytest.approx(amp, abs=1e-12)
 
 
 def test_corner_ket_collects_all_orderings():
@@ -161,7 +164,7 @@ def test_corner_ket_collects_all_orderings():
     for p in config:
         reg = ds.apply_detection(reg, p)
     product = config[0].alpha * config[1].alpha * config[2].alpha
-    assert reg.amplitude("+++") == pytest.approx(6 * product)
+    assert reg.amps.reshape(3, 3, 3)[1, 1, 1] == pytest.approx(6 * product)
 
 
 def test_apply_detection_raises_when_nothing_excited():
@@ -208,13 +211,9 @@ def test_register_invariant_under_emitter_permutation():
         reg = ds.EmitterRegister.ground(n)
         for p in config:
             reg = ds.apply_detection(reg, p)
-        perm = rng.permutation(n)
-        permuted = np.empty_like(reg.amps)
-        for idx in range(3 ** n):
-            ket = ket_string(idx, n)
-            moved = "".join(ket[perm[j]] for j in range(n))
-            permuted[_ket_index(moved)] = reg.amps[idx]
-        np.testing.assert_allclose(permuted, reg.amps, atol=1e-10)
+        # permuting the emitters permutes the axes of the (3,)*n tensor
+        tensor = reg.amps.reshape((3,) * n)
+        np.testing.assert_allclose(tensor.transpose(rng.permutation(n)), tensor, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +221,19 @@ def test_register_invariant_under_emitter_permutation():
 # ---------------------------------------------------------------------------
 
 def test_project_symmetric_zero_excitation_sector():
-    amps = np.zeros(9, dtype=complex)
-    amps[_ket_index("++")] = 1.0
+    amps = register_amps(2, {"++": 1.0})
     state = ds.project_symmetric(ds.EmitterRegister(2, amps))
     np.testing.assert_allclose(state.coeffs, [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_project_symmetric_single_excitation_sector():
-    amps = np.zeros(9, dtype=complex)
-    amps[_ket_index("+-")] = 1 / np.sqrt(2)
-    amps[_ket_index("-+")] = 1 / np.sqrt(2)
+    amps = register_amps(2, {"+-": 1 / np.sqrt(2), "-+": 1 / np.sqrt(2)})
     state = ds.project_symmetric(ds.EmitterRegister(2, amps))
     np.testing.assert_allclose(state.coeffs, [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_cascade_with_one_flipped_polarizer_lands_in_one_sector():
-    config = [ds.Polarizer.sigma_plus(), ds.Polarizer.sigma_plus(),
-              ds.Polarizer.sigma_minus()]
+    config = [PLUS, PLUS, MINUS]
     reg = ds.EmitterRegister.ground(3)
     for p in config:
         reg = ds.apply_detection(reg, p)
@@ -248,18 +243,29 @@ def test_cascade_with_one_flipped_polarizer_lands_in_one_sector():
 
 
 def test_project_symmetric_rejects_residual_excitation():
-    amps = np.zeros(9, dtype=complex)
-    amps[_ket_index("+e")] = 1.0
+    amps = register_amps(2, {"+e": 1.0})
     with pytest.raises(ds.ResidualExcitationError):
         ds.project_symmetric(ds.EmitterRegister(2, amps))
 
 
 def test_project_symmetric_rejects_antisymmetric_part():
-    amps = np.zeros(9, dtype=complex)
-    amps[_ket_index("+-")] = 1 / np.sqrt(2)
-    amps[_ket_index("-+")] = -1 / np.sqrt(2)
+    amps = register_amps(2, {"+-": 1 / np.sqrt(2), "-+": -1 / np.sqrt(2)})
     with pytest.raises(ds.AsymmetricResidueError):
         ds.project_symmetric(ds.EmitterRegister(2, amps))
+
+
+def test_states_and_registers_keep_their_own_read_only_arrays():
+    coeffs = np.array([0.6, 0.8j])
+    amps = np.array([0.0, 1.0, 0.0], dtype=complex)
+    state, reg = ds.SymmetricState(1, coeffs), ds.EmitterRegister(1, amps)
+    twin = ds.SymmetricState(1, coeffs.copy())
+    coeffs[0], amps[1] = 5.0, 7.0  # a later edit of the caller's arrays
+    np.testing.assert_array_equal(state.coeffs, [0.6, 0.8j])
+    np.testing.assert_array_equal(reg.amps, [0.0, 1.0, 0.0])
+    assert ds.fidelity(state, twin) == pytest.approx(1.0)
+    for array in (state.coeffs, reg.amps):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_project_symmetric_rejects_zero_register():
@@ -379,8 +385,10 @@ _INVALID_INPUTS = {
     "chain-size-float": (lambda: ds.DetectionGeometry.linear_chain(1.5), ds.ConfigError),
     "empty-geometry": (lambda: ds.DetectionGeometry(np.zeros((0, 3)), 0.0, 1e-6,
                                                     np.zeros((0, 3)), 0.0), ds.ConfigError),
-    "ket-alphabet": (lambda: ds.EmitterRegister.ground(1).amplitude("x"), ds.InvalidKetError),
-    "ket-length": (lambda: ds.EmitterRegister.ground(2).amplitude("+e-"), ds.InvalidKetError),
+    "ket-alphabet": (lambda: ds.pyramid_edges([PLUS], [ds.PyramidLevel(0, {"x": 1.0}),
+                                                       ds.PyramidLevel(1, {})]), ds.ConfigError),
+    "ket-length": (lambda: ds.pyramid_edges([PLUS], [ds.PyramidLevel(0, {"ee": 1.0}),
+                                                     ds.PyramidLevel(1, {})]), ds.ConfigError),
 }
 
 
@@ -486,5 +494,8 @@ def test_fidelity_dimension_mismatch():
 
 def test_ket_string_roundtrip():
     for idx in range(27):
-        assert _ket_index(ket_string(idx, 3)) == idx
+        ket = ket_string(idx, 3)
+        assert np.flatnonzero(register_amps(3, {ket: 1.0})).tolist() == [idx]
+        # emitter j is digit j of the index and axis n-1-j of the (3,)*n tensor
+        assert ket == "".join("e+-"[d] for d in np.unravel_index(idx, (3,) * 3)[::-1])
     assert ket_string(0, 3) == "eee"

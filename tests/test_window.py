@@ -14,7 +14,7 @@ import dickesim as ds
 from conftest import dense_estimate_fidelity, dense_sample_output, random_config
 from dickesim import window
 from dickesim.core import REGISTER_SIZE_LIMIT
-from dickesim.window import _cascade_outputs, _sample_outputs
+from dickesim.window import _cascade_outputs, _sample_phases
 
 
 def _chain_positions(n, spacing):
@@ -31,7 +31,8 @@ def _fixed_outputs(config, positions, directions, wavelength=493e-9):
     geo = ds.DetectionGeometry(positions, 0.0, wavelength, directions, 0.0)
     components = np.array([[p.alpha, p.beta] for p in config])
     n = len(config)
-    return _sample_outputs(components, geo, np.zeros((1, 2 * n)), np.zeros((1, n)))[0]
+    return _cascade_outputs(components, _sample_phases(
+        geo, np.zeros((1, 2 * n)), np.zeros((1, n))))[0]
 
 
 def _positional_phases(direction, positions, wavelength=493e-9):
@@ -126,7 +127,7 @@ def _window_samples(draw):
 def test_sample_outputs_match_the_dense_kernel_sample_by_sample(case):
     config, geo, normals, deviates = case
     components = np.array([[p.alpha, p.beta] for p in config])
-    got = _sample_outputs(components, geo, normals, deviates)
+    got = _cascade_outputs(components, _sample_phases(geo, normals, deviates))
     for s in range(len(normals)):
         want = dense_sample_output(config, geo, normals[s], deviates[s])
         # each amplitude sums n! products of unit-bounded terms
