@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from .core import Polarizer, SymmetricState, _real, _system_size, fidelity
 from .entanglement import classify_from_config, entanglement_report
 from .errors import ConfigError, DickesimError, DimensionMismatchError, TooLargeError
 from .synthesis import synthesize
-from .window import DetectionGeometry, estimate_fidelity
+from .window import (_CHAIN_SIGMA, _CHAIN_SPACING, _CHAIN_WINDOW, DEFAULT_WAVELENGTH,
+                     DetectionGeometry, _chain_arrays, estimate_fidelity)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,7 +102,11 @@ def _parse_target(cfg: dict, n: int) -> SymmetricState:
 
 
 def _parse_geometry(cfg: dict, n: int, degrees: bool) -> DetectionGeometry:
-    """``DetectionGeometry.linear_chain`` with the given keys replacing its defaults."""
+    """``DetectionGeometry.linear_chain`` with the given keys replacing its defaults.
+
+    The chain's arrays stand in for any the config leaves out, and the
+    geometry is built once.
+    """
     geo = cfg.get("geometry")
     if not isinstance(geo, dict):
         raise ConfigError("'geometry' section is required for this command")
@@ -111,15 +116,14 @@ def _parse_geometry(cfg: dict, n: int, degrees: bool) -> DetectionGeometry:
     if unknown:
         raise ConfigError(f"unknown geometry keys: {sorted(unknown)}")
 
-    scalars = {key: geo[key]
-               for key in ("spacing", "transverse_sigma", "wavelength") if key in geo}
-    if "window_halfangle" in geo:
-        scalars["window_halfangle"] = _angle(geo["window_halfangle"],
-                                             "window_halfangle", degrees)
-    arrays = {key: geo[key]
-              for key in ("emitter_positions", "detector_directions") if key in geo}
+    window = (_angle(geo["window_halfangle"], "window_halfangle", degrees)
+              if "window_halfangle" in geo else _CHAIN_WINDOW)
+    positions, directions = _chain_arrays(n, geo.get("spacing", _CHAIN_SPACING))
     # the geometry itself checks that both arrays are (m, 3)
-    geometry = replace(DetectionGeometry.linear_chain(n, **scalars), **arrays)
+    geometry = DetectionGeometry(
+        geo.get("emitter_positions", positions), geo.get("transverse_sigma", _CHAIN_SIGMA),
+        geo.get("wavelength", DEFAULT_WAVELENGTH), geo.get("detector_directions", directions),
+        window)
     if geometry.n != n:
         raise ConfigError(f"geometry arrays must be {n} [x,y,z] triples")
     return geometry
@@ -153,19 +157,33 @@ def _write_record(fields: dict, cfg: dict, args) -> None:
     record = {"tool": "dickesim", "version": __version__, "command": args.command,
               **_round15(fields),
               "input": {"config": cfg, "flags": {"degrees": bool(args.degrees), **given}}}
-    _write(json.dumps(record, indent=2) + "\n", args)
+    _write([json.dumps(record, indent=2) + "\n"], args)
 
 
-def _write(text: str, args) -> None:
-    """``text`` to ``--out``, else stdout; an unwritable ``--out`` is ``ConfigError``."""
-    if args.out is None:
-        sys.stdout.write(text)
-        return
+def _write(pieces: Iterable[str], args) -> None:
+    """Each of ``pieces`` to ``--out``, else stdout, as soon as it is made.
+
+    ``--out`` is opened at the first piece, so a run that fails before it
+    leaves no output and one that fails later leaves the pieces made so
+    far.  An unwritable ``--out`` is ``ConfigError``.
+    """
+    fh = None
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+        for piece in pieces:
+            if args.out is None:
+                sys.stdout.write(piece)
+                sys.stdout.flush()
+                continue
+            try:
+                if fh is None:
+                    fh = open(args.out, "w", encoding="utf-8")
+                fh.write(piece)
+                fh.flush()
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 def _report_dict(report) -> dict:
@@ -241,7 +259,7 @@ def _cmd_pyramid(cfg: dict, n: int, args) -> int:
         csv_lines.append(f"{level},{parent},{child},{amp.real:.15g},{amp.imag:.15g}")
     edges_csv = "\n".join(csv_lines)
     if args.out is None:
-        _write(text + "\n\n" + edges_csv + "\n", args)
+        _write([text + "\n\n" + edges_csv + "\n"], args)
     else:
         _write_record({"system_size": n, "pyramid_text": text,
                        "pyramid_edges_csv": edges_csv}, cfg, args)
@@ -282,14 +300,17 @@ def _cmd_fidelity(cfg: dict, n: int, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
 
     if args.sweep is not None:
-        lines = ["window_halfangle,mean_fidelity,standard_error,sample_count,excluded_count"]
-        for window in _parse_sweep(args.sweep, args.degrees):
-            est = estimate_fidelity(config,
-                                    replace(geometry, window_halfangle=float(window)),
-                                    target=target, samples=samples, seed=seed)
-            lines.append(f"{window:.15g},{est.mean_fidelity:.15g},{est.standard_error:.15g},"
-                         f"{est.sample_count},{est.excluded_count}")
-        _write("\n".join(lines) + "\n", args)
+        # one CSV row per point as it finishes, the header with the first
+        def rows():
+            header = "window_halfangle,mean_fidelity,standard_error,sample_count,excluded_count\n"
+            for k, window in enumerate(_parse_sweep(args.sweep, args.degrees)):
+                est = estimate_fidelity(config,
+                                        replace(geometry, window_halfangle=float(window)),
+                                        target=target, samples=samples, seed=seed)
+                yield ("" if k else header) + (
+                    f"{window:.15g},{est.mean_fidelity:.15g},{est.standard_error:.15g},"
+                    f"{est.sample_count},{est.excluded_count}\n")
+        _write(rows(), args)
         return EXIT_OK
 
     est = estimate_fidelity(config, geometry, target=target, samples=samples, seed=seed)

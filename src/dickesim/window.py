@@ -31,24 +31,28 @@ emitter's photon, never the dense ``3**n`` register.  The sum meets in the
 middle.  Emitters ``0..h-1`` and ``h..n-1`` (``h = n // 2``) each run a half
 cascade in emitter order: once ``m`` of a half's emitters are placed, only
 ``C(n, m) 2**m`` partial sums remain, one per set of detectors used and
-labels of those emitters (layout in ``_level_tables``).  A step is a few
-elementwise multiply-adds over all samples of a chunk at once.  One matrix
-product per sample then joins the halves, pairing each detector set of the
-low half with its complement in the high half, and lands in qubit order.
+labels of those emitters (layout in ``_level_tables``).  A step is one
+contraction (``np.einsum``) per block of labels, over all samples of a chunk
+at once, written straight into the level being built, so no product of a
+single term is ever stored.  One matrix product per sample then joins the
+halves, pairing each detector set of the low half with its complement in
+the high half, and lands in qubit order.
 The phases ``k r_j . nhat_i`` of a chunk are built first as one
 ``(count, n, n)`` array (``_sample_phases``) from a table that the geometry
 builds once (``DetectionGeometry.phase_table``), and the cascade reads only
 those phases and the polarizers (``_cascade_outputs``).  Samples are propagated
 together in chunks of at most ``_CHUNK_ENTRIES`` = 8192 entries (samples
-times the widest half level, about 100-170 B of peak memory each, so
-roughly 0.8-1.4 MB a chunk), and their fidelities are pooled into a running
+times the widest half level, about 44-97 B of peak memory each, so
+roughly 0.36-0.8 MB a chunk).  A chunk's fidelities come from one product
+with the target's bra and the squared norms, and are pooled into a running
 mean and variance, so memory does not grow with the sample count.
 Two seeded streams, drawn one block per chunk and read in sample order, give
 the transverse normals and the window deviates, so a seeded estimate does not
 depend on the chunking and agrees to round-off with applying the dense
 detection kernel one sample at a time.  What does not depend on the samples
-(the geometry's table, the seeded streams, the target's bra) is built once
-per call or per geometry, outside the chunk loop.
+(the geometry's table, the seeded streams, the target's bra, which for the
+default target comes straight from the closed form's polynomial) is built
+once per call or per geometry, outside the chunk loop.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .cascade import _as_config, dicke_coefficients
-from .core import SymmetricState, _check_register_size, _integer, _numbers, _real, _system_size
+from .cascade import _as_config, _product_polynomial
+from .core import (SymmetricState, _bit_counts, _check_register_size, _integer, _numbers,
+                   _real, _sqrt_binomials, _system_size, _unit_vector)
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -69,15 +74,20 @@ from .errors import (
 )
 
 DEFAULT_WAVELENGTH = 493e-9
+#: The other defaults of :meth:`DetectionGeometry.linear_chain`, which the CLI
+#: also fills in around the arrays a config gives.
+_CHAIN_SPACING = 5e-6
+_CHAIN_SIGMA = 5e-9
+_CHAIN_WINDOW = np.deg2rad(0.5)
 
 #: Register norm below which a sample counts as annihilated by cancellation.
 ANNIHILATION_TOL = 1e-12
 
 #: Samples times widest half level propagated together, whatever the sample
-#: count.  A full chunk's tracemalloc peak is 98-169 B per such entry at
-#: every n = 1..10 (highest at n <= 4, where the phases and weights of many
-#: samples dominate; the two half levels, their row gathers and the join
-#: otherwise), so 0.8-1.4 MB here.  A chunk holds 7 samples at n = 8 and 2
+#: count.  A full chunk's tracemalloc peak is 44-97 B per such entry at
+#: every n = 1..10 (highest at n = 2..4, where the weights and the join of
+#: many samples dominate; the half levels and one block of gathered rows
+#: otherwise), so 0.36-0.8 MB here.  A chunk holds 7 samples at n = 8 and 2
 #: at n = 9; from n = 10 on it is a single sample and memory no longer
 #: depends on this budget.
 _CHUNK_ENTRIES = 8192
@@ -127,6 +137,12 @@ class DetectionGeometry:
         wavelength = _real(self.wavelength, "wavelength")
         window = _real(self.window_halfangle, "window_halfangle")
         sigma = _real(self.transverse_sigma, "transverse_sigma")
+        if wavelength <= 0:
+            raise ConfigError("wavelength must be positive")
+        if window < 0:
+            raise ConfigError("window_halfangle must be >= 0")
+        if sigma < 0:
+            raise ConfigError("transverse_sigma must be >= 0")
         pos = _numbers(self.emitter_positions, float, "geometry values")
         dirs = _numbers(self.detector_directions, float, "geometry values")
         if pos.ndim != 2 or pos.shape[1] != 3 or len(pos) < 1:
@@ -134,12 +150,6 @@ class DetectionGeometry:
         if dirs.shape != pos.shape:
             raise ConfigError(
                 f"detector_directions {dirs.shape} must match emitter_positions {pos.shape}")
-        if wavelength <= 0:
-            raise ConfigError("wavelength must be positive")
-        if window < 0:
-            raise ConfigError("window_halfangle must be >= 0")
-        if sigma < 0:
-            raise ConfigError("transverse_sigma must be >= 0")
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(norms == 0):
             raise ConfigError("detector directions must be nonzero")
@@ -170,10 +180,10 @@ class DetectionGeometry:
         return 2.0 * np.pi / self.wavelength
 
     @classmethod
-    def linear_chain(cls, n: int, spacing: float = 5e-6,
-                     transverse_sigma: float = 5e-9,
+    def linear_chain(cls, n: int, spacing: float = _CHAIN_SPACING,
+                     transverse_sigma: float = _CHAIN_SIGMA,
                      wavelength: float = DEFAULT_WAVELENGTH,
-                     window_halfangle: float = np.deg2rad(0.5),
+                     window_halfangle: float = _CHAIN_WINDOW,
                      ) -> "DetectionGeometry":
         """Equally spaced emitters on the x axis, detectors on a transverse ring.
 
@@ -184,11 +194,7 @@ class DetectionGeometry:
         An ``n`` that is not an integer >= 1 is ``ConfigError``.
         """
         _system_size(n)
-        spacing = _real(spacing, "spacing")
-        xs = (np.arange(n) - (n - 1) / 2.0) * spacing
-        positions = np.column_stack([xs, np.zeros(n), np.zeros(n)])
-        ring = 2.0 * np.pi * np.arange(n) / n
-        directions = np.column_stack([np.zeros(n), np.cos(ring), np.sin(ring)])
+        positions, directions = _chain_arrays(n, spacing)
         return cls(positions, transverse_sigma, wavelength, directions,
                    window_halfangle)
 
@@ -204,6 +210,16 @@ class FidelityEstimate:
     standard_error: float
     sample_count: int
     excluded_count: int = 0
+
+
+def _chain_arrays(n: int, spacing) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and detector directions of :meth:`DetectionGeometry.linear_chain`."""
+    spacing = _real(spacing, "spacing")
+    xs = (np.arange(n) - (n - 1) / 2.0) * spacing
+    positions = np.column_stack([xs, np.zeros(n), np.zeros(n)])
+    ring = 2.0 * np.pi * np.arange(n) / n
+    directions = np.column_stack([np.zeros(n), np.cos(ring), np.sin(ring)])
+    return positions, directions
 
 
 def _transverse_basis(positions: np.ndarray) -> np.ndarray:
@@ -268,12 +284,17 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
             f"geometry has {geometry.n} emitters, configuration has {n}")
     _integer(samples, "samples", 1)
     _integer(seed, "seed", 0)
+    roots = _sqrt_binomials(n)
     if target is None:
-        target = dicke_coefficients(config)
-    if target.n != n:
+        # dicke_coefficients(config).to_qubit_amplitudes(), without checking
+        # the state it would build
+        coeffs = _unit_vector(_product_polynomial(config) / roots)
+    elif target.n != n:
         raise DimensionMismatchError(
             f"target has {target.n} qubits, configuration has {n}")
-    bra = target.to_qubit_amplitudes().conj()
+    else:
+        coeffs = target.coeffs
+    bra = (coeffs / roots)[_bit_counts(n)].conj()
 
     # the children of SeedSequence(seed).spawn(2), without building the parent
     normal_rng, window_rng = (
@@ -290,16 +311,17 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
         psi = _cascade_outputs(components, _sample_phases(
             geometry, normal_rng.standard_normal((count, 2 * n)),
             window_rng.uniform(-1.0, 1.0, (count, n))))
-        nrm = np.linalg.norm(psi, axis=1)
-        alive = nrm >= ANNIHILATION_TOL
+        flat = psi.view(float)
+        norms = np.einsum("sx,sx->s", flat, flat)  # squared
+        alive = norms >= ANNIHILATION_TOL ** 2
         if not alive.all():
-            psi, nrm = psi[alive], nrm[alive]
-        overlap = (psi * bra).sum(axis=1) / nrm
-        if overlap.size == 0:
-            continue
-        values = np.abs(overlap) ** 2
+            psi, norms = psi[alive], norms[alive]
+            if len(psi) == 0:
+                continue
+        overlap = psi @ bra
+        values = (overlap.real ** 2 + overlap.imag ** 2) / norms
         count = kept + values.size
-        chunk_mean = float(values.mean())
+        chunk_mean = float(values.sum()) / values.size
         delta = chunk_mean - mean
         mean += delta * values.size / count
         m2 += (float(((values - chunk_mean) ** 2).sum())
@@ -357,21 +379,31 @@ def _sample_phases(geometry: DetectionGeometry, normals: np.ndarray,
     ``k r_j . nhat_i``: emitter ``j``'s displaced position along detector
     ``i``'s direction, rotated about z by the deviate times the halfangle.
     Only the rotation and the displacement depend on the sample; the rest
-    is ``geometry.phase_table``, built once with the geometry.  The result
+    is ``geometry.phase_table``, built once with the geometry.  The rotation
+    enters as one batched product of the table with ``(cos, sin, 1)`` of
+    each detector's angle, the displacement as two multiply-adds.  The result
     is a view of an ``(n, n, count)`` array, samples last, which is the
     layout :func:`_cascade_outputs` works in.
     """
     n = geometry.n
-    table = geometry.phase_table[..., None]  # (3, n + 2, n, 1)
-    delta = deviates.T * geometry.window_halfangle
-    # along[e, i, s]: k times point e along sample s's rotated direction i
-    along = np.cos(delta) * table[0] + np.sin(delta) * table[1] + table[2]
+    # trig[i, :, s]: cos and sin of sample s's rotation of detector i, and 1
+    trig = np.empty((n, 3, len(deviates)))
+    delta = np.multiply(deviates.T, geometry.window_halfangle, out=trig[:, 2])
+    np.cos(delta, out=trig[:, 0])
+    np.sin(delta, out=trig[:, 1])
+    trig[:, 2] = 1.0
+    # along[e, i, s]: k times point e along sample s's rotated direction i,
+    # the table's three parts weighted by trig[i] in one product per detector
+    along = (geometry.phase_table.T @ trig).transpose(1, 0, 2)
+    del trig, delta
     jitter = np.ascontiguousarray(normals.T)[:, None, :]
-    phases = along[:n] + jitter[:n] * along[n] + jitter[n:] * along[n + 1]
+    phases = jitter[:n] * along[n]
+    phases += along[:n]
+    phases += jitter[n:] * along[n + 1]
     return phases.transpose(2, 0, 1)
 
 
-def _half_cascade(weights: np.ndarray) -> np.ndarray:
+def _half_cascade(weights: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Level ``m`` of the cascade of the ``m`` emitters in ``weights``.
 
     ``weights[j, b, i, s]`` is detector ``i``'s term for the half's emitter
@@ -379,21 +411,41 @@ def _half_cascade(weights: np.ndarray) -> np.ndarray:
     itself, already in the level layout (see :func:`_level_tables`), and is
     returned as that view for a one-emitter half.  Each further step hands
     the next emitter's photon to each detector not yet used, and its label
-    becomes the new top bit of the first index.  A step is ``m + 1``
-    elementwise multiply-adds over whole levels.  With no emitters the
-    result is level 0: the empty set, with weight 1.
+    becomes the new top bit of the first index.  A step is one contraction
+    per block of labels of the level it reads: the block's source rows are
+    gathered for every position ``p`` at once, and ``np.einsum`` sums their
+    products with the new emitter's terms over ``p`` straight into the level
+    being built, so no product of a single term is ever stored.  A block
+    holds at most ``2 * 2**m // (m + 1)`` labels, so its gathered rows are
+    never larger than the level being built, and the contraction's inner
+    loop still runs over all rows and samples.  With ``reverse`` the last
+    level lists its rows in reverse order.  With no emitters the result is
+    level 0: the empty set, with weight 1.
     """
     count = weights.shape[-1]
     if len(weights) == 0:
         return np.ones((1, 1, count), dtype=complex)
     level = weights[0]
-    for w, (src, detector) in zip(weights[1:], _level_tables(weights.shape[2])):
-        # terms[b, 0, p, row, s]: w's term for the row's p-th smallest detector
-        terms = np.take(w, detector, axis=1)[:, None]
-        step = terms[:, :, 0] * np.take(level, src[0], axis=1)
-        for p in range(1, len(src)):
-            step += terms[:, :, p] * np.take(level, src[p], axis=1)
-        level = step.reshape(-1, src.shape[1], count)
+    steps = list(zip(weights[1:], _level_tables(weights.shape[2])))
+    if reverse:
+        if not steps:
+            return level[:, ::-1]
+        w, (src, detector) = steps[-1]
+        steps[-1] = w, (src[:, ::-1], detector[:, ::-1])
+    for w, (src, detector) in steps:
+        width, rows = src.shape
+        labels = len(level)
+        # terms[b, p, r * count + s]: w's term for row r's p-th smallest detector
+        terms = w.take(detector, axis=1).reshape(2, width, rows * count)
+        step = np.empty((2, labels, rows * count), dtype=complex)
+        block = max(1, 2 * labels // width)
+        for first in range(0, labels, block):
+            gathered = level[first:first + block].take(src, axis=1).reshape(
+                -1, width, rows * count)
+            np.einsum("bpr,lpr->blr", terms, gathered, out=step[:, first:first + block])
+            del gathered  # before the next block's is allocated
+        del terms
+        level = step.reshape(-1, rows, count)
     return level
 
 
@@ -408,8 +460,9 @@ def _cascade_outputs(components: np.ndarray, phases: np.ndarray) -> np.ndarray:
     cascades over all ``n`` detectors.  The halves are joined by one matrix
     product per sample: each set of ``h`` detectors the low half used meets
     the high half's row of the other ``n - h``.  ``combinations`` lists the
-    complements of the ``h``-sets in reverse order, so that row is the same
-    row counted from the end.  The join sums the same ``n!`` products per
+    complements of the ``h``-sets in reverse order, so the high half builds
+    its last level with its rows reversed, and row ``r`` of each half meets
+    row ``r`` of the other.  The join sums the same ``n!`` products per
     amplitude as a single cascade, in another order, and subtracts nothing.
     """
     count, n, _ = phases.shape
@@ -421,8 +474,12 @@ def _cascade_outputs(components: np.ndarray, phases: np.ndarray) -> np.ndarray:
     np.cos(phases, out=unit.real)
     np.sin(phases, out=unit.imag)
     weights = unit[:, None] * components.T[:, :, None]
-    low, high = _half_cascade(weights[:h]), _half_cascade(weights[h:])
+    del unit
+    # the larger half first, so that the smaller one's working set, not the
+    # larger one's, sits on top of a finished level
+    high = _half_cascade(weights[h:], reverse=True)
+    low = _half_cascade(weights[:h])
     # (count, 2**(n - h), C(n, h)) @ (count, C(n, h), 2**h): the high half's
     # labels are the top bits
-    joined = high[:, ::-1].transpose(2, 0, 1) @ low.transpose(2, 1, 0)
+    joined = high.transpose(2, 0, 1) @ low.transpose(2, 1, 0)
     return joined.reshape(count, -1)

@@ -5,7 +5,8 @@ import pytest
 
 import dickesim as ds
 from conftest import ket_amplitudes, random_config, reference_pyramid
-from dickesim.cli import _parse_sweep, main
+from dickesim import cli, window
+from dickesim.cli import _parse_sweep, _round15, main
 
 
 def _write(tmp_path, name, payload):
@@ -355,6 +356,105 @@ def test_fidelity_sweep_is_monotone_with_paired_seeds(tmp_path, capsys):
     means = [float(r[1]) for r in rows]
     np.testing.assert_allclose(windows, np.deg2rad([0.0, 0.5, 1.0]), atol=1e-12)
     assert means[0] >= means[1] >= means[2]
+
+
+def _failing_after(monkeypatch, finished, seen=None, error=ds.ZeroStateError):
+    """Patch the CLI's estimate so that the point after ``finished`` raises ``error``.
+
+    Before each point, ``seen`` (a callable) records what has been written so far.
+    """
+    calls = []
+    estimate = ds.estimate_fidelity
+
+    def patched(*args, **kwargs):
+        if seen is not None:
+            seen()
+        calls.append(None)
+        if len(calls) > finished:
+            raise error("patched failure")
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_fidelity", patched)
+
+
+def test_sweep_writes_each_row_as_its_point_finishes(tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, "f.json", _fidelity_config(sigma=5e-9, samples=20))
+    code, want = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "0:0.02:4"])
+    assert code == 0
+    out = tmp_path / "sweep.csv"
+    written = []
+    _failing_after(monkeypatch, 4, lambda: written.append(
+        out.read_text() if out.exists() else None))
+    code, printed = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "0:0.02:4",
+                                  "--out", str(out)])
+    assert code == 0 and printed == ""
+    lines = want.splitlines(keepends=True)
+    # nothing before the first point, then the header with the first row
+    assert written == [None] + ["".join(lines[:k + 1]) for k in range(1, 4)]
+    assert out.read_text() == want
+    printed = []
+    _failing_after(monkeypatch, 4, lambda: printed.append(capsys.readouterr().out))
+    code, rest = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "0:0.02:4"])
+    assert code == 0
+    assert printed == ["", lines[0] + lines[1], lines[2], lines[3]]
+    assert "".join(printed) + rest == want
+
+
+@pytest.mark.parametrize("finished", [0, 2])
+@pytest.mark.parametrize("error, exit_code", [(ds.ZeroStateError, 3), (ds.ConfigError, 2)],
+                         ids=["compute", "config"])
+def test_a_sweep_that_fails_keeps_the_rows_it_finished(tmp_path, capsys, monkeypatch,
+                                                       finished, error, exit_code):
+    cfg = _write(tmp_path, "f.json", _fidelity_config(sigma=5e-9, samples=20))
+    code, want = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "0:0.02:4"])
+    assert code == 0
+    kept = "".join(want.splitlines(keepends=True)[:finished + 1]) if finished else ""
+    _failing_after(monkeypatch, finished, error=error)
+    code, printed = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "0:0.02:4"])
+    assert (code, printed) == (exit_code, kept)
+    # the same rows in an --out file, which is not created before the first row
+    _failing_after(monkeypatch, finished, error=error)
+    out = tmp_path / "sweep.csv"
+    code, printed = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "0:0.02:4",
+                                  "--out", str(out)])
+    assert (code, printed) == (exit_code, "")
+    assert (out.read_text() if out.exists() else None) == (kept or None)
+
+
+def test_an_unwritable_sweep_out_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "f.json", _fidelity_config(samples=5))
+    code, printed = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "0:1:3",
+                                  "--out", str(tmp_path)])
+    assert (code, printed) == (2, "")
+
+
+@pytest.mark.parametrize("arrays", [(), ("emitter_positions",), ("detector_directions",),
+                                    ("emitter_positions", "detector_directions")],
+                         ids=["none", "positions", "directions", "both"])
+def test_the_geometry_is_built_once(tmp_path, capsys, monkeypatch, arrays):
+    payload = _fidelity_config(np.deg2rad(0.5), 5e-9, samples=5)
+    chain = ds.DetectionGeometry.linear_chain(4)
+    for key in arrays:
+        payload["geometry"][key] = getattr(chain, key).tolist()
+    bases = []
+    basis = window._transverse_basis
+    monkeypatch.setattr(window, "_transverse_basis",
+                        lambda positions: bases.append(None) or basis(positions))
+    record = _run_record(capsys, ["fidelity", "--config", _write(tmp_path, "f.json", payload)])
+    assert len(bases) == 1
+    assert record["parameters"]["detector_directions"] == _round15(
+        chain.detector_directions.tolist())
+
+
+def test_chain_scalars_are_checked_before_the_arrays(tmp_path, capsys):
+    # as when the chain was built first and its arrays replaced afterwards
+    payload = _fidelity_config()
+    payload["geometry"].update(wavelength=-1.0, emitter_positions=[["x", 0, 0]] * 4)
+    code, _ = _run(capsys, ["fidelity", "--config", _write(tmp_path, "f.json", payload)])
+    assert code == 2
+    assert capsys.readouterr().err == ""  # _run already took it
+    main(["fidelity", "--config", _write(tmp_path, "f.json", payload)])
+    assert "wavelength must be positive" in capsys.readouterr().err
 
 
 def test_empty_geometry_is_the_default_linear_chain(tmp_path, capsys):

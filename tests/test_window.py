@@ -134,6 +134,36 @@ def test_sample_outputs_match_the_dense_kernel_sample_by_sample(case):
         np.testing.assert_allclose(got[s], want, rtol=0, atol=1e-13 * factorial(len(config)))
 
 
+@pytest.mark.parametrize("n", range(7, 11))
+def test_blocked_steps_match_the_dense_kernel_at_larger_n(monkeypatch, n):
+    # past the Hypothesis test's sizes, with steps whose labels split into blocks
+    rng = np.random.default_rng(80 + n)
+    config = random_config(rng, n)
+    positions = rng.uniform(-2e-6, 2e-6, (n, 3))
+    directions = rng.normal(size=(n, 3))
+    directions[:, 0] = rng.choice([-1.0, 1.0], n) * rng.uniform(0.2, 1.0, n)  # v_x != 0
+    geo = ds.DetectionGeometry(positions, 30e-9, 493e-9, directions, 0.2)
+    count = 2
+    normals = rng.normal(size=(count, 2 * n))
+    deviates = rng.uniform(-1.0, 1.0, (count, n))
+    components = np.array([[p.alpha, p.beta] for p in config])
+    contractions = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        contractions.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    got = _cascade_outputs(components, _sample_phases(geo, normals, deviates))
+    monkeypatch.undo()
+    steps = (n // 2 - 1) + (n - n // 2 - 1)
+    assert len(contractions) > steps  # some step took two or more blocks
+    for s in range(count):
+        want = dense_sample_output(config, geo, normals[s], deviates[s])
+        np.testing.assert_allclose(got[s], want, rtol=0, atol=1e-13 * factorial(n))
+
+
 def test_half_wavelength_flips_the_sign_of_the_displaced_emitters_terms():
     wavelength = 493e-9
     config = random_config(np.random.default_rng(53), 3)
@@ -328,6 +358,18 @@ def test_seeded_estimates_keep_their_recorded_values(state, n, samples, seed, me
     assert est.mean_fidelity == pytest.approx(float.fromhex(mean), abs=1e-12)
     assert est.standard_error == pytest.approx(float.fromhex(stderr), abs=1e-12)
     assert (est.sample_count, est.excluded_count) == (samples, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_the_default_target_is_the_ideal_output_bit_for_bit(n):
+    # the default bra is built from the closed form without a SymmetricState
+    config = random_config(np.random.default_rng(90 + n), n)
+    geo = ds.DetectionGeometry.linear_chain(n, transverse_sigma=20e-9,
+                                            window_halfangle=np.deg2rad(2.0))
+    implicit = ds.estimate_fidelity(config, geo, samples=30, seed=12)
+    explicit = ds.estimate_fidelity(config, geo, target=ds.dicke_coefficients(config),
+                                    samples=30, seed=12)
+    assert implicit == explicit
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 40, 2 ** 63, 2 ** 200,
