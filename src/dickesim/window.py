@@ -50,9 +50,11 @@ Two seeded streams, drawn one block per chunk and read in sample order, give
 the transverse normals and the window deviates, so a seeded estimate does not
 depend on the chunking and agrees to round-off with applying the dense
 detection kernel one sample at a time.  What does not depend on the samples
-(the geometry's table, the seeded streams, the target's bra, which for the
-default target comes straight from the closed form's polynomial) is built
-once per call or per geometry, outside the chunk loop.
+is built outside the chunk loop: the phase table once per geometry; the
+polarizer components and the default target's bra, which comes straight from
+the closed form's polynomial, once per configuration (``_config_arrays``
+keeps the last 16); the widest half level once per ``n``; the seeded streams
+and an explicit target's bra once per call.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .cascade import _as_config, _product_polynomial
+from .cascade import PolarizerConfig, _as_config, _product_polynomial
 from .core import (SymmetricState, _bit_counts, _check_register_size, _integer, _numbers,
                    _real, _sqrt_binomials, _system_size, _unit_vector)
 from .errors import (
@@ -122,7 +124,8 @@ class DetectionGeometry:
     sine of its angle.  The positions and directions are copies, and those
     four arrays are read-only, so a later edit of the caller's arrays cannot
     change the geometry, and ``dataclasses.replace`` builds them anew.
-    Invalid values raise ``ConfigError``.
+    Invalid values raise ``ConfigError``, and so do positions too large to
+    average and a phase table that overflows the float range.
     """
 
     emitter_positions: np.ndarray
@@ -165,7 +168,11 @@ class DetectionGeometry:
         parts = np.array([[vx, vy, zero], [-vy, vx, zero], [zero, zero, vz]])
         # the mean emitter positions, then the two jitter axes scaled by sigma
         points = np.vstack([pos, sigma * basis])
-        table = self.wavenumber * (points @ parts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = self.wavenumber * (points @ parts)
+        if not np.isfinite(table).all():
+            raise ConfigError("the geometry's phases overflow: its lengths are too "
+                              "large against its wavelength")
         for name, value in (("emitter_positions", pos), ("detector_directions", dirs),
                             ("transverse_basis", basis), ("phase_table", table)):
             value.setflags(write=False)
@@ -224,7 +231,10 @@ def _chain_arrays(n: int, spacing) -> tuple[np.ndarray, np.ndarray]:
 
 def _transverse_basis(positions: np.ndarray) -> np.ndarray:
     """Two unit vectors spanning the plane orthogonal to the emitter line."""
-    centered = positions - positions.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = positions - positions.mean(axis=0)
+    if not np.isfinite(centered).all():  # LAPACK's SVD can hang on an infinite entry
+        raise ConfigError("emitter positions are too far apart to average")
     if np.allclose(centered, 0.0):
         axis = np.array([1.0, 0.0, 0.0])
     else:
@@ -254,8 +264,11 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     used here.
 
     ``target`` defaults to the ideal (zero window, zero jitter) output of
-    ``config``.  Samples whose register norm falls below ``ANNIHILATION_TOL``
-    are excluded as annihilated and counted separately.
+    ``config``.  That target's bra and the polarizer components are built
+    once per configuration and kept read-only for later calls with an equal
+    one, so repeated calls (a sweep, a rerun) pay only for the samples.
+    Samples whose register norm falls below ``ANNIHILATION_TOL`` are
+    excluded as annihilated and counted separately.
 
     Raises
     ------
@@ -264,7 +277,8 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     ConfigError
         If ``geometry`` is not a :class:`DetectionGeometry`, ``target`` not
         a :class:`SymmetricState` or ``None``, ``samples`` not a positive
-        integer or ``seed`` not a non-negative one.
+        integer or ``seed`` not a non-negative one; or if a sample's phases
+        overflow the float range, which leaves its amplitudes NaN.
     DimensionMismatchError
         If configuration, geometry, and target sizes disagree.
     ZeroStateError
@@ -284,24 +298,17 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
             f"geometry has {geometry.n} emitters, configuration has {n}")
     _integer(samples, "samples", 1)
     _integer(seed, "seed", 0)
-    roots = _sqrt_binomials(n)
-    if target is None:
-        # dicke_coefficients(config).to_qubit_amplitudes(), without checking
-        # the state it would build
-        coeffs = _unit_vector(_product_polynomial(config) / roots)
-    elif target.n != n:
-        raise DimensionMismatchError(
-            f"target has {target.n} qubits, configuration has {n}")
-    else:
-        coeffs = target.coeffs
-    bra = (coeffs / roots)[_bit_counts(n)].conj()
+    components, bra = _config_arrays(config)
+    if target is not None:
+        if target.n != n:
+            raise DimensionMismatchError(
+                f"target has {target.n} qubits, configuration has {n}")
+        bra = (target.coeffs / _sqrt_binomials(n))[_bit_counts(n)].conj()
 
     # the children of SeedSequence(seed).spawn(2), without building the parent
     normal_rng, window_rng = (
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(2))
-    widest = max(comb(n, m) << m for m in range(n - n // 2 + 1))
-    chunk = max(1, _CHUNK_ENTRIES // widest)
-    components = np.array([[p.alpha, p.beta] for p in config])
+    chunk = max(1, _CHUNK_ENTRIES // _widest_level(n))
     # running count, mean and sum of squared deviations, merged chunk by
     # chunk (Chan et al.); unlike a running sum of squares this does not
     # cancel when every fidelity is (nearly) the same
@@ -315,6 +322,9 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
         norms = np.einsum("sx,sx->s", flat, flat)  # squared
         alive = norms >= ANNIHILATION_TOL ** 2
         if not alive.all():
+            if np.isnan(norms).any():  # a phase overflowed to inf, and cos(inf) is NaN
+                raise ConfigError("the sample phases overflow: the geometry's lengths "
+                                  "are too large against its wavelength")
             psi, norms = psi[alive], norms[alive]
             if len(psi) == 0:
                 continue
@@ -332,6 +342,31 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
         raise ZeroStateError("every sample was annihilated")
     stderr = sqrt(m2 / (kept - 1)) / sqrt(kept) if kept > 1 else 0.0
     return FidelityEstimate(mean, stderr, kept, samples - kept)
+
+
+# 16 configurations: a sweep reuses one and a batch of mixed runs a few; an
+# entry holds 2n + 2**n complexes, 4.4 KB at n = 8 and 64 KB at n = 12
+@lru_cache(maxsize=16)
+def _config_arrays(config: PolarizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The polarizer components ``(n, 2)`` and the default target's bra, read-only.
+
+    The bra is ``dicke_coefficients(config).to_qubit_amplitudes().conj()``
+    without checking the state it would build.  Equal configurations share
+    an entry, even where a component differs only in the sign of a zero.
+    """
+    n = len(config)
+    roots = _sqrt_binomials(n)
+    bra = (_unit_vector(_product_polynomial(config) / roots) / roots)[_bit_counts(n)].conj()
+    components = np.array([[p.alpha, p.beta] for p in config])
+    for a in (components, bra):
+        a.setflags(write=False)
+    return components, bra
+
+
+@lru_cache(maxsize=None)
+def _widest_level(n: int) -> int:
+    """Entries per sample of the widest half level, ``C(n, m) 2**m`` at its largest."""
+    return max(comb(n, m) << m for m in range(n - n // 2 + 1))
 
 
 @lru_cache(maxsize=None)

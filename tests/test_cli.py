@@ -660,6 +660,19 @@ def test_out_of_range_or_boolean_geometry_is_a_config_error(tmp_path, capsys, pa
     assert out == ""
 
 
+@pytest.mark.parametrize("sigma", [1e301, 2e301], ids=["sample-phases", "phase-table"])
+def test_overflowing_phases_are_a_config_error(tmp_path, capsys, sigma):
+    # once a record with most samples excluded as annihilated (1e301), or exit 3
+    payload = _fidelity_config(np.deg2rad(0.5), sigma, samples=200)
+    cfg = _write(tmp_path, "f.json", payload)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["fidelity", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "config error" in captured.err and "overflow" in captured.err
+
+
 @pytest.mark.parametrize("pair", [[10 ** 400, 0], [True, 0], [0, float("nan")]],
                          ids=["huge-int", "bool", "nan"])
 def test_out_of_range_boolean_or_non_finite_alpha_is_a_config_error(tmp_path, capsys, pair):

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -372,6 +372,126 @@ def test_the_default_target_is_the_ideal_output_bit_for_bit(n):
     assert implicit == explicit
 
 
+def _hex(est):
+    return (est.mean_fidelity.hex(), est.standard_error.hex(), est.sample_count,
+            est.excluded_count)
+
+
+#: ``(state, n, samples, window halfangles in degrees, transverse sigma)``: the
+#: window Monte Carlo cases of the benchmark (a paired n = 4 sweep and a
+#: zero-window, zero-jitter control among them)
+_BENCHMARK_CASES = [
+    ("ghz", 3, 48, [0.5], 5e-9), ("ghz", 4, 36, [0.5], 5e-9), ("ghz", 5, 26, [0.5], 5e-9),
+    ("ghz", 6, 18, [0.5], 5e-9), ("ghz", 8, 16, [0.5], 5e-9), ("w", 5, 26, [0.5], 5e-9),
+    ("ghz", 4, 12, [0.0, 0.25, 0.5, 1.0], 5e-9), ("ghz", 4, 36, [0.0], 0.0),
+]
+
+
+@pytest.mark.parametrize("state, n, samples, halfangles, sigma", _BENCHMARK_CASES,
+                         ids=["ghz3", "ghz4", "ghz5", "ghz6", "ghz8", "w5", "sweep4",
+                              "control4"])
+def test_cached_configuration_arrays_leave_every_estimate_bit_for_bit(
+        state, n, samples, halfangles, sigma):
+    make = ds.ghz_config if state == "ghz" else ds.w_config
+    config, equal = make(n, 0.0), make(n, 0.0)
+    assert config == equal and config is not equal
+    for half in halfangles:
+        geo = ds.DetectionGeometry.linear_chain(n, transverse_sigma=sigma,
+                                                window_halfangle=np.deg2rad(half))
+        for seed in (0, 1, 12345, 2 ** 31 - 1):
+            # the explicit target's bra is built in the call, never cached
+            want = _hex(ds.estimate_fidelity(config, geo, target=ds.dicke_coefficients(config),
+                                             samples=samples, seed=seed))
+            window._config_arrays.cache_clear()
+            cold = ds.estimate_fidelity(config, geo, samples=samples, seed=seed)
+            again = ds.estimate_fidelity(config, geo, samples=samples, seed=seed)
+            other = ds.estimate_fidelity(equal, geo, samples=samples, seed=seed)
+            assert window._config_arrays.cache_info()[:2] == (2, 1)  # hits, misses
+            assert _hex(cold) == _hex(again) == _hex(other) == want, (half, seed)
+
+
+def test_cached_configuration_arrays_are_read_only():
+    config = ds.w_config(3, 0.2)
+    geo = ds.DetectionGeometry.linear_chain(3)
+    want = ds.estimate_fidelity(config, geo, samples=40, seed=5)
+    for array in window._config_arrays(config):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+        with pytest.raises(ValueError):
+            array *= 2.0
+    assert _hex(ds.estimate_fidelity(config, geo, samples=40, seed=5)) == _hex(want)
+
+
+def test_configurations_equal_but_for_signed_zeros_share_one_entry():
+    # -0.0 == 0.0 and both hash alike, so these two configurations are equal
+    # and the second call reuses the first one's arrays
+    def config(zero):
+        return ds.PolarizerConfig((ds.Polarizer(zero, 1.0), ds.Polarizer.linear(0.4),
+                                   ds.Polarizer(complex(1.0, zero), zero),
+                                   ds.Polarizer(0.6, complex(zero, 0.8))))
+    plus, minus = config(0.0), config(-0.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    assert np.signbit(np.array([[p.alpha, p.beta] for p in minus]).view(float)).any()
+    geo = ds.DetectionGeometry.linear_chain(4, transverse_sigma=20e-9,
+                                            window_halfangle=np.deg2rad(2.0))
+    own = {}
+    for name, c in (("plus", plus), ("minus", minus)):
+        window._config_arrays.cache_clear()
+        own[name] = _hex(ds.estimate_fidelity(c, geo, samples=50, seed=8))
+    shared = _hex(ds.estimate_fidelity(plus, geo, samples=50, seed=8))  # minus's entry
+    assert window._config_arrays.cache_info()[:2] == (1, 1)
+    assert own["plus"] == own["minus"] == shared
+
+
+# the chain defaults stand in for any scale a case leaves out
+_SCALES = {"spacing": 5e-6, "transverse_sigma": 5e-9, "wavelength": 493e-9,
+           "window_halfangle": np.deg2rad(0.5)}
+#: scales at which the phase table (or, for the first, a sample's phases)
+#: overflows the float range; each once gave a record with excluded samples
+#: or a ZeroStateError
+_OVERFLOWING_SCALES = [{"transverse_sigma": 1e301}, {"transverse_sigma": 2e301},
+                       {"wavelength": 1e-300, "spacing": 1e300}, {"spacing": 1.7e308}]
+_LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@given(n=st.integers(1, 4), spacing=_LOG_UNIFORM, transverse_sigma=_LOG_UNIFORM,
+       wavelength=_LOG_UNIFORM, window_halfangle=_LOG_UNIFORM)
+@settings(max_examples=60, deadline=None)
+@example(n=3, **{**_SCALES, **_OVERFLOWING_SCALES[0]})
+@example(n=3, **{**_SCALES, **_OVERFLOWING_SCALES[1]})
+@example(n=3, **{**_SCALES, **_OVERFLOWING_SCALES[2]})
+@example(n=3, **{**_SCALES, **_OVERFLOWING_SCALES[3]})
+def test_any_geometry_scale_gives_a_finite_estimate_or_a_typed_error(n, **scales):
+    try:
+        geo = ds.DetectionGeometry.linear_chain(n, **scales)
+        # an overflowing sample warns on its way to the error
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = ds.estimate_fidelity(ds.ghz_config(n, 0.3), geo, samples=8, seed=1)
+    except ds.DickesimError:
+        return
+    assert np.isfinite([est.mean_fidelity, est.standard_error]).all()
+    assert est.sample_count + est.excluded_count == 8
+
+
+@pytest.mark.parametrize("scales", _OVERFLOWING_SCALES,
+                         ids=["sample-phases", "sigma", "wavelength", "spacing"])
+def test_overflowing_phases_are_a_config_error(scales):
+    # not samples excluded as annihilated, nor a ZeroStateError
+    with pytest.raises(ds.ConfigError, match="overflow"):
+        geo = ds.DetectionGeometry.linear_chain(3, **scales)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ds.estimate_fidelity(ds.ghz_config(3, 0.0), geo, samples=200)
+
+
+def test_positions_too_large_to_average_are_a_config_error():
+    # their mean overflows; the SVD behind the transverse basis then gives a
+    # NaN basis here, and never returns at all on [[x], [-x], [x]], x = 1.7e308
+    pos = np.array([[1.7e308, 0.0, 0.0], [1.7e308, 1.0, 0.0]])
+    with pytest.raises(ds.ConfigError, match="average"):
+        ds.DetectionGeometry(pos, 0.0, 493e-9, np.tile([0.0, 1.0, 0.0], (2, 1)), 0.0)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 40, 2 ** 63, 2 ** 200,
                                   np.int64(5), np.uint64(2 ** 64 - 1)])
 def test_streams_are_the_children_that_spawn_gives(seed):
@@ -516,8 +636,8 @@ def test_memory_does_not_grow_with_the_sample_count():
 @pytest.mark.parametrize("n, samples, bound", [(8, 64, 1_600_000), (10, 8, 1_200_000)],
                          ids=["n8", "n10"])
 def test_memory_per_chunk_stays_bounded_at_large_n(n, samples, bound):
-    # a chunk of 7 samples peaks at about 0.9 MB at n = 8, and of one sample
-    # at about 0.85 MB at n = 10; a budget that packed many more samples
+    # a chunk of 7 samples peaks at about 0.52 MB at n = 8, and of one sample
+    # at about 0.5 MB at n = 10; a budget that packed many more samples
     # together would pass 1.6 MB at n = 8, and a single cascade over the
     # full levels (15360 entries at n = 10) would reach about 1.4 MB
     config = ds.ghz_config(n, 0.0)
