@@ -55,7 +55,6 @@ from .synthesis import (
     w_config,
 )
 from .window import (
-    DEFAULT_WAVELENGTH,
     DetectionGeometry,
     FidelityEstimate,
     estimate_fidelity,

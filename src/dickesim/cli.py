@@ -25,7 +25,7 @@ from .core import Polarizer, SymmetricState, _real, _system_size, fidelity
 from .entanglement import classify_from_config, entanglement_report
 from .errors import ConfigError, DickesimError, DimensionMismatchError, TooLargeError
 from .synthesis import synthesize
-from .window import (_CHAIN_SIGMA, _CHAIN_SPACING, _CHAIN_WINDOW, DEFAULT_WAVELENGTH,
+from .window import (_CHAIN_SIGMA, _CHAIN_SPACING, _CHAIN_WAVELENGTH, _CHAIN_WINDOW,
                      DetectionGeometry, _chain_arrays, estimate_fidelity)
 
 EXIT_OK = 0
@@ -122,7 +122,7 @@ def _parse_geometry(cfg: dict, n: int, degrees: bool) -> DetectionGeometry:
     # the geometry itself checks that both arrays are (m, 3)
     geometry = DetectionGeometry(
         geo.get("emitter_positions", positions), geo.get("transverse_sigma", _CHAIN_SIGMA),
-        geo.get("wavelength", DEFAULT_WAVELENGTH), geo.get("detector_directions", directions),
+        geo.get("wavelength", _CHAIN_WAVELENGTH), geo.get("detector_directions", directions),
         window)
     if geometry.n != n:
         raise ConfigError(f"geometry arrays must be {n} [x,y,z] triples")
@@ -304,16 +304,20 @@ def _cmd_fidelity(cfg: dict, n: int, args) -> int:
         def rows():
             header = "window_halfangle,mean_fidelity,standard_error,sample_count,excluded_count\n"
             for k, window in enumerate(_parse_sweep(args.sweep, args.degrees)):
-                est = estimate_fidelity(config,
-                                        replace(geometry, window_halfangle=float(window)),
-                                        target=target, samples=samples, seed=seed)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    est = estimate_fidelity(config,
+                                            replace(geometry, window_halfangle=float(window)),
+                                            target=target, samples=samples, seed=seed)
                 yield ("" if k else header) + (
                     f"{window:.15g},{est.mean_fidelity:.15g},{est.standard_error:.15g},"
                     f"{est.sample_count},{est.excluded_count}\n")
         _write(rows(), args)
         return EXIT_OK
 
-    est = estimate_fidelity(config, geometry, target=target, samples=samples, seed=seed)
+    # a sample whose phases overflow warns on its way to a ConfigError, whose
+    # message alone goes to stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = estimate_fidelity(config, geometry, target=target, samples=samples, seed=seed)
     _write_record({
         "system_size": n,
         "fidelity_estimate": asdict(est),

@@ -51,10 +51,10 @@ the transverse normals and the window deviates, so a seeded estimate does not
 depend on the chunking and agrees to round-off with applying the dense
 detection kernel one sample at a time.  What does not depend on the samples
 is built outside the chunk loop: the phase table once per geometry; the
-polarizer components and the default target's bra, which comes straight from
-the closed form's polynomial, once per configuration (``_config_arrays``
-keeps the last 16); the widest half level once per ``n``; the seeded streams
-and an explicit target's bra once per call.
+polarizer components and the default target's bra, the qubit amplitudes of
+``dicke_coefficients(config)``, once per configuration (``_config_arrays``
+keeps the last 16); the seeded streams and an explicit target's bra once
+per call.
 """
 
 from __future__ import annotations
@@ -66,18 +66,18 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .cascade import PolarizerConfig, _as_config, _product_polynomial
-from .core import (SymmetricState, _bit_counts, _check_register_size, _integer, _numbers,
-                   _real, _sqrt_binomials, _system_size, _unit_vector)
+from .cascade import PolarizerConfig, _as_config, dicke_coefficients
+from .core import (SymmetricState, _check_register_size, _integer, _numbers, _real,
+                   _system_size)
 from .errors import (
     ConfigError,
     DimensionMismatchError,
     ZeroStateError,
 )
 
-DEFAULT_WAVELENGTH = 493e-9
-#: The other defaults of :meth:`DetectionGeometry.linear_chain`, which the CLI
-#: also fills in around the arrays a config gives.
+#: The defaults of :meth:`DetectionGeometry.linear_chain`, which the CLI also
+#: fills in around the arrays a config gives.
+_CHAIN_WAVELENGTH = 493e-9
 _CHAIN_SPACING = 5e-6
 _CHAIN_SIGMA = 5e-9
 _CHAIN_WINDOW = np.deg2rad(0.5)
@@ -153,9 +153,18 @@ class DetectionGeometry:
         if dirs.shape != pos.shape:
             raise ConfigError(
                 f"detector_directions {dirs.shape} must match emitter_positions {pos.shape}")
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.any(norms == 0):
-            raise ConfigError("detector directions must be nonzero")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(dirs, axis=1)
+        # squares overflow above about 1e154 and lose bits below about 1e-154,
+        # so such a row is first scaled by the power of two of its largest
+        # entry, which is exact; an ordinary row is not, and keeps its bits
+        odd = ~np.isfinite(norms) | (norms < 1e-150)
+        if odd.any():
+            peaks = np.abs(dirs).max(axis=1)
+            if not peaks.all():
+                raise ConfigError("detector directions must be nonzero")
+            dirs = np.ldexp(dirs, np.where(odd, -np.frexp(peaks)[1], 0)[:, None])
+            norms = np.linalg.norm(dirs, axis=1)
         object.__setattr__(self, "wavelength", wavelength)
         object.__setattr__(self, "window_halfangle", window)
         object.__setattr__(self, "transverse_sigma", sigma)
@@ -189,7 +198,7 @@ class DetectionGeometry:
     @classmethod
     def linear_chain(cls, n: int, spacing: float = _CHAIN_SPACING,
                      transverse_sigma: float = _CHAIN_SIGMA,
-                     wavelength: float = DEFAULT_WAVELENGTH,
+                     wavelength: float = _CHAIN_WAVELENGTH,
                      window_halfangle: float = _CHAIN_WINDOW,
                      ) -> "DetectionGeometry":
         """Equally spaced emitters on the x axis, detectors on a transverse ring.
@@ -303,12 +312,15 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
         if target.n != n:
             raise DimensionMismatchError(
                 f"target has {target.n} qubits, configuration has {n}")
-        bra = (target.coeffs / _sqrt_binomials(n))[_bit_counts(n)].conj()
+        bra = target.to_qubit_amplitudes().conj()
 
     # the children of SeedSequence(seed).spawn(2), without building the parent
     normal_rng, window_rng = (
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(2))
-    chunk = max(1, _CHUNK_ENTRIES // _widest_level(n))
+    # level m holds C(n, m) 2**m entries per sample, and each level up to
+    # the larger half's last is wider than the one before
+    m = n - n // 2
+    chunk = max(1, _CHUNK_ENTRIES // (comb(n, m) << m))
     # running count, mean and sum of squared deviations, merged chunk by
     # chunk (Chan et al.); unlike a running sum of squares this does not
     # cancel when every fidelity is (nearly) the same
@@ -350,23 +362,14 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
 def _config_arrays(config: PolarizerConfig) -> tuple[np.ndarray, np.ndarray]:
     """The polarizer components ``(n, 2)`` and the default target's bra, read-only.
 
-    The bra is ``dicke_coefficients(config).to_qubit_amplitudes().conj()``
-    without checking the state it would build.  Equal configurations share
-    an entry, even where a component differs only in the sign of a zero.
+    Equal configurations share an entry, even where a component differs
+    only in the sign of a zero.
     """
-    n = len(config)
-    roots = _sqrt_binomials(n)
-    bra = (_unit_vector(_product_polynomial(config) / roots) / roots)[_bit_counts(n)].conj()
+    bra = dicke_coefficients(config).to_qubit_amplitudes().conj()
     components = np.array([[p.alpha, p.beta] for p in config])
     for a in (components, bra):
         a.setflags(write=False)
     return components, bra
-
-
-@lru_cache(maxsize=None)
-def _widest_level(n: int) -> int:
-    """Entries per sample of the widest half level, ``C(n, m) 2**m`` at its largest."""
-    return max(comb(n, m) << m for m in range(n - n // 2 + 1))
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -671,6 +672,20 @@ def test_overflowing_phases_are_a_config_error(tmp_path, capsys, sigma):
     assert code == 2
     assert captured.out == ""
     assert "config error" in captured.err and "overflow" in captured.err
+
+
+@pytest.mark.parametrize("flags", [[], ["--sweep", "0:0.01:3"]], ids=["record", "sweep"])
+def test_overflowing_sample_phases_print_only_the_error(tmp_path, capsys, flags):
+    # numpy's warnings about the overflow must not reach stderr ahead of the message
+    cfg = _write(tmp_path, "f.json", _fidelity_config(np.deg2rad(0.5), 1e301, samples=200))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fidelity", "--config", cfg, *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and caught == []
+    assert captured.err.startswith("dickesim: config error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 @pytest.mark.parametrize("pair", [[10 ** 400, 0], [True, 0], [0, float("nan")]],

@@ -360,9 +360,9 @@ def test_seeded_estimates_keep_their_recorded_values(state, n, samples, seed, me
     assert (est.sample_count, est.excluded_count) == (samples, 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_the_default_target_is_the_ideal_output_bit_for_bit(n):
-    # the default bra is built from the closed form without a SymmetricState
+    # the default bra is the closed form's state, built once per configuration
     config = random_config(np.random.default_rng(90 + n), n)
     geo = ds.DetectionGeometry.linear_chain(n, transverse_sigma=20e-9,
                                             window_halfangle=np.deg2rad(2.0))
@@ -484,6 +484,29 @@ def test_overflowing_phases_are_a_config_error(scales):
             ds.estimate_fidelity(ds.ghz_config(3, 0.0), geo, samples=200)
 
 
+_DIRECTION = hnp.arrays(float, 3, elements=st.floats(-1.0, 1.0)).filter(
+    lambda v: np.linalg.norm(v) >= 0.1)
+
+
+@given(scale=_LOG_UNIFORM, direction=_DIRECTION)
+@settings(max_examples=100, deadline=None)
+@example(scale=1e308, direction=np.array([0.0, 1.0, 1.0]))  # the squares overflow
+@example(scale=1e-200, direction=np.array([0.0, 1.0, 0.0]))  # the squares underflow
+@example(scale=1e-170, direction=np.array([0.0, 1.0, 1.0]))  # the squares underflow
+def test_any_direction_scale_gives_the_same_direction_and_phases(scale, direction):
+    pos = _chain_positions(3, 5e-6)
+    dirs = np.tile([0.0, 1.0, 0.0], (3, 1))
+    plain = ds.DetectionGeometry(pos, 5e-9, 493e-9, np.vstack([dirs[:2], direction]), 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = ds.DetectionGeometry(pos, 5e-9, 493e-9,
+                                      np.vstack([dirs[:2], scale * direction]), 0.01)
+    np.testing.assert_allclose(scaled.detector_directions, plain.detector_directions,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(scaled.phase_table, plain.phase_table, rtol=0,
+                               atol=1e-15 * np.abs(plain.phase_table).max())
+
+
 def test_positions_too_large_to_average_are_a_config_error():
     # their mean overflows; the SVD behind the transverse basis then gives a
     # NaN basis here, and never returns at all on [[x], [-x], [x]], x = 1.7e308
@@ -552,6 +575,25 @@ def test_seeded_estimate_does_not_depend_on_the_chunking(monkeypatch, n, cap):
     assert got.standard_error == pytest.approx(want.standard_error, abs=1e-12)
     assert (got.sample_count, got.excluded_count) == (want.sample_count,
                                                       want.excluded_count)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_chunks_hold_the_budget_over_the_widest_half_level(monkeypatch, n):
+    # level m of a half cascade holds C(n, m) 2**m entries per sample
+    chunk = max(1, window._CHUNK_ENTRIES
+                // max(comb(n, m) << m for m in range(n - n // 2 + 1)))
+    counts = []
+
+    def counting(components, phases):
+        counts.append(len(phases))
+        return _cascade_outputs(components, phases)
+
+    monkeypatch.setattr(window, "_cascade_outputs", counting)
+    geo = ds.DetectionGeometry.linear_chain(n)
+    config = random_config(np.random.default_rng(n), n)
+    est = ds.estimate_fidelity(config, geo, samples=2 * chunk + 1, seed=3)
+    assert counts == [chunk, chunk, 1]
+    assert est.sample_count + est.excluded_count == 2 * chunk + 1
 
 
 def test_widening_the_window_cannot_help():
