@@ -153,18 +153,14 @@ class DetectionGeometry:
         if dirs.shape != pos.shape:
             raise ConfigError(
                 f"detector_directions {dirs.shape} must match emitter_positions {pos.shape}")
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(dirs, axis=1)
+        peaks = np.abs(dirs).max(axis=1)
+        if not peaks.all():
+            raise ConfigError("detector directions must be nonzero")
         # squares overflow above about 1e154 and lose bits below about 1e-154,
-        # so such a row is first scaled by the power of two of its largest
-        # entry, which is exact; an ordinary row is not, and keeps its bits
-        odd = ~np.isfinite(norms) | (norms < 1e-150)
-        if odd.any():
-            peaks = np.abs(dirs).max(axis=1)
-            if not peaks.all():
-                raise ConfigError("detector directions must be nonzero")
-            dirs = np.ldexp(dirs, np.where(odd, -np.frexp(peaks)[1], 0)[:, None])
-            norms = np.linalg.norm(dirs, axis=1)
+        # so each row is first scaled by the power of two of its largest entry;
+        # the scaling is exact, so the unit direction keeps its bits
+        dirs = np.ldexp(dirs, -np.frexp(peaks)[1][:, None])
+        norms = np.linalg.norm(dirs, axis=1)
         object.__setattr__(self, "wavelength", wavelength)
         object.__setattr__(self, "window_halfangle", window)
         object.__setattr__(self, "transverse_sigma", sigma)
