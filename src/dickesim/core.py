@@ -134,6 +134,20 @@ def _sequence(values, what: str) -> tuple:
         raise ConfigError(f"{what} must be a sequence, got {type(values).__name__}") from None
 
 
+def _built(cls, **fields):
+    """A frozen ``cls`` holding ``fields`` as given: arrays made read-only, not copied.
+
+    Skips ``__post_init__``, so only for fields whose invariants hold by
+    construction; each call site says why.
+    """
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)  # what frozen __setattr__ forbids
+    return obj
+
+
 def _check_register_size(n: int, what: str) -> None:
     """``TooLargeError`` when ``what`` is asked for ``n > REGISTER_SIZE_LIMIT`` emitters."""
     if n > REGISTER_SIZE_LIMIT:
@@ -215,7 +229,9 @@ class SymmetricState:
     :meth:`canonicalized` explicitly to rotate the first nonzero coefficient
     onto the positive real axis.  A system size that is not an integer >= 1,
     and coefficients that are not numbers or not normalized (non-finite ones
-    included), are ``ConfigError``.  ``coeffs`` is a read-only copy.
+    included), are ``ConfigError``.  ``coeffs`` is a read-only copy of the
+    caller's array; an array the library built itself is checked once and
+    kept read-only without a copy.
     """
 
     n: int
@@ -242,7 +258,11 @@ class SymmetricState:
         """
         if not isinstance(raw, np.ndarray):
             raw = _sequence(raw, "coefficients")
-        return cls(n, _unit_vector(_numbers(raw, complex, "coefficients")))
+        c = _unit_vector(_numbers(raw, complex, "coefficients"))
+        if c.shape != (_system_size(n) + 1,):
+            raise ConfigError(f"expected {n + 1} coefficients, got shape {c.shape}")
+        # _unit_vector returns a new, finite array of unit norm
+        return _built(cls, n=n, coeffs=c)
 
     def canonicalized(self) -> "SymmetricState":
         """Copy with the first coefficient above ``NORM_TOL`` made real and positive."""
@@ -252,7 +272,9 @@ class SymmetricState:
                 break
         else:
             raise ZeroStateError("no coefficient above tolerance")
-        return SymmetricState(self.n, self.coeffs * np.conj(phase))
+        # a unit phase keeps the size, the shape, finiteness and the norm;
+        # the product is a new array
+        return _built(SymmetricState, n=self.n, coeffs=self.coeffs * np.conj(phase))
 
     def to_qubit_amplitudes(self) -> np.ndarray:
         """Expand into the full ``2**n`` qubit register.
@@ -342,7 +364,9 @@ class EmitterRegister:
 
     A size that is not an integer >= 1, or amplitudes that are not ``3**n``
     numbers, are ``ConfigError``; a size above ``REGISTER_SIZE_LIMIT`` is
-    ``TooLargeError``.  ``amps`` is a read-only copy.
+    ``TooLargeError``.  ``amps`` is a read-only copy of the caller's array;
+    an array the library built itself is checked once and kept read-only
+    without a copy.
     """
 
     n: int
@@ -362,7 +386,8 @@ class EmitterRegister:
         """The fully excited initial register ``|e,...,e>``."""
         amps = np.zeros(_register_length(n), dtype=complex)
         amps[0] = 1.0
-        return cls(n, amps)
+        # a new array of 3**n finite amplitudes for a checked size
+        return _built(cls, n=n, amps=amps)
 
 
 def _detection_kernel(amps: np.ndarray, n: int,
@@ -415,7 +440,10 @@ def apply_detection(register: EmitterRegister, polarizer: Polarizer) -> EmitterR
     )
     if not out.any():
         raise ZeroStateError("detection produced the zero vector")
-    return EmitterRegister(n, out)
+    if not np.isfinite(out).all():  # two finite branches can add up to an overflow
+        raise ConfigError("amplitudes must be finite")
+    # the kernel's new array has the register's size and shape
+    return _built(EmitterRegister, n=n, amps=out)
 
 
 def project_symmetric(register: EmitterRegister) -> SymmetricState:

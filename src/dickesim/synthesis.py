@@ -18,10 +18,12 @@ product targets are provided alongside the generic construction.
 
 from __future__ import annotations
 
+from math import hypot
+
 import numpy as np
 
 from .cascade import PolarizerConfig
-from .core import Polarizer, SymmetricState, _real, _sqrt_binomials, _system_size
+from .core import Polarizer, SymmetricState, _built, _real, _sqrt_binomials, _system_size
 from .errors import ConfigError, RootFindingError
 
 #: Coefficients below this magnitude do not count toward the polynomial degree.
@@ -38,8 +40,9 @@ def _synthesis_polynomial(target: SymmetricState) -> np.ndarray:
     d = target.coeffs
     k_max = int(np.nonzero(np.abs(d) > DEGREE_TOL)[0][-1])
     roots = _sqrt_binomials(target.n)[:k_max + 1]
-    signs = (-1.0) ** np.arange(k_max, -1, -1)
-    return signs * (roots / roots[k_max]) * d[:k_max + 1]
+    ratios = roots / roots[k_max]
+    ratios[1 - k_max % 2::2] *= -1.0  # the sign (-1)**(k_max - k)
+    return ratios * d[:k_max + 1]
 
 
 def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -65,7 +68,7 @@ def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise RootFindingError(
                 f"companion eigensolver failed: {exc}") from exc
-    if not np.all(np.isfinite(roots)):
+    if not np.isfinite(roots).all():
         raise RootFindingError("non-finite root encountered")
     return roots
 
@@ -83,9 +86,14 @@ def synthesize(target: SymmetricState) -> PolarizerConfig:
     if not isinstance(target, SymmetricState):
         raise ConfigError(
             f"target must be a SymmetricState, got {type(target).__name__}")
-    pols = [Polarizer(r, 1.0) for r in _polynomial_roots(_synthesis_polynomial(target))]
+    pols = []
+    for r in map(complex, _polynomial_roots(_synthesis_polynomial(target))):
+        # Polarizer(r, 1.0)'s own arithmetic; the roots are finite numbers
+        nrm = hypot(abs(r), 1.0)
+        pols.append(_built(Polarizer, alpha=r / nrm, beta=(1 + 0j) / nrm))
     pols.extend(Polarizer(1.0, 0.0) for _ in range(target.n - len(pols)))
-    return PolarizerConfig(tuple(pols))
+    # a tuple of n >= 1 Polarizers
+    return _built(PolarizerConfig, polarizers=tuple(pols))
 
 
 # ---------------------------------------------------------------------------

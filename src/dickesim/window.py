@@ -234,24 +234,28 @@ def _chain_arrays(n: int, spacing) -> tuple[np.ndarray, np.ndarray]:
     return positions, directions
 
 
+def _cross(a, b) -> list[float]:
+    """``np.cross`` of two 3-vectors of floats, with numpy's operations in numpy's order."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
 def _transverse_basis(positions: np.ndarray) -> np.ndarray:
     """Two unit vectors spanning the plane orthogonal to the emitter line."""
     with np.errstate(over="ignore", invalid="ignore"):
         centered = positions - positions.mean(axis=0)
     if not np.isfinite(centered).all():  # LAPACK's SVD can hang on an infinite entry
         raise ConfigError("emitter positions are too far apart to average")
-    if np.allclose(centered, 0.0):
-        axis = np.array([1.0, 0.0, 0.0])
+    if not np.abs(centered).max() > 1e-8:  # np.allclose(centered, 0.0)
+        axis = [1.0, 0.0, 0.0]
     else:
         _, _, vt = np.linalg.svd(centered)
-        axis = vt[0]
-    seed = np.array([0.0, 0.0, 1.0])
-    if abs(axis @ seed) > 0.9:
-        seed = np.array([0.0, 1.0, 0.0])
-    t1 = np.cross(axis, seed)
+        axis = vt[0].tolist()
+    # the seed's dot product with the axis is the axis's z part
+    seed = [0.0, 1.0, 0.0] if abs(axis[2]) > 0.9 else [0.0, 0.0, 1.0]
+    t1 = np.array(_cross(axis, seed))
     t1 /= np.linalg.norm(t1)
-    t2 = np.cross(axis, t1)
-    return np.array([t1, t2])
+    return np.array([t1, _cross(axis, t1.tolist())])
 
 
 def estimate_fidelity(config, geometry: DetectionGeometry,

@@ -5,9 +5,12 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dickesim as ds
 from dickesim.core import REGISTER_SIZE_LIMIT
+from dickesim.synthesis import _polynomial_roots, _synthesis_polynomial
 from conftest import (
     MINUS,
     PLUS,
@@ -176,6 +179,22 @@ def test_apply_detection_raises_when_nothing_excited():
         ds.apply_detection(reg, p)
 
 
+def _two_emitter_register(amp):
+    amps = np.zeros(9, dtype=complex)
+    amps[3] = amps[1] = amp  # kets (e,+) and (+,e): both feed (+,+)
+    return ds.EmitterRegister(2, amps)
+
+
+def test_overflowing_detection_is_a_config_error():
+    # the two branches into (+,+) add to sqrt(2) * amp, beyond the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ds.ConfigError, match="amplitudes must be finite"):
+            ds.apply_detection(_two_emitter_register(1.7e308), ds.Polarizer(1, 1))
+    reg = ds.apply_detection(_two_emitter_register(1.2e308), ds.Polarizer(1, 1))
+    assert np.isfinite(reg.amps).all() and reg.amps[4] != 0.0
+
+
 def test_apply_detection_is_linear():
     rng = np.random.default_rng(8)
     n = 3
@@ -266,6 +285,57 @@ def test_states_and_registers_keep_their_own_read_only_arrays():
     for array in (state.coeffs, reg.amps):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _array(obj):
+    return obj.coeffs if isinstance(obj, ds.SymmetricState) else obj.amps
+
+
+#: Raw coefficients with many exact zeros and ones, so that leading and
+#: trailing zeros (targets of low degree, roots at zero) and coefficients
+#: that are already normalized come up often.
+_RAW_ENTRIES = st.one_of(st.sampled_from([0j, 1 + 0j]), st.complex_numbers(
+    max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(_RAW_ENTRIES, min_size=n + 1, max_size=n + 1).filter(any)))
+def test_objects_the_library_builds_pass_their_own_public_checks(raw):
+    # states, registers and configurations built inside the library skip
+    # the constructor's checks; each must still be what the constructor
+    # would build, with read-only arrays of its own
+    raw = np.array(raw, dtype=complex)
+    n = len(raw) - 1
+    state = ds.SymmetricState.from_raw(n, raw)
+    config = ds.synthesize(state)
+    made = [(state, [raw]), (state.canonicalized(), [state.coeffs]),
+            (ds.dicke_coefficients(config), [state.coeffs])]
+    register = ds.EmitterRegister.ground(n)
+    made.append((register, []))
+    for polarizer in config:
+        previous, register = register, ds.apply_detection(register, polarizer)
+        made.append((register, [previous.amps]))
+    made.append((ds.project_symmetric(register), [register.amps]))
+    for obj, inputs in made:
+        array = _array(obj)
+        assert _same_bits(_array(type(obj)(obj.n, array)), array)
+        assert not array.flags.writeable
+        assert not any(np.shares_memory(array, other) for other in inputs)
+    # synthesize's polarizers are Polarizer(root, 1.0), padded with Polarizer(1.0, 0.0)
+    roots = _polynomial_roots(_synthesis_polynomial(state))
+    public = ds.PolarizerConfig(tuple([ds.Polarizer(r, 1.0) for r in roots]
+                                      + [ds.Polarizer(1.0, 0.0)] * (n - len(roots))))
+    assert type(config.polarizers) is tuple
+    assert all(type(p) is ds.Polarizer and type(p.alpha) is type(p.beta) is complex
+               for p in config)
+    components = [[p.alpha, p.beta] for p in config]
+    assert _same_bits(np.array(components), np.array([[p.alpha, p.beta] for p in public]))
+    assert config == public and hash(config) == hash(public)
+    assert ds.PolarizerConfig(config.polarizers) == config
 
 
 def test_project_symmetric_rejects_zero_register():
