@@ -144,23 +144,28 @@ def _ket_table(n: int) -> tuple[tuple[tuple, itemgetter, frozenset, list, list],
     order of :func:`pyramid_edges` (parents sorted, their excited emitters
     ascending, ``+`` child before ``-`` child).  Each ket is one string
     object shared by every entry and every caller.
+
+    The table is built by index arithmetic.  A ket's index is the base-3
+    number whose digit at place ``3**(n-1-j)`` is emitter ``j``'s letter,
+    with ``+``, ``-``, ``e`` as 0, 1, 2, so sorted order is index order.  A
+    ket's level is its count of digits below 2 and its ``pick`` entry its
+    count of 1s; exciting emitter ``j`` of parent ``p`` gives the children
+    ``p - 2 * 3**(n-1-j)`` (``+``) and ``p - 3**(n-1-j)`` (``-``).
     """
-    levels = [[] for _ in range(n + 1)]
-    for letters in product("+-e", repeat=n):  # sorted, as "+" < "-" < "e"
-        ket = "".join(letters)
-        levels[n - ket.count("e")].append(ket)
-    canonical = {ket: ket for kets in levels for ket in kets}
+    ket_of = np.array(list(map("".join, product("+-e", repeat=n))), dtype=object)
+    digits = np.indices((3,) * n, dtype=np.uint8).reshape(n, -1)
+    level = (digits < 2).sum(axis=0, dtype=np.uint8)
+    minuses = (digits == 1).sum(axis=0, dtype=np.uint8)
+    places = 3 ** np.arange(n - 1, -1, -1)
     table = []
-    for m, kets in enumerate(levels):
-        parents, children = [], []
-        for ket in kets:
-            for j, ch in enumerate(ket):
-                if ch == "e":
-                    children.append(canonical[ket[:j] + "+" + ket[j + 1:]])
-                    children.append(canonical[ket[:j] + "-" + ket[j + 1:]])
-            parents.extend([ket] * (2 * (n - m)))
-        table.append((tuple(kets), itemgetter(*[ket.count("-") for ket in kets]),
-                      frozenset(kets), parents, children))
+    for m in range(n + 1):
+        index = np.flatnonzero(level == m)
+        kets = ket_of[index].tolist()
+        parent, emitter = np.nonzero(digits[:, index].T == 2)  # parent-major
+        base, place = index[parent], places[emitter]
+        children = ket_of[np.stack([base - 2 * place, base - place], axis=1).ravel()]
+        table.append((tuple(kets), itemgetter(*minuses[index].tolist()), frozenset(kets),
+                      ket_of[index.repeat(2 * (n - m))].tolist(), children.tolist()))
     return tuple(table)
 
 

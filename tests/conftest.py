@@ -7,6 +7,7 @@ of detector-to-emitter assignments.
 """
 
 import itertools
+from operator import itemgetter
 
 import numpy as np
 from hypothesis import settings
@@ -305,3 +306,24 @@ def reference_pyramid_edges(config, level_terms):
                 edges.append((m, ket, ket[:j] + "+" + ket[j + 1:], p.alpha))
                 edges.append((m, ket, ket[:j] + "-" + ket[j + 1:], p.beta))
     return edges
+
+
+def reference_ket_table(n):
+    """``cascade._ket_table(n)`` built by string slicing, ket by ket."""
+    levels = [[] for _ in range(n + 1)]
+    for letters in itertools.product("+-e", repeat=n):  # sorted, as "+" < "-" < "e"
+        ket = "".join(letters)
+        levels[n - ket.count("e")].append(ket)
+    canonical = {ket: ket for kets in levels for ket in kets}
+    table = []
+    for m, kets in enumerate(levels):
+        parents, children = [], []
+        for ket in kets:
+            for j, ch in enumerate(ket):
+                if ch == "e":
+                    children.append(canonical[ket[:j] + "+" + ket[j + 1:]])
+                    children.append(canonical[ket[:j] + "-" + ket[j + 1:]])
+            parents.extend([ket] * (2 * (n - m)))
+        table.append((tuple(kets), itemgetter(*[ket.count("-") for ket in kets]),
+                      frozenset(kets), parents, children))
+    return tuple(table)

@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 from math import comb, factorial, lgamma, prod
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dickesim as ds
-from dickesim.cascade import _product_polynomial
+from dickesim.cascade import _ket_table, _product_polynomial
 from dickesim.core import _sqrt_binomials
 from conftest import (
     MINUS,
@@ -19,6 +20,7 @@ from conftest import (
     product_polynomial_oracle,
     random_config,
     random_polarizer,
+    reference_ket_table,
     reference_pyramid,
     reference_pyramid_edges,
     register_amps,
@@ -238,6 +240,37 @@ def test_pyramid_edges_share_the_pyramid_ket_strings():
     kets = {id(ket) for level in levels for ket in level.terms}
     for _, parent, child, _ in ds.pyramid_edges(config, levels):
         assert id(parent) in kets and id(child) in kets
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ket_table_matches_the_string_slicing_reference(n):
+    table, want = _ket_table(n), reference_ket_table(n)
+    assert len(table) == len(want) == n + 1
+    probe = [complex(k, -k) for k in range(n + 1)]
+    for m, ((kets, pick, known, parents, children),
+            (want_kets, want_pick, want_known, want_parents, want_children)) in enumerate(
+                zip(table, want)):
+        assert type(kets) is tuple and kets == want_kets
+        assert pick(probe) == want_pick(probe)
+        assert known == want_known
+        assert parents == want_parents and children == want_children
+        # one string object per ket: edge endpoints are the kets of their levels
+        level = {id(ket) for ket in kets}
+        assert all(id(ket) in level for ket in parents)
+        below = {id(ket) for ket in table[m + 1][0]} if m < n else set()
+        assert all(id(ket) in below for ket in children)
+
+
+def test_ket_table_build_peaks_near_its_retained_size():
+    # the string build peaked at 1.18x; a table of int64 digits at 1.58x
+    _ket_table.cache_clear()
+    tracemalloc.start()
+    try:
+        _ket_table(8)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * retained
 
 
 def test_pyramid_edges_reject_foreign_parent_kets():
