@@ -31,8 +31,9 @@ from .core import (
     _check_register_size,
     _sequence,
     _sqrt_binomials,
+    _store,
 )
-from .errors import ConfigError, ZeroStateError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class PolarizerConfig:
         for p in pols:
             if not isinstance(p, Polarizer):
                 raise ConfigError(f"expected Polarizer, got {type(p).__name__}")
-        object.__setattr__(self, "polarizers", pols)
+        _store(self, polarizers=pols)
 
     @classmethod
     def from_angles(cls, angles: Iterable[float]) -> "PolarizerConfig":
@@ -199,9 +200,8 @@ def build_pyramid(config) -> list[PyramidLevel]:
     levels = [PyramidLevel(0, {table[0][0][0]: 1.0 + 0.0j})]
     for (m, q), (kets, pick, *_) in zip(
             enumerate(_partial_products(config), start=1), table[1:]):
+        # never all zero: with unit polarizers some |q_k| is 2**(-m/2) / sqrt(m + 1) or more
         weights = [factorial(k) * factorial(m - k) * q[k] for k in range(m + 1)]
-        if not any(weights):
-            raise ZeroStateError(f"cascade annihilated the state at step {m}")
         amps = pick(weights)
         pairs = zip(kets, amps)
         if not all(weights):

@@ -57,12 +57,12 @@ REGISTER_SIZE_LIMIT = 12
 
 
 def _integer(value, what: str, minimum: int) -> int:
-    """``value`` if it is an integer >= ``minimum``, else ``ConfigError``."""
+    """``value`` as an ``int``, which cannot wrap, if an integer >= ``minimum``; else ``ConfigError``."""
     if type(value) is not int and not isinstance(value, np.integer):  # type(True) is bool
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if value < minimum:  # not formatted: str() of a huge int raises ValueError
+    if int(value) < minimum:  # not formatted: str() of a huge int raises ValueError
         raise ConfigError(f"{what} must be >= {minimum}")
-    return value
+    return int(value)
 
 
 #: What ``float()`` and numpy would convert, but is not a number.
@@ -120,8 +120,9 @@ _SIZE_LIMIT = 2053
 
 
 def _system_size(n) -> int:
-    """``n`` if it is an integer in ``1.._SIZE_LIMIT``: ``ConfigError`` below, ``TooLargeError`` above."""
-    if _integer(n, "system size", 1) > _SIZE_LIMIT:
+    """``n`` as an ``int`` in ``1.._SIZE_LIMIT``: ``ConfigError`` below, ``TooLargeError`` above."""
+    n = _integer(n, "system size", 1)
+    if n > _SIZE_LIMIT:
         raise TooLargeError(f"system size limited to n <= {_SIZE_LIMIT}")
     return n
 
@@ -134,18 +135,21 @@ def _sequence(values, what: str) -> tuple:
         raise ConfigError(f"{what} must be a sequence, got {type(values).__name__}") from None
 
 
-def _built(cls, **fields):
-    """A frozen ``cls`` holding ``fields`` as given: arrays made read-only, not copied.
-
-    Skips ``__post_init__``, so only for fields whose invariants hold by
-    construction; each call site says why.
-    """
+def _store(obj, **fields):
+    """Frozen ``obj`` holding ``fields`` as given, arrays made read-only, not copied."""
     for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-    obj = object.__new__(cls)
     obj.__dict__.update(fields)  # what frozen __setattr__ forbids
     return obj
+
+
+def _built(cls, **fields):
+    """A new ``cls`` holding ``fields`` through :func:`_store`, skipping ``__post_init__``.
+
+    So only for fields whose invariants hold by construction; each call site says why.
+    """
+    return _store(object.__new__(cls), **fields)
 
 
 def _check_register_size(n: int, what: str) -> None:
@@ -187,8 +191,7 @@ class Polarizer:
         nrm = hypot(abs(a), abs(b))
         if nrm == 0.0:
             raise ConfigError("polarizer components are both zero")
-        object.__setattr__(self, "alpha", a / nrm)
-        object.__setattr__(self, "beta", b / nrm)
+        _store(self, alpha=a / nrm, beta=b / nrm)
 
     @staticmethod
     def linear(theta: float) -> "Polarizer":
@@ -238,16 +241,14 @@ class SymmetricState:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        _system_size(self.n)
+        n = _system_size(self.n)
         c = _numbers(self.coeffs, complex, "coefficients")
-        if c.shape != (self.n + 1,):
-            raise ConfigError(f"expected {self.n + 1} coefficients, got shape {c.shape}")
+        if c.shape != (n + 1,):
+            raise ConfigError(f"expected {n + 1} coefficients, got shape {c.shape}")
         # written so that a NaN norm fails it
         if not abs(np.linalg.norm(c) - 1.0) <= NORM_TOL:
             raise ConfigError("coefficients are not normalized; use from_raw()")
-        c = c.copy()  # the caller's array may change later; this may not
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        _store(self, n=n, coeffs=c.copy())  # the caller's array may change later; this may not
 
     @classmethod
     def from_raw(cls, n: int, raw: Iterable[complex]) -> "SymmetricState":
@@ -259,19 +260,16 @@ class SymmetricState:
         if not isinstance(raw, np.ndarray):
             raw = _sequence(raw, "coefficients")
         c = _unit_vector(_numbers(raw, complex, "coefficients"))
-        if c.shape != (_system_size(n) + 1,):
+        n = _system_size(n)
+        if c.shape != (n + 1,):
             raise ConfigError(f"expected {n + 1} coefficients, got shape {c.shape}")
         # _unit_vector returns a new, finite array of unit norm
         return _built(cls, n=n, coeffs=c)
 
     def canonicalized(self) -> "SymmetricState":
         """Copy with the first coefficient above ``NORM_TOL`` made real and positive."""
-        for c in self.coeffs:
-            if abs(c) > NORM_TOL:
-                phase = c / abs(c)
-                break
-        else:
-            raise ZeroStateError("no coefficient above tolerance")
+        # never empty: a unit norm puts some |c_k| at 1/sqrt(n + 1) >= 0.022, far above NORM_TOL
+        phase = next(c / abs(c) for c in self.coeffs if abs(c) > NORM_TOL)
         # a unit phase keeps the size, the shape, finiteness and the norm;
         # the product is a new array
         return _built(SymmetricState, n=self.n, coeffs=self.coeffs * np.conj(phase))
@@ -281,7 +279,9 @@ class SymmetricState:
 
         Bit ``j`` of the index is 1 when emitter ``j`` sits in ``-``;
         every ket with ``k`` set bits receives ``d_k / sqrt(C(n, k))``.
+        Above ``REGISTER_SIZE_LIMIT`` qubits this is ``TooLargeError``.
         """
+        _check_register_size(self.n, "qubit expansion")
         weights = self.coeffs / _sqrt_binomials(self.n)
         return weights[_bit_counts(self.n)]
 
@@ -354,7 +354,8 @@ def _bit_counts(n: int) -> np.ndarray:
 
 def _register_length(n) -> int:
     """``3**n`` for a valid register size, checked before anything is allocated."""
-    _check_register_size(_system_size(n), "emitter register")
+    n = _system_size(n)
+    _check_register_size(n, "emitter register")
     return 3 ** n
 
 
@@ -377,9 +378,7 @@ class EmitterRegister:
         a = _numbers(self.amps, complex, "amplitudes")
         if a.shape != (length,):
             raise ConfigError(f"expected {length} amplitudes, got shape {a.shape}")
-        a = a.copy()  # the caller's array may change later; this may not
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
+        _store(self, n=int(self.n), amps=a.copy())  # the caller's array may change; this may not
 
     @classmethod
     def ground(cls, n: int) -> "EmitterRegister":
@@ -387,7 +386,7 @@ class EmitterRegister:
         amps = np.zeros(_register_length(n), dtype=complex)
         amps[0] = 1.0
         # a new array of 3**n finite amplitudes for a checked size
-        return _built(cls, n=n, amps=amps)
+        return _built(cls, n=int(n), amps=amps)
 
 
 def _detection_kernel(amps: np.ndarray, n: int,

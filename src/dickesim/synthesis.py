@@ -108,7 +108,8 @@ def ghz_config(n: int, phi: float) -> PolarizerConfig:
     ``n`` is even (without the offset the relative phase of the two
     components comes out as ``-e^{i phi}``).
     """
-    if _system_size(n) < 2:
+    n = _system_size(n)
+    if n < 2:
         raise ConfigError("maximally entangled target needs n >= 2")
     phi = _real(phi, "phi")
     offset = np.pi / (2 * n) if n % 2 == 0 else 0.0
@@ -122,7 +123,7 @@ def s_config(n: int, phi: float) -> PolarizerConfig:
     All angles sit at ``phi/2``; the output is the n-fold product of
     ``(|+> + e^{i phi}|->)/sqrt(2)``.
     """
-    _system_size(n)
+    n = _system_size(n)
     return PolarizerConfig.from_angles([_real(phi, "phi") / 2.0] * n)
 
 
@@ -136,7 +137,8 @@ def w_config(n: int, phi: float) -> PolarizerConfig:
     contribute a ``|0>``.  Swapping the two angle groups would produce the
     mirrored state (the same pattern at phase ``phi + pi``).
     """
-    if _system_size(n) < 2:
+    n = _system_size(n)
+    if n < 2:
         raise ConfigError("single-excitation target needs n >= 2")
     phi = _real(phi, "phi")
     angles = [phi / 2.0 + np.pi / 2.0] * (n - 1) + [phi / 2.0]

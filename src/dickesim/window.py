@@ -67,7 +67,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .cascade import PolarizerConfig, _as_config, dicke_coefficients
-from .core import (SymmetricState, _check_register_size, _integer, _numbers, _real,
+from .core import (SymmetricState, _check_register_size, _integer, _numbers, _real, _store,
                    _system_size)
 from .errors import (
     ConfigError,
@@ -161,9 +161,8 @@ class DetectionGeometry:
         # the scaling is exact, so the unit direction keeps its bits
         dirs = np.ldexp(dirs, -np.frexp(peaks)[1][:, None])
         norms = np.linalg.norm(dirs, axis=1)
-        object.__setattr__(self, "wavelength", wavelength)
-        object.__setattr__(self, "window_halfangle", window)
-        object.__setattr__(self, "transverse_sigma", sigma)
+        # before the phase table, which reads self.wavenumber
+        _store(self, wavelength=wavelength, window_halfangle=window, transverse_sigma=sigma)
         pos = np.copy(pos)  # the caller's array may change later; this may not
         dirs = dirs / norms[:, None]
         basis = _transverse_basis(pos)
@@ -178,10 +177,8 @@ class DetectionGeometry:
         if not np.isfinite(table).all():
             raise ConfigError("the geometry's phases overflow: its lengths are too "
                               "large against its wavelength")
-        for name, value in (("emitter_positions", pos), ("detector_directions", dirs),
-                            ("transverse_basis", basis), ("phase_table", table)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        _store(self, emitter_positions=pos, detector_directions=dirs,
+               transverse_basis=basis, phase_table=table)
 
     @property
     def n(self) -> int:
@@ -205,8 +202,7 @@ class DetectionGeometry:
         transverse confinement, 493 nm light, a 1-degree detection window.
         An ``n`` that is not an integer >= 1 is ``ConfigError``.
         """
-        _system_size(n)
-        positions, directions = _chain_arrays(n, spacing)
+        positions, directions = _chain_arrays(_system_size(n), spacing)
         return cls(positions, transverse_sigma, wavelength, directions,
                    window_halfangle)
 
@@ -241,12 +237,15 @@ def _cross(a, b) -> list[float]:
 
 
 def _transverse_basis(positions: np.ndarray) -> np.ndarray:
-    """Two unit vectors spanning the plane orthogonal to the emitter line."""
+    """Two unit vectors spanning the plane orthogonal to the emitter line.
+
+    The line is x if no centered coordinate exceeds ``1e-8`` of the largest: no unit of length.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         centered = positions - positions.mean(axis=0)
     if not np.isfinite(centered).all():  # LAPACK's SVD can hang on an infinite entry
         raise ConfigError("emitter positions are too far apart to average")
-    if not np.abs(centered).max() > 1e-8:  # np.allclose(centered, 0.0)
+    if not np.abs(centered).max() > 1e-8 * np.abs(positions).max():
         axis = [1.0, 0.0, 0.0]
     else:
         _, _, vt = np.linalg.svd(centered)
@@ -305,8 +304,8 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     if geometry.n != n:
         raise DimensionMismatchError(
             f"geometry has {geometry.n} emitters, configuration has {n}")
-    _integer(samples, "samples", 1)
-    _integer(seed, "seed", 0)
+    samples = _integer(samples, "samples", 1)
+    seed = _integer(seed, "seed", 0)
     components, bra = _config_arrays(config)
     if target is not None:
         if target.n != n:

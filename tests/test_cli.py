@@ -565,9 +565,11 @@ def test_missing_config_file(capsys):
 
 def test_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _ = _run(capsys, ["simulate", "--config", str(path)])
-    assert code == 2
+    # not JSON, then JSON whose root is not an object
+    for text in ("{not json", "[1, 2]", "3", '"n"', "null"):
+        path.write_text(text)
+        code, out = _run(capsys, ["simulate", "--config", str(path)])
+        assert (code, out) == (2, ""), text
 
 
 def test_polarizer_count_mismatch(tmp_path, capsys):
@@ -729,8 +731,9 @@ def test_fidelity_above_size_limit_is_a_config_error(tmp_path, capsys):
 
 def test_bad_sweep_spec(tmp_path, capsys):
     cfg = _write(tmp_path, "f.json", _fidelity_config())
-    code, _ = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "oops"])
-    assert code == 2
+    for spec in ("oops", "a:1:3", "0:1:x"):  # not three parts, or parts that are not numbers
+        code, out = _run(capsys, ["fidelity", "--config", cfg, "--sweep", spec])
+        assert (code, out) == (2, ""), spec
 
 
 @pytest.mark.parametrize("count", [10 ** 12, 10 ** 20, 10 ** 400], ids=["1e12", "1e20", "1e400"])

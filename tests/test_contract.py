@@ -17,6 +17,7 @@ import ast
 import importlib.util
 import inspect
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,28 @@ def test_the_largest_system_size_is_valid():
     assert ds.DetectionGeometry.linear_chain(2053).n == 2053
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.int64])
+def test_numpy_integer_sizes_give_what_ints_give(dtype):
+    # a size that kept its dtype made 2 * n, 3 ** n and 2 ** n wrap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for recipe in (ds.ghz_config, ds.w_config):
+            assert recipe(dtype(100), 0.3) == recipe(100, 0.3)
+        for n in (5, 11):
+            register = ds.EmitterRegister.ground(dtype(n))
+            assert type(register.n) is int
+            assert np.array_equal(register.amps, ds.EmitterRegister.ground(n).amps)
+        state = ds.SymmetricState.from_raw(dtype(7), np.ones(8))
+        assert type(state.n) is int
+        assert np.array_equal(state.to_qubit_amplitudes(),
+                              ds.SymmetricState.from_raw(7, np.ones(8)).to_qubit_amplitudes())
+        assert type(ds.SymmetricState(dtype(1), [1.0, 0.0]).n) is int
+        assert type(ds.EmitterRegister(dtype(1), [1.0, 0.0, 0.0]).n) is int
+        chain, reference = (ds.DetectionGeometry.linear_chain(n) for n in (dtype(100), 100))
+        for name in ("emitter_positions", "detector_directions", "phase_table"):
+            assert np.array_equal(getattr(chain, name), getattr(reference, name))
+
+
 def test_every_exported_error_is_raised_somewhere():
     raised = set()
     for path in PACKAGE.glob("*.py"):
@@ -233,6 +256,23 @@ def test_no_package_module_imports_gc():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.partition(".")[0])
     assert "numpy" in imported and "gc" not in imported
+
+
+def test_only_core_store_writes_past_a_frozen_setattr():
+    # one way to freeze a checked value: core._store writes the instance
+    # __dict__, and no other code calls object.__setattr__ or touches __dict__
+    writes = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "core.py":
+            store, = (node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_store")
+            allowed = {id(node) for node in ast.walk(store)}
+        writes += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and id(node) not in allowed
+                   and node.attr in ("__setattr__", "__dict__")]
+    assert writes == []
 
 
 def _benchmark_lib(monkeypatch):

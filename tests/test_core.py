@@ -447,6 +447,9 @@ _INVALID_INPUTS = {
     "angle-numeric-str": (lambda: ds.Polarizer.linear("0.5"), ds.ConfigError),
     "polarizer-numeric-str": (lambda: ds.Polarizer("1", "1j"), ds.ConfigError),
     "from-raw-numeric-str": (lambda: ds.SymmetricState.from_raw(1, ["1", "1"]), ds.ConfigError),
+    # finite, but its modulus overflows
+    "from-raw-modulus-overflow": (lambda: ds.SymmetricState.from_raw(1, [1.5e308 + 1.5e308j, 0]),
+                                  ds.ConfigError),
     "ghz-size-1": (lambda: ds.ghz_config(1, 0), ds.ConfigError),
     "w-size-1": (lambda: ds.w_config(1, 0), ds.ConfigError),
     "s-size-0": (lambda: ds.s_config(0, 0), ds.ConfigError),
@@ -477,6 +480,7 @@ _ABOVE_THE_SIZE_LIMIT = {
     "pyramid-edges": lambda n: ds.pyramid_edges(ds.s_config(n, 0.3), []),
     "window": lambda n: ds.estimate_fidelity(
         ds.s_config(n, 0.3), ds.DetectionGeometry.linear_chain(n), samples=1),
+    "qubit-expansion": lambda n: ds.SymmetricState(n, np.eye(n + 1)[0]).to_qubit_amplitudes(),
 }
 
 

@@ -128,6 +128,18 @@ def test_companion_overflow_is_a_root_finding_error_without_a_warning():
             ds.synthesize(target)
 
 
+@pytest.mark.parametrize("eigvals", ["raise", "nan", "inf"])
+def test_a_failing_eigensolver_is_a_root_finding_error(monkeypatch, eigvals):
+    def broken(matrix):
+        if eigvals == "raise":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return np.full(len(matrix), float(eigvals), dtype=complex)
+
+    monkeypatch.setattr(np.linalg, "eigvals", broken)
+    with pytest.raises(ds.RootFindingError):
+        ds.synthesize(ds.dicke_coefficients(ds.ghz_config(3, 0.3)))
+
+
 def test_synthesize_fully_inverted_target():
     target = ds.SymmetricState.from_raw(4, [0.0, 0.0, 0.0, 0.0, 1.0])
     config = ds.synthesize(target)

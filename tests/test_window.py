@@ -278,6 +278,26 @@ def test_transverse_basis_is_fixed_at_construction():
     assert not geo.transverse_basis.flags.writeable
 
 
+@pytest.mark.parametrize("line", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)],
+                         ids=["x", "y", "z", "oblique"])
+def test_a_power_of_two_scale_of_every_length_keeps_the_estimate(line):
+    # scaling positions, sigma and wavelength by 2**k is exact and leaves every
+    # phase's bits alone, so the emitter line may not depend on the unit of length
+    chain = ds.DetectionGeometry.linear_chain(3)
+    positions = np.outer([-1.0, 0.0, 1.0], line) * 5e-6
+    config = ds.ghz_config(3, 0.0)
+
+    def estimate(k):
+        geo = ds.DetectionGeometry(positions * 2.0 ** k, chain.transverse_sigma * 2.0 ** k,
+                                   chain.wavelength * 2.0 ** k, chain.detector_directions,
+                                   chain.window_halfangle)
+        est = ds.estimate_fidelity(config, geo, samples=64, seed=5)
+        return est.mean_fidelity.hex(), est.standard_error.hex()
+
+    reference = estimate(0)
+    assert [k for k in range(-30, 31) if estimate(k) != reference] == []
+
+
 def test_geometry_does_not_follow_later_edits_of_the_callers_arrays():
     n = 3
     pos = _chain_positions(n, 5e-6)
