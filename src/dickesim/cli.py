@@ -14,14 +14,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import __version__
 from .cascade import PolarizerConfig, build_pyramid, dicke_coefficients, pyramid_edges
-from .core import Polarizer, SymmetricState, _real, _system_size, fidelity
+from .core import Polarizer, SymmetricState, _number, _system_size, fidelity
 from .entanglement import classify_from_config, entanglement_report
 from .errors import ConfigError, DickesimError, DimensionMismatchError, TooLargeError
 from .synthesis import synthesize
@@ -54,7 +54,9 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ConfigError:  # _finite's, which is a ValueError too
+        raise
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, huge ints, deep nesting too
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -64,11 +66,11 @@ def _load_config(path: str) -> dict:
 def _parse_complex(value, what: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{what} must be a [re, im] pair, got {value!r}")
-    return complex(_real(value[0], f"{what} re"), _real(value[1], f"{what} im"))
+    return complex(_number(value[0], f"{what} re"), _number(value[1], f"{what} im"))
 
 
 def _angle(value, what: str, degrees: bool) -> float:
-    angle = _real(value, what)
+    angle = _number(value, what)
     return float(np.deg2rad(angle)) if degrees else angle
 
 
@@ -101,11 +103,11 @@ def _parse_target(cfg: dict, n: int) -> SymmetricState:
     return SymmetricState.from_raw(n, raw)
 
 
-def _parse_geometry(cfg: dict, n: int, degrees: bool) -> DetectionGeometry:
+def _parse_geometry(cfg: dict, n: int, degrees: bool, window=None) -> DetectionGeometry:
     """``DetectionGeometry.linear_chain`` with the given keys replacing its defaults.
 
     The chain's arrays stand in for any the config leaves out, and the
-    geometry is built once.
+    geometry is built once.  A ``window`` (radians) stands in for the config's.
     """
     geo = cfg.get("geometry")
     if not isinstance(geo, dict):
@@ -116,8 +118,9 @@ def _parse_geometry(cfg: dict, n: int, degrees: bool) -> DetectionGeometry:
     if unknown:
         raise ConfigError(f"unknown geometry keys: {sorted(unknown)}")
 
-    window = (_angle(geo["window_halfangle"], "window_halfangle", degrees)
-              if "window_halfangle" in geo else _CHAIN_WINDOW)
+    if window is None:
+        window = (_angle(geo["window_halfangle"], "window_halfangle", degrees)
+                  if "window_halfangle" in geo else _CHAIN_WINDOW)
     positions, directions = _chain_arrays(n, geo.get("spacing", _CHAIN_SPACING))
     # the geometry itself checks that both arrays are (m, 3)
     geometry = DetectionGeometry(
@@ -304,20 +307,16 @@ def _cmd_fidelity(cfg: dict, n: int, args) -> int:
         def rows():
             header = "window_halfangle,mean_fidelity,standard_error,sample_count,excluded_count\n"
             for k, window in enumerate(_parse_sweep(args.sweep, args.degrees)):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    est = estimate_fidelity(config,
-                                            replace(geometry, window_halfangle=float(window)),
-                                            target=target, samples=samples, seed=seed)
+                # from the config's own arrays, as a single run at this window builds it
+                est = estimate_fidelity(config, _parse_geometry(cfg, n, args.degrees, window),
+                                        target=target, samples=samples, seed=seed)
                 yield ("" if k else header) + (
                     f"{window:.15g},{est.mean_fidelity:.15g},{est.standard_error:.15g},"
                     f"{est.sample_count},{est.excluded_count}\n")
         _write(rows(), args)
         return EXIT_OK
 
-    # a sample whose phases overflow warns on its way to a ConfigError, whose
-    # message alone goes to stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        est = estimate_fidelity(config, geometry, target=target, samples=samples, seed=seed)
+    est = estimate_fidelity(config, geometry, target=target, samples=samples, seed=seed)
     _write_record({
         "system_size": n,
         "fidelity_estimate": asdict(est),

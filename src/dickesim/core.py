@@ -69,15 +69,18 @@ def _integer(value, what: str, minimum: int) -> int:
 _NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
 
-def _real(value, what: str) -> float:
-    """``value`` as a finite float, else ``ConfigError``: booleans and strings are not numbers."""
+def _number(value, what: str, dtype=float):
+    """``value`` as a finite ``dtype`` (float or complex), else ``ConfigError``.
+
+    Booleans and strings are not numbers, though ``float()`` and ``complex()`` take them.
+    """
     if isinstance(value, _NOT_NUMBERS):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
-        x = float(value)
+        x = dtype(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number: {exc}") from None
-    if not isfinite(x):
+    if not cmath.isfinite(x):
         raise ConfigError(f"{what} must be finite, got {x}")
     return x
 
@@ -177,17 +180,8 @@ class Polarizer:
     beta: complex
 
     def __post_init__(self) -> None:
-        # scalar math, not numpy ufuncs: synthesis builds n of these per call;
-        # complex() parses strings and takes booleans
-        if isinstance(self.alpha, _NOT_NUMBERS) or isinstance(self.beta, _NOT_NUMBERS):
-            raise ConfigError("polarizer components must be numbers, not strings or booleans")
-        try:
-            a = complex(self.alpha)
-            b = complex(self.beta)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"polarizer components must be numbers: {exc}") from None
-        if not (cmath.isfinite(a) and cmath.isfinite(b)):
-            raise ConfigError("polarizer components must be finite")
+        a = _number(self.alpha, "polarizer alpha", complex)
+        b = _number(self.beta, "polarizer beta", complex)
         nrm = hypot(abs(a), abs(b))
         if nrm == 0.0:
             raise ConfigError("polarizer components are both zero")
@@ -201,7 +195,7 @@ class Polarizer:
         only changes a global phase).  A non-numeric or non-finite angle is
         ``ConfigError``.
         """
-        t = _real(theta, "angle") % pi
+        t = _number(theta, "angle") % pi
         if t == pi:  # tiny negative inputs can wrap onto pi itself
             t = 0.0
         return Polarizer(np.exp(-1j * t) / np.sqrt(2.0), np.exp(1j * t) / np.sqrt(2.0))

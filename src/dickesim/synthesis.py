@@ -23,7 +23,7 @@ from math import hypot
 import numpy as np
 
 from .cascade import PolarizerConfig
-from .core import Polarizer, SymmetricState, _built, _real, _sqrt_binomials, _system_size
+from .core import Polarizer, SymmetricState, _built, _number, _sqrt_binomials, _system_size
 from .errors import ConfigError, RootFindingError
 
 #: Coefficients below this magnitude do not count toward the polynomial degree.
@@ -111,7 +111,7 @@ def ghz_config(n: int, phi: float) -> PolarizerConfig:
     n = _system_size(n)
     if n < 2:
         raise ConfigError("maximally entangled target needs n >= 2")
-    phi = _real(phi, "phi")
+    phi = _number(phi, "phi")
     offset = np.pi / (2 * n) if n % 2 == 0 else 0.0
     return PolarizerConfig.from_angles(
         offset + phi / (2 * n) + k * np.pi / n for k in range(n))
@@ -124,7 +124,7 @@ def s_config(n: int, phi: float) -> PolarizerConfig:
     ``(|+> + e^{i phi}|->)/sqrt(2)``.
     """
     n = _system_size(n)
-    return PolarizerConfig.from_angles([_real(phi, "phi") / 2.0] * n)
+    return PolarizerConfig.from_angles([_number(phi, "phi") / 2.0] * n)
 
 
 def w_config(n: int, phi: float) -> PolarizerConfig:
@@ -140,6 +140,6 @@ def w_config(n: int, phi: float) -> PolarizerConfig:
     n = _system_size(n)
     if n < 2:
         raise ConfigError("single-excitation target needs n >= 2")
-    phi = _real(phi, "phi")
+    phi = _number(phi, "phi")
     angles = [phi / 2.0 + np.pi / 2.0] * (n - 1) + [phi / 2.0]
     return PolarizerConfig.from_angles(angles)

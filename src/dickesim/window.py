@@ -67,7 +67,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .cascade import PolarizerConfig, _as_config, dicke_coefficients
-from .core import (SymmetricState, _check_register_size, _integer, _numbers, _real, _store,
+from .core import (SymmetricState, _check_register_size, _integer, _number, _numbers, _store,
                    _system_size)
 from .errors import (
     ConfigError,
@@ -93,6 +93,16 @@ ANNIHILATION_TOL = 1e-12
 #: at n = 9; from n = 10 on it is a single sample and memory no longer
 #: depends on this budget.
 _CHUNK_ENTRIES = 8192
+
+#: Largest phase-table entry a geometry may hold, so that no sample's phase
+#: overflows.  A sample phase is ``along[j] + z1 along[n] + z2 along[n + 1]``
+#: (:func:`_sample_phases`).  Each ``|along|`` is at most 3 times the largest
+#: entry, since the window enters only through a cosine and a sine.  ``z``
+#: comes from ``Generator.standard_normal``, whose ziggurat tail is
+#: ``r - log1p(-u) / r`` with ``r = 3.654`` and ``u <= 1 - 2**-53``, so
+#: ``|z| < 3.654 + 53 ln 2 / 3.654 < 14``.  Every phase is then below
+#: ``87 * 2**1000 < 2**1024``, and its cosine and sine are finite.
+_PHASE_TABLE_BOUND = 2.0 ** 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +135,8 @@ class DetectionGeometry:
     four arrays are read-only, so a later edit of the caller's arrays cannot
     change the geometry, and ``dataclasses.replace`` builds them anew.
     Invalid values raise ``ConfigError``, and so do positions too large to
-    average and a phase table that overflows the float range.
+    average and a phase table with an entry above ``2**1000`` (about 1e301
+    rad), past which a sample's phases could overflow the float range.
     """
 
     emitter_positions: np.ndarray
@@ -137,9 +148,9 @@ class DetectionGeometry:
     phase_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        wavelength = _real(self.wavelength, "wavelength")
-        window = _real(self.window_halfangle, "window_halfangle")
-        sigma = _real(self.transverse_sigma, "transverse_sigma")
+        wavelength = _number(self.wavelength, "wavelength")
+        window = _number(self.window_halfangle, "window_halfangle")
+        sigma = _number(self.transverse_sigma, "transverse_sigma")
         if wavelength <= 0:
             raise ConfigError("wavelength must be positive")
         if window < 0:
@@ -161,8 +172,6 @@ class DetectionGeometry:
         # the scaling is exact, so the unit direction keeps its bits
         dirs = np.ldexp(dirs, -np.frexp(peaks)[1][:, None])
         norms = np.linalg.norm(dirs, axis=1)
-        # before the phase table, which reads self.wavenumber
-        _store(self, wavelength=wavelength, window_halfangle=window, transverse_sigma=sigma)
         pos = np.copy(pos)  # the caller's array may change later; this may not
         dirs = dirs / norms[:, None]
         basis = _transverse_basis(pos)
@@ -173,20 +182,18 @@ class DetectionGeometry:
         # the mean emitter positions, then the two jitter axes scaled by sigma
         points = np.vstack([pos, sigma * basis])
         with np.errstate(over="ignore", invalid="ignore"):
-            table = self.wavenumber * (points @ parts)
-        if not np.isfinite(table).all():
+            table = (2.0 * np.pi / wavelength) * (points @ parts)
+        # NaN fails this too
+        if not np.abs(table).max() <= _PHASE_TABLE_BOUND:
             raise ConfigError("the geometry's phases overflow: its lengths are too "
                               "large against its wavelength")
-        _store(self, emitter_positions=pos, detector_directions=dirs,
+        _store(self, wavelength=wavelength, window_halfangle=window, transverse_sigma=sigma,
+               emitter_positions=pos, detector_directions=dirs,
                transverse_basis=basis, phase_table=table)
 
     @property
     def n(self) -> int:
         return self.emitter_positions.shape[0]
-
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * np.pi / self.wavelength
 
     @classmethod
     def linear_chain(cls, n: int, spacing: float = _CHAIN_SPACING,
@@ -222,7 +229,7 @@ class FidelityEstimate:
 
 def _chain_arrays(n: int, spacing) -> tuple[np.ndarray, np.ndarray]:
     """Positions and detector directions of :meth:`DetectionGeometry.linear_chain`."""
-    spacing = _real(spacing, "spacing")
+    spacing = _number(spacing, "spacing")
     xs = (np.arange(n) - (n - 1) / 2.0) * spacing
     positions = np.column_stack([xs, np.zeros(n), np.zeros(n)])
     ring = 2.0 * np.pi * np.arange(n) / n
@@ -285,8 +292,7 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     ConfigError
         If ``geometry`` is not a :class:`DetectionGeometry`, ``target`` not
         a :class:`SymmetricState` or ``None``, ``samples`` not a positive
-        integer or ``seed`` not a non-negative one; or if a sample's phases
-        overflow the float range, which leaves its amplitudes NaN.
+        integer or ``seed`` not a non-negative one.
     DimensionMismatchError
         If configuration, geometry, and target sizes disagree.
     ZeroStateError
@@ -333,9 +339,6 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
         norms = np.einsum("sx,sx->s", flat, flat)  # squared
         alive = norms >= ANNIHILATION_TOL ** 2
         if not alive.all():
-            if np.isnan(norms).any():  # a phase overflowed to inf, and cos(inf) is NaN
-                raise ConfigError("the sample phases overflow: the geometry's lengths "
-                                  "are too large against its wavelength")
             psi, norms = psi[alive], norms[alive]
             if len(psi) == 0:
                 continue

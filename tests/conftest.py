@@ -230,7 +230,7 @@ def dense_sample_output(config, geometry, normals, deviates):
         v = geometry.detector_directions[i]
         c, s = np.cos(delta), np.sin(delta)
         nhat = np.array([c * v[0] - s * v[1], s * v[0] + c * v[1], v[2]])
-        phases = np.exp(1j * geometry.wavenumber * (positions @ nhat))
+        phases = np.exp(1j * (2.0 * np.pi / geometry.wavelength) * (positions @ nhat))
         amps = _detection_kernel(amps, n, polarizer.alpha * phases,
                                  polarizer.beta * phases)
     # no emitter in e; flattened in ascending register order, which is the qubit order

@@ -359,6 +359,22 @@ def test_fidelity_sweep_is_monotone_with_paired_seeds(tmp_path, capsys):
     assert means[0] >= means[1] >= means[2]
 
 
+def test_a_sweep_row_is_the_record_at_its_window(tmp_path, capsys):
+    # non-unit directions, whose unit vectors a second normalization would move
+    rng = np.random.default_rng(24)
+    for k in range(20):
+        payload = _fidelity_config(0.01, 5e-9, samples=50, seed=1)
+        payload["geometry"]["detector_directions"] = rng.standard_normal((4, 3)).tolist()
+        cfg = _write(tmp_path, "f.json", payload)
+        est = _run_record(capsys, ["fidelity", "--config", cfg])["fidelity_estimate"]
+        code, out = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "0.01:0.01:2"])
+        assert code == 0
+        for row in out.splitlines()[1:]:
+            assert row.split(",")[1:] == [
+                f"{est['mean_fidelity']:.15g}", f"{est['standard_error']:.15g}",
+                str(est["sample_count"]), str(est["excluded_count"])], k
+
+
 def _failing_after(monkeypatch, finished, seen=None, error=ds.ZeroStateError):
     """Patch the CLI's estimate so that the point after ``finished`` raises ``error``.
 
@@ -572,6 +588,18 @@ def test_malformed_json(tmp_path, capsys):
         assert (code, out) == (2, ""), text
 
 
+@pytest.mark.parametrize("data", [
+    b'{"n": 1, "polarizers": [{"theta": 0.5}], "note": "\xff"}',
+    b'{"n": ' + b"9" * 4301 + b'}',  # past the digit limit, or else past any size limit
+    b'{"n": 1, "note": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+], ids=["not-utf-8", "long-integer", "deep-nesting"])
+def test_undecodable_long_or_deep_json_is_a_config_error(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out = _run(capsys, ["simulate", "--config", str(path)])
+    assert (code, out) == (2, "")
+
+
 def test_polarizer_count_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"n": 3, "polarizers": [{"theta": 0.0}]})
     code, _ = _run(capsys, ["simulate", "--config", cfg])
@@ -668,8 +696,7 @@ def test_overflowing_phases_are_a_config_error(tmp_path, capsys, sigma):
     # once a record with most samples excluded as annihilated (1e301), or exit 3
     payload = _fidelity_config(np.deg2rad(0.5), sigma, samples=200)
     cfg = _write(tmp_path, "f.json", payload)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["fidelity", "--config", cfg])
+    code = main(["fidelity", "--config", cfg])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
