@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cascade import PolarizerConfig, build_pyramid, dicke_coefficients, pyramid_edges
-from .core import Polarizer, SymmetricState, _number, _system_size, fidelity
+from .core import Polarizer, SymmetricState, _built, _number, _system_size, fidelity
 from .entanglement import classify_from_config, entanglement_report
 from .errors import ConfigError, DickesimError, DimensionMismatchError, TooLargeError
 from .synthesis import synthesize
@@ -103,11 +103,11 @@ def _parse_target(cfg: dict, n: int) -> SymmetricState:
     return SymmetricState.from_raw(n, raw)
 
 
-def _parse_geometry(cfg: dict, n: int, degrees: bool, window=None) -> DetectionGeometry:
+def _parse_geometry(cfg: dict, n: int, degrees: bool) -> DetectionGeometry:
     """``DetectionGeometry.linear_chain`` with the given keys replacing its defaults.
 
     The chain's arrays stand in for any the config leaves out, and the
-    geometry is built once.  A ``window`` (radians) stands in for the config's.
+    geometry is built once.
     """
     geo = cfg.get("geometry")
     if not isinstance(geo, dict):
@@ -118,9 +118,8 @@ def _parse_geometry(cfg: dict, n: int, degrees: bool, window=None) -> DetectionG
     if unknown:
         raise ConfigError(f"unknown geometry keys: {sorted(unknown)}")
 
-    if window is None:
-        window = (_angle(geo["window_halfangle"], "window_halfangle", degrees)
-                  if "window_halfangle" in geo else _CHAIN_WINDOW)
+    window = (_angle(geo["window_halfangle"], "window_halfangle", degrees)
+              if "window_halfangle" in geo else _CHAIN_WINDOW)
     positions, directions = _chain_arrays(n, geo.get("spacing", _CHAIN_SPACING))
     # the geometry itself checks that both arrays are (m, 3)
     geometry = DetectionGeometry(
@@ -307,9 +306,12 @@ def _cmd_fidelity(cfg: dict, n: int, args) -> int:
         def rows():
             header = "window_halfangle,mean_fidelity,standard_error,sample_count,excluded_count\n"
             for k, window in enumerate(_parse_sweep(args.sweep, args.degrees)):
-                # from the config's own arrays, as a single run at this window builds it
-                est = estimate_fidelity(config, _parse_geometry(cfg, n, args.degrees, window),
-                                        target=target, samples=samples, seed=seed)
+                # the parsed geometry at this window: _parse_sweep's points are finite
+                # and >= 0, and no derived field depends on the window
+                point = _built(DetectionGeometry,
+                               **{**vars(geometry), "window_halfangle": float(window)})
+                est = estimate_fidelity(config, point, target=target, samples=samples,
+                                        seed=seed)
                 yield ("" if k else header) + (
                     f"{window:.15g},{est.mean_fidelity:.15g},{est.standard_error:.15g},"
                     f"{est.sample_count},{est.excluded_count}\n")

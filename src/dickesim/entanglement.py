@@ -18,23 +18,21 @@ the number of distinct polarizer orientations alone decides the class.
 The state-vector measures all start from one list of the 8 amplitudes as
 Python complexes, because on 2x2 and 8-element arrays numpy's per-call
 overhead costs far more than the arithmetic.  The hyperdeterminant is a
-polynomial in the amplitudes, and each one-qubit marginal is a 2x2 matrix
-whose spectrum has a closed form.  The pair concurrences keep an SVD, one
-stacked call over the three pairs, for the precision reason given in
-:func:`_concurrences`.  The report and :func:`tangle_hyperdeterminant`
-share these helpers, so each measure has one implementation; the numpy
-versions they replaced are the oracles of the test suite.
+polynomial in the amplitudes, each one-qubit marginal is a 2x2 matrix
+whose spectrum has a closed form, and so is each pair concurrence, in the
+form :func:`_concurrences` derives.  The report and
+:func:`tangle_hyperdeterminant` share these helpers, so each measure has one
+implementation; the numpy versions they replaced are the oracles of the
+test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, log1p, log2, sqrt
+from math import frexp, ldexp, log, log1p, log2, sqrt
 
-import numpy as np
-
-from .cascade import _as_config, _product_polynomial
-from .core import SymmetricState, _numbers, _sqrt_binomials, _unit_vector, same_orientation
+from .cascade import _as_config, _partial_products
+from .core import SymmetricState, _numbers, _unit_vector, same_orientation
 from .errors import DimensionMismatchError
 
 #: Threshold separating numerically-zero tangle/entropy from generic nonzero
@@ -131,17 +129,25 @@ def _concurrences(psi: list[complex]) -> list[float]:
     The generic formula sorts the root-eigenvalues of
     ``rho (sy x sy) rho* (sy x sy)`` and takes ``l1 - l2 - l3 - l4``.
     Because the total state is pure, each marginal has rank at most two and
-    only two of those values survive; they are the singular values of the
-    2x2 matrix ``M^T (sy x sy) M`` with ``M`` the pair-versus-rest reshape
-    of the amplitudes.  Its four entries are quadratic in the amplitudes and
-    are formed in scalar arithmetic, but the singular values still come from
-    an SVD, one stacked call for all three pairs: the closed form
-    ``l1 - l2 = sqrt(|T|_F**2 - 2 |det T|)`` for that matrix ``T``, like
-    square roots of eigenvalues, takes the root of a quantity that is zero up
-    to rounding near a product state, which would cost half the working
-    precision.
+    only two of those values survive; they are the singular values
+    ``s0 >= s1`` of the complex symmetric 2x2 matrix
+    ``T = M^T (sy x sy) M = [[a, b], [b, d]]``, with ``M`` the
+    pair-versus-rest reshape of the amplitudes.  The concurrence is
+
+        s0 - s1 = (s0**2 - s1**2) / (s0 + s1)
+                = sqrt((|a|**2 - |d|**2)**2 + 4 |a b* + b d*|**2)
+                  / sqrt(|a|**2 + 2 |b|**2 + |d|**2 + 2 |a d - b**2|),
+
+    the eigenvalue gap of ``T T^dagger`` over ``sqrt(|T|_F**2 + 2 |det T|)``.
+    Each root is taken of a sum of non-negative terms.  The shorter
+    ``sqrt(|T|_F**2 - 2 |det T|)`` would take the root of a quantity that is
+    zero up to rounding near a product state, which costs half the working
+    precision.  ``T`` vanishes at a product state, so it is first scaled by
+    the power of two of its largest entry and the quotient scaled back, both
+    exactly, and its squares neither underflow nor lose bits; ``T = 0``
+    gives 0.
     """
-    mats = []
+    concurrences = []
     for i, j in _PAIRS:
         bi, bj = 1 << i, 1 << j
         r = 7 ^ bi ^ bj  # the remaining qubit's bit
@@ -151,11 +157,25 @@ def _concurrences(psi: list[complex]) -> list[float]:
         w0, w1 = psi[bi], psi[bi | r]
         z0, z1 = psi[bi | bj], psi[7]
         # M^T (sy x sy) M with M the (4, 2) pair-versus-rest matrix
-        t01 = v0 * w1 + w0 * v1 - u0 * z1 - z0 * u1
-        mats.append(((2.0 * (v0 * w0 - u0 * z0), t01),
-                     (t01, 2.0 * (v1 * w1 - u1 * z1))))
-    singulars = np.linalg.svd(np.array(mats), compute_uv=False)
-    return [max(0.0, s0 - s1) for s0, s1 in singulars.tolist()]
+        a = 2.0 * (v0 * w0 - u0 * z0)
+        b = v0 * w1 + w0 * v1 - u0 * z1 - z0 * u1
+        d = 2.0 * (v1 * w1 - u1 * z1)
+        peak = max(abs(a), abs(b), abs(d))
+        if peak == 0.0:
+            concurrences.append(0.0)
+            continue
+        # clamped: for a subnormal peak the scale 2**-e itself would overflow
+        e = max(frexp(peak)[1], -1022)
+        scale = 2.0 ** -e
+        a, b, d = a * scale, b * scale, d * scale
+        aa = a.real * a.real + a.imag * a.imag
+        bb = b.real * b.real + b.imag * b.imag
+        dd = d.real * d.real + d.imag * d.imag
+        off = a * b.conjugate() + b * d.conjugate()
+        gap = sqrt((aa - dd) * (aa - dd) + 4.0 * (off.real * off.real + off.imag * off.imag))
+        # the concurrence is linear in T: scale back by 2**e
+        concurrences.append(ldexp(gap / sqrt(aa + 2.0 * bb + dd + 2.0 * abs(a * d - b * b)), e))
+    return concurrences
 
 
 def tangle_hyperdeterminant(state) -> float:
@@ -185,12 +205,16 @@ def tangle_closed_form(config) -> float:
     config = _as_config(config)
     if len(config) != 3:
         raise DimensionMismatchError(f"closed form needs exactly 3 polarizers, got {len(config)}")
-    norm = 1.0 / np.linalg.norm(_product_polynomial(config) / _sqrt_binomials(3))
+    for q in _partial_products(config):
+        pass
+    # 1 / N**2 = sum_k |q_k|**2 / C(3, k), with C(3, k) = 1, 3, 3, 1
+    m0, m1, m2, m3 = (c.real * c.real + c.imag * c.imag for c in q)
+    norm2 = m0 + (m1 + m2) / 3.0 + m3
     cross = 1.0
     for i, j in _PAIRS:
         pi, pj = config[i], config[j]
         cross *= abs(pi.alpha * pj.beta - pj.alpha * pi.beta) ** 2
-    return float(min((4.0 / 27.0) * norm ** 4 * cross, 1.0))
+    return min((4.0 / 27.0) * cross / (norm2 * norm2), 1.0)
 
 
 def _infer_class(tangle: float, entropies: tuple[float, ...]) -> str:

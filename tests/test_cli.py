@@ -375,6 +375,22 @@ def test_a_sweep_row_is_the_record_at_its_window(tmp_path, capsys):
                 str(est["sample_count"]), str(est["excluded_count"])], k
 
 
+def test_a_sweep_builds_its_geometry_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    basis = window._transverse_basis
+
+    def counted(positions):
+        calls.append(None)
+        return basis(positions)
+
+    monkeypatch.setattr(window, "_transverse_basis", counted)
+    cfg = _write(tmp_path, "f.json", _fidelity_config(sigma=5e-9, samples=5))
+    code, out = _run(capsys, ["fidelity", "--config", cfg, "--sweep", "0:0.02:6"])
+    assert code == 0
+    assert len(out.splitlines()) == 7
+    assert len(calls) == 1
+
+
 def _failing_after(monkeypatch, finished, seen=None, error=ds.ZeroStateError):
     """Patch the CLI's estimate so that the point after ``finished`` raises ``error``.
 

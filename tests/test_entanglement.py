@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,3 +281,73 @@ def test_amplitude_scale_does_not_change_the_measures(scale):
     assert report.pair_concurrences[(0, 1)] == pytest.approx(2.0 / 3.0, abs=1e-12)
     with pytest.raises(ds.ZeroStateError):
         ds.entanglement_report(np.zeros(8))
+
+
+# ---------------------------------------------------------------------------
+# concurrence precision against 50-digit arithmetic
+# ---------------------------------------------------------------------------
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _concurrence_mp(psi, pair):
+    """``sqrt(|T|_F**2 - 2 |det T|)`` for ``T = M^T (sy x sy) M`` at 50 digits.
+
+    The root cancels near a product state, which 50 digits leave harmless;
+    ``psi`` is normalized at that precision too.
+    """
+    i, j = pair
+    rest = ({0, 1, 2} - {i, j}).pop()
+    rows = np.transpose(np.asarray(psi).reshape(2, 2, 2, order="F"), (i, j, rest)).reshape(4, 2)
+    with mpmath.workdps(50):
+        m = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in rows])
+        norm2 = mpmath.fsum(abs(m[k, l]) ** 2 for k in range(4) for l in range(2))
+        t = m.T * mpmath.matrix(SPIN_FLIP.tolist()) * m / norm2
+        frobenius2 = mpmath.fsum(abs(t[k, l]) ** 2 for k in range(2) for l in range(2))
+        det = abs(t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0])
+        return float(mpmath.sqrt(max(frobenius2 - 2 * det, 0)))
+
+
+def _random_amplitudes(rng, size):
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return v / np.linalg.norm(v)
+
+
+def test_concurrences_match_50_digit_arithmetic():
+    rng = np.random.default_rng(53)
+    states = [_random_amplitudes(rng, 8) for _ in range(100)]
+    for eps in 10.0 ** np.arange(-16.0, -5.0):
+        for _ in range(20):
+            product = qubit_kron([_random_amplitudes(rng, 2) for _ in range(3)])
+            states.append(product + eps * _random_amplitudes(rng, 8))
+    for psi in states:
+        report = ds.entanglement_report(psi)
+        for pair in _PAIRS:
+            want = _concurrence_mp(psi, pair)
+            assert abs(report.pair_concurrences[pair] - want) <= 1e-15
+
+
+def test_a_tiny_kick_off_a_product_keeps_its_relative_precision():
+    # every entry of T is about 1e-200, so its squares underflow unless scaled
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        psi = 1e-200 * _random_amplitudes(rng, 8)
+        psi[0] = 1.0
+        report = ds.entanglement_report(psi)
+        for pair in _PAIRS:
+            want = _concurrence_mp(psi, pair)
+            assert 0.0 < want < 1e-199
+            assert report.pair_concurrences[pair] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("qubits", [
+    [(1, 0), (1, 0), (1, 0)],
+    [(0, 1), (1, 0), (0, 1)],
+    [(1, 1), (1, 1), (1, 1)],
+    [(1, 1j), (1, 0), (1, -1)],
+], ids=["000", "101", "plus-plus-plus", "mixed"])
+def test_an_exact_product_has_zero_concurrences(qubits):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ds.entanglement_report(qubit_kron(qubits))
+    assert list(report.pair_concurrences.values()) == [0.0, 0.0, 0.0]
