@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .cascade import PolarizerConfig, build_pyramid, dicke_coefficients, pyramid_edges
-from .core import Polarizer, SymmetricState, _built, _number, _system_size, fidelity
+from .core import Polarizer, SymmetricState, _number, _system_size, fidelity
 from .entanglement import classify_from_config, entanglement_report
 from .errors import ConfigError, DickesimError, DimensionMismatchError, TooLargeError
 from .synthesis import synthesize
 from .window import (_CHAIN_SIGMA, _CHAIN_SPACING, _CHAIN_WAVELENGTH, _CHAIN_WINDOW,
-                     DetectionGeometry, _chain_arrays, estimate_fidelity)
+                     DetectionGeometry, _at_window, _chain_arrays, estimate_fidelity)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -306,12 +306,8 @@ def _cmd_fidelity(cfg: dict, n: int, args) -> int:
         def rows():
             header = "window_halfangle,mean_fidelity,standard_error,sample_count,excluded_count\n"
             for k, window in enumerate(_parse_sweep(args.sweep, args.degrees)):
-                # the parsed geometry at this window: _parse_sweep's points are finite
-                # and >= 0, and no derived field depends on the window
-                point = _built(DetectionGeometry,
-                               **{**vars(geometry), "window_halfangle": float(window)})
-                est = estimate_fidelity(config, point, target=target, samples=samples,
-                                        seed=seed)
+                est = estimate_fidelity(config, _at_window(geometry, window), target=target,
+                                        samples=samples, seed=seed)
                 yield ("" if k else header) + (
                     f"{window:.15g},{est.mean_fidelity:.15g},{est.standard_error:.15g},"
                     f"{est.sample_count},{est.excluded_count}\n")

@@ -69,10 +69,11 @@ def _integer(value, what: str, minimum: int) -> int:
 _NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
 
-def _number(value, what: str, dtype=float):
+def _number(value, what: str, dtype=float, minimum=None):
     """``value`` as a finite ``dtype`` (float or complex), else ``ConfigError``.
 
     Booleans and strings are not numbers, though ``float()`` and ``complex()`` take them.
+    A real ``value`` below ``minimum``, if one is given, is ``ConfigError`` too.
     """
     if isinstance(value, _NOT_NUMBERS):
         raise ConfigError(f"{what} must be a number, got {value!r}")
@@ -82,6 +83,8 @@ def _number(value, what: str, dtype=float):
         raise ConfigError(f"{what} must be a number: {exc}") from None
     if not cmath.isfinite(x):
         raise ConfigError(f"{what} must be finite, got {x}")
+    if minimum is not None and x < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}")
     return x
 
 

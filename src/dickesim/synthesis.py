@@ -18,12 +18,10 @@ product targets are provided alongside the generic construction.
 
 from __future__ import annotations
 
-from math import hypot
-
 import numpy as np
 
 from .cascade import PolarizerConfig
-from .core import Polarizer, SymmetricState, _built, _number, _sqrt_binomials, _system_size
+from .core import Polarizer, SymmetricState, _number, _sqrt_binomials, _system_size
 from .errors import ConfigError, RootFindingError
 
 #: Coefficients below this magnitude do not count toward the polynomial degree.
@@ -86,14 +84,9 @@ def synthesize(target: SymmetricState) -> PolarizerConfig:
     if not isinstance(target, SymmetricState):
         raise ConfigError(
             f"target must be a SymmetricState, got {type(target).__name__}")
-    pols = []
-    for r in map(complex, _polynomial_roots(_synthesis_polynomial(target))):
-        # Polarizer(r, 1.0)'s own arithmetic; the roots are finite numbers
-        nrm = hypot(abs(r), 1.0)
-        pols.append(_built(Polarizer, alpha=r / nrm, beta=(1 + 0j) / nrm))
+    pols = [Polarizer(r, 1.0) for r in _polynomial_roots(_synthesis_polynomial(target)).tolist()]
     pols.extend(Polarizer(1.0, 0.0) for _ in range(target.n - len(pols)))
-    # a tuple of n >= 1 Polarizers
-    return _built(PolarizerConfig, polarizers=tuple(pols))
+    return PolarizerConfig(tuple(pols))
 
 
 # ---------------------------------------------------------------------------

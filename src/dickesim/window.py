@@ -67,8 +67,8 @@ from math import comb, sqrt
 import numpy as np
 
 from .cascade import PolarizerConfig, _as_config, dicke_coefficients
-from .core import (SymmetricState, _check_register_size, _integer, _number, _numbers, _store,
-                   _system_size)
+from .core import (SymmetricState, _built, _check_register_size, _integer, _number, _numbers,
+                   _store, _system_size)
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -133,7 +133,8 @@ class DetectionGeometry:
     z component; a window rotation weights the first two with the cosine and
     sine of its angle.  The positions and directions are copies, and those
     four arrays are read-only, so a later edit of the caller's arrays cannot
-    change the geometry, and ``dataclasses.replace`` builds them anew.
+    change the geometry.  ``dataclasses.replace`` builds them anew and
+    normalizes the stored unit directions again, which can move their last bit.
     Invalid values raise ``ConfigError``, and so do positions too large to
     average and a phase table with an entry above ``2**1000`` (about 1e301
     rad), past which a sample's phases could overflow the float range.
@@ -149,14 +150,10 @@ class DetectionGeometry:
 
     def __post_init__(self) -> None:
         wavelength = _number(self.wavelength, "wavelength")
-        window = _number(self.window_halfangle, "window_halfangle")
-        sigma = _number(self.transverse_sigma, "transverse_sigma")
         if wavelength <= 0:
             raise ConfigError("wavelength must be positive")
-        if window < 0:
-            raise ConfigError("window_halfangle must be >= 0")
-        if sigma < 0:
-            raise ConfigError("transverse_sigma must be >= 0")
+        window = _number(self.window_halfangle, "window_halfangle", minimum=0)
+        sigma = _number(self.transverse_sigma, "transverse_sigma", minimum=0)
         pos = _numbers(self.emitter_positions, float, "geometry values")
         dirs = _numbers(self.detector_directions, float, "geometry values")
         if pos.ndim != 2 or pos.shape[1] != 3 or len(pos) < 1:
@@ -206,12 +203,18 @@ class DetectionGeometry:
         Detector ``i`` looks along ``(0, cos a_i, sin a_i)`` with the ring
         angles ``a_i = 2 pi i / n`` in the plane orthogonal to the chain.
         Defaults follow a typical trapped-ion setting: 5 um spacing, 5 nm
-        transverse confinement, 493 nm light, a 1-degree detection window.
+        transverse confinement, 493 nm light, a 0.5° halfangle (a 1° window).
         An ``n`` that is not an integer >= 1 is ``ConfigError``.
         """
         positions, directions = _chain_arrays(_system_size(n), spacing)
         return cls(positions, transverse_sigma, wavelength, directions,
                    window_halfangle)
+
+
+def _at_window(geometry: DetectionGeometry, window_halfangle) -> DetectionGeometry:
+    """``geometry`` at another window, checked as on construction, sharing every other field."""
+    window = _number(window_halfangle, "window_halfangle", minimum=0)
+    return _built(DetectionGeometry, **{**vars(geometry), "window_halfangle": window})
 
 
 @dataclass(frozen=True, slots=True)

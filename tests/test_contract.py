@@ -275,6 +275,36 @@ def test_only_core_store_writes_past_a_frozen_setattr():
     assert writes == []
 
 
+def test_only_the_module_defining_a_class_builds_it_past_its_checks():
+    # core._built skips __post_init__, so a checked type is built that way
+    # only where it is defined: the first argument names one of the module's
+    # classes, or is cls inside one of them
+    outside = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        own = {cls.name for cls in classes}
+        in_class = {id(node) for cls in classes for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_built"):
+                continue
+            first = node.args[0] if node.args else None
+            name = first.id if isinstance(first, ast.Name) else None
+            if not (name in own or (name == "cls" and id(node) in in_class)):
+                outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml promises 3.10, so no file may need newer syntax
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for folder in ("src", "tests", "benchmarks") for p in (root / folder).rglob("*.py")]
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def _benchmark_lib(monkeypatch):
     """The benchmark's view of the library, loaded without writing there."""
     path = BENCHMARKS / "workloads.py"

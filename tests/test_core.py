@@ -305,9 +305,9 @@ _RAW_ENTRIES = st.one_of(st.sampled_from([0j, 1 + 0j]), st.complex_numbers(
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(_RAW_ENTRIES, min_size=n + 1, max_size=n + 1).filter(any)))
 def test_objects_the_library_builds_pass_their_own_public_checks(raw):
-    # states, registers and configurations built inside the library skip
-    # the constructor's checks; each must still be what the constructor
-    # would build, with read-only arrays of its own
+    # states and registers built inside the library skip the constructor's
+    # checks; each must still be what the constructor would build, with
+    # read-only arrays of its own
     raw = np.array(raw, dtype=complex)
     n = len(raw) - 1
     state = ds.SymmetricState.from_raw(n, raw)

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from math import comb
 
@@ -208,6 +209,37 @@ def test_synthesize_pads_with_plus_polarizers():
         raw[k_top] += 2.0  # keep the leading coefficient well above DEGREE_TOL
         config = ds.synthesize(ds.SymmetricState.from_raw(n, raw))
         assert sum(1 for p in config if p.beta == 0.0) == n - k_top
+
+
+def _recorded_target(case):
+    """``(n, raw coefficients)`` of a target of ``test_synthesized_polarizers_keep_their_bits``."""
+    if case == "ghz3":
+        return 3, [1.0, 0.0, 0.0, 1.0]
+    n, seed = {"random3": (3, 31), "trailing8": (8, 32), "random64": (64, 33)}[case]
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    if case == "trailing8":
+        raw[6:] = 0.0  # five roots, then three pure-+ polarizers
+    return n, raw
+
+
+@pytest.mark.parametrize("case, digest", [
+    ("ghz3", "e272088461dd6a56f71f5143ae95739b141cceff9195f77f6dfa61cc90f88f48"),
+    ("random3", "24d772acfced81a1c5d63352e4fea55dc01e137e6f2451f8bdd88961f28f576e"),
+    ("trailing8", "39b67fd8e75a4deba89a752b28d0c768dc925ff251607055dbf917a1d2d8b288"),
+    ("random64", "f05047cb9ee1b938cc55427091c4740fea7a3983c02e55ead8514d4c6c164184"),
+])
+def test_synthesized_polarizers_keep_their_bits(case, digest):
+    # sha256 of every component's float.hex, recorded once from the library
+    # with numpy's bundled LAPACK; a change in how a root becomes a
+    # polarizer moves a last bit somewhere
+    n, raw = _recorded_target(case)
+    config = ds.synthesize(ds.SymmetricState.from_raw(n, raw))
+    assert len(config) == n
+    assert all(type(p.alpha) is type(p.beta) is complex for p in config)
+    bits = " ".join(x.hex() for p in config
+                    for x in (p.alpha.real, p.alpha.imag, p.beta.real, p.beta.imag))
+    assert hashlib.sha256(bits.encode()).hexdigest() == digest
 
 
 def test_synthesis_polynomial_shape():
