@@ -54,6 +54,13 @@ class PolarizerConfig:
                 raise ConfigError(f"expected Polarizer, got {type(p).__name__}")
         _store(self, polarizers=pols)
 
+    def __hash__(self) -> int:
+        # the dataclass's, once: the window Monte Carlo's cache hashes on every call
+        try:
+            return self._hash
+        except AttributeError:
+            return _store(self, _hash=hash((self.polarizers,)))._hash
+
     @classmethod
     def from_angles(cls, angles: Iterable[float]) -> "PolarizerConfig":
         """Linear polarizers at the given angles (radians)."""

@@ -28,33 +28,23 @@ defaults use a 493 nm dipole transition typical of trapped ions.
 Computation: every emitter gives up exactly one photon, so a sample's
 amplitude on ``|x_0 ... x_{n-1}>`` is a sum over which detector took which
 emitter's photon, never the dense ``3**n`` register.  The sum meets in the
-middle.  Emitters ``0..h-1`` and ``h..n-1`` (``h = n // 2``) each run a half
-cascade in emitter order: once ``m`` of a half's emitters are placed, only
-``C(n, m) 2**m`` partial sums remain, one per set of detectors used and
-labels of those emitters (layout in ``_level_tables``).  A step is one
-contraction (``np.einsum``) per block of labels, over all samples of a chunk
-at once, written straight into the level being built, so no product of a
-single term is ever stored.  One matrix product per sample then joins the
-halves, pairing each detector set of the low half with its complement in
-the high half, and lands in qubit order.
-The phases ``k r_j . nhat_i`` of a chunk are built first as one
-``(count, n, n)`` array (``_sample_phases``) from a table that the geometry
-builds once (``DetectionGeometry.phase_table``), and the cascade reads only
-those phases and the polarizers (``_cascade_outputs``).  Samples are propagated
-together in chunks of at most ``_CHUNK_ENTRIES`` = 8192 entries (samples
-times the widest half level, about 44-97 B of peak memory each, so
-roughly 0.36-0.8 MB a chunk).  A chunk's fidelities come from one product
-with the target's bra and the squared norms, and are pooled into a running
-mean and variance, so memory does not grow with the sample count.
-Two seeded streams, drawn one block per chunk and read in sample order, give
-the transverse normals and the window deviates, so a seeded estimate does not
-depend on the chunking and agrees to round-off with applying the dense
-detection kernel one sample at a time.  What does not depend on the samples
-is built outside the chunk loop: the phase table once per geometry; the
-polarizer components and the default target's bra, the qubit amplitudes of
-``dicke_coefficients(config)``, once per configuration (``_config_arrays``
-keeps the last 16); the seeded streams and an explicit target's bra once
-per call.
+middle: emitters ``0..h-1`` and ``h..n-1`` (``h = n // 2``) each run a half
+cascade of ``np.einsum`` contractions over all samples of a chunk
+(``_half_cascade``), and one matrix product per sample joins the halves in
+qubit order (``_cascade_outputs``).  The cascade reads only the polarizers
+and a chunk's phases ``k r_j . nhat_i``, one ``(count, n, n)`` array built
+from the geometry's ``phase_table`` (``_sample_phases``).  A chunk holds at
+most ``_CHUNK_ENTRIES`` samples times the widest half level, and its
+fidelities are pooled into a running mean and variance, so memory does not
+grow with the sample count.  Two seeded streams, drawn one block per chunk
+and read in sample order, give the transverse normals and the window
+deviates, so a seeded estimate does not depend on the chunking and agrees
+to round-off with the dense detection kernel applied one sample at a time.
+What does not depend on the samples is built once: each half's steps per
+size (``_level_tables``), the phase table per geometry, the polarizer
+components and the default target's bra per configuration
+(``_config_arrays`` keeps the last 16), the seeded streams and an explicit
+target's bra per call.
 """
 
 from __future__ import annotations
@@ -322,9 +312,7 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
                 f"target has {target.n} qubits, configuration has {n}")
         bra = target.to_qubit_amplitudes().conj()
 
-    # the children of SeedSequence(seed).spawn(2), without building the parent
-    normal_rng, window_rng = (
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(2))
+    normal_rng, window_rng = _seeded_streams(seed)
     # level m holds C(n, m) 2**m entries per sample, and each level up to
     # the larger half's last is wider than the one before
     m = n - n // 2
@@ -340,8 +328,8 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
             window_rng.uniform(-1.0, 1.0, (count, n))))
         flat = psi.view(float)
         norms = np.einsum("sx,sx->s", flat, flat)  # squared
-        alive = norms >= ANNIHILATION_TOL ** 2
-        if not alive.all():
+        if norms.min() < ANNIHILATION_TOL ** 2:
+            alive = norms >= ANNIHILATION_TOL ** 2
             psi, norms = psi[alive], norms[alive]
             if len(psi) == 0:
                 continue
@@ -351,14 +339,26 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
         chunk_mean = float(values.sum()) / values.size
         delta = chunk_mean - mean
         mean += delta * values.size / count
-        m2 += (float(((values - chunk_mean) ** 2).sum())
-               + delta * delta * kept * values.size / count)
+        values -= chunk_mean
+        values *= values
+        m2 += float(values.sum()) + delta * delta * kept * values.size / count
         kept = count
 
     if kept == 0:
         raise ZeroStateError("every sample was annihilated")
     stderr = sqrt(m2 / (kept - 1)) / sqrt(kept) if kept > 1 else 0.0
     return FidelityEstimate(mean, stderr, kept, samples - kept)
+
+
+def _seeded_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """``default_rng`` of each child of ``SeedSequence(seed).spawn(2)``, bit for bit.
+
+    Child ``i`` mixes the seed's 32-bit words, zero-padded to the pool size 4,
+    then ``i``; as one ``uint32`` array they skip the coercion of an int and a key.
+    """
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 128), 32)]
+    return tuple(np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        np.array(words + [i], dtype=np.uint32)))) for i in range(2))
 
 
 # 16 configurations: a sweep reuses one and a batch of mixed runs a few; an
@@ -378,38 +378,44 @@ def _config_arrays(config: PolarizerConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _level_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Gather tables for the half cascades of :func:`_cascade_outputs`.
+def _level_tables(n: int) -> tuple[tuple[slice, tuple], tuple[slice, tuple]]:
+    """The two half cascades of :func:`_cascade_outputs`, ready to run.
 
     Once emitters ``0..m-1`` of a half have each given their photon to a
     different detector, a partial sum is indexed by the set of ``m``
-    detectors used and by those emitters' labels.  Level ``m`` is stored as
-    an array of shape ``(2**m, C(n, m), count)``: bit ``p`` of the first
-    index is 1 when emitter ``p`` sits in ``-`` (else ``+``), the second
-    index runs over the sets of ``m`` detectors in the order of
-    ``itertools.combinations(range(n), m)``, and samples come last.
+    detectors used and by those emitters' labels.  Level ``m`` is an array
+    ``(2**m, C(n, m), count)``: bit ``p`` of the first index is 1 when
+    emitter ``p`` sits in ``-`` (else ``+``), the second runs over the sets
+    of ``m`` detectors, and samples come last.
 
-    Level 1 needs no table: its row ``i`` is the set ``{i}``, so a half's
-    first emitter's weights are level 1 as they stand.  Entry ``m - 1``
-    leads from level ``m >= 1`` to ``m + 1`` and is ``(src, detector)``, both
-    of shape ``(m + 1, C(n, m + 1))``: for each level-``m + 1`` set and
+    Returns ``(first, steps)`` for the larger half, then the smaller, which
+    lists the sets in ``combinations(range(n), m)`` order; the larger half
+    lists every level from 2 (or its only one) in reverse, so that the join
+    pairs row ``r`` with row ``r``.  Level 1 is a half's first emitter's
+    weights, its detectors sliced by ``first``, reversed only for a
+    one-emitter half: ``take`` copies a reversed view, a temporary that cost
+    the n = 8 kernel 173 page faults a call.  Entry ``m - 2`` of ``steps``
+    leads to level ``m`` and is ``(src, detector, block)``: for each set and
     position ``p``, ``detector[p]`` is the set's ``p``-th smallest detector
-    and ``src[p]`` the level-``m`` row of the set without it.  The entries
-    stop at level ``n - n // 2``, the larger half's last, so ``n <= 3`` has
-    none.
+    and ``src[p]`` the level-``m - 1`` row of the set without it.  ``block =
+    2**m // m`` labels of level ``m - 1`` are contracted at once, so a
+    block's gathered rows are never larger than the level being built.
     """
-    tables = []
-    row_of = {(i,): i for i in range(n)}  # set of m detectors -> its row in level m
-    for m in range(2, n - n // 2 + 1):
-        sets = list(combinations(range(n), m))
-        detector = np.array(sets, dtype=np.intp).T
-        src = np.array([[row_of[s[:p] + s[p + 1:]] for s in sets] for p in range(m)],
-                       dtype=np.intp)
-        row_of = {s: row for row, s in enumerate(sets)}
-        for a in (src, detector):
-            a.setflags(write=False)
-        tables.append((src, detector))
-    return tuple(tables)
+    halves = []
+    for order, size in ((-1, n - n // 2), (1, n // 2)):
+        steps = []
+        first = slice(None, None, order if size == 1 else 1)
+        row_of = {(i,): row for row, i in enumerate(range(n)[first])}  # set -> its row
+        for m in range(2, size + 1):
+            sets = list(combinations(range(n), m))[::order]
+            detector = np.array(sets, dtype=np.intp).T
+            src = np.array([[row_of[s[:p] + s[p + 1:]] for s in sets] for p in range(m)],
+                           dtype=np.intp)
+            row_of = {s: row for row, s in enumerate(sets)}
+            src.flags.writeable = detector.flags.writeable = False
+            steps.append((src, detector, 2 ** m // m))
+        halves.append((first, tuple(steps)))
+    return tuple(halves)
 
 
 def _sample_phases(geometry: DetectionGeometry, normals: np.ndarray,
@@ -446,46 +452,33 @@ def _sample_phases(geometry: DetectionGeometry, normals: np.ndarray,
     return phases.transpose(2, 0, 1)
 
 
-def _half_cascade(weights: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Level ``m`` of the cascade of the ``m`` emitters in ``weights``.
+def _half_cascade(weights: np.ndarray, first: slice, steps) -> np.ndarray:
+    """Last level of the cascade of the emitters in ``weights``, run by ``steps``.
 
     ``weights[j, b, i, s]`` is detector ``i``'s term for the half's emitter
-    ``j``'s photon in label ``b``, in sample ``s``.  Level 1 is ``weights[0]``
-    itself, already in the level layout (see :func:`_level_tables`), and is
-    returned as that view for a one-emitter half.  Each further step hands
-    the next emitter's photon to each detector not yet used, and its label
-    becomes the new top bit of the first index.  A step is one contraction
-    per block of labels of the level it reads: the block's source rows are
-    gathered for every position ``p`` at once, and ``np.einsum`` sums their
-    products with the new emitter's terms over ``p`` straight into the level
-    being built, so no product of a single term is ever stored.  A block
-    holds at most ``2 * 2**m // (m + 1)`` labels, so its gathered rows are
-    never larger than the level being built, and the contraction's inner
-    loop still runs over all rows and samples.  With ``reverse`` the last
-    level lists its rows in reverse order.  With no emitters the result is
-    level 0: the empty set, with weight 1.
+    ``j``'s photon in label ``b``, in sample ``s``; ``first`` and ``steps``
+    are the half's entry of :func:`_level_tables`.  Each step hands the next
+    emitter's photon to each detector not yet used, and its label becomes
+    the new top bit of the first index.  Per block of labels of the level it
+    reads, a step gathers the source rows for every position ``p`` at once,
+    and ``np.einsum`` sums their products with the new emitter's terms over
+    ``p`` straight into the level being built, over all rows and samples.
+    With no emitters the result is level 0: the empty set, with weight 1.
     """
     count = weights.shape[-1]
     if len(weights) == 0:
         return np.ones((1, 1, count), dtype=complex)
-    level = weights[0]
-    steps = list(zip(weights[1:], _level_tables(weights.shape[2])))
-    if reverse:
-        if not steps:
-            return level[:, ::-1]
-        w, (src, detector) = steps[-1]
-        steps[-1] = w, (src[:, ::-1], detector[:, ::-1])
-    for w, (src, detector) in steps:
+    level = weights[0][:, first]
+    for w, (src, detector, block) in zip(weights[1:], steps):
         width, rows = src.shape
         labels = len(level)
         # terms[b, p, r * count + s]: w's term for row r's p-th smallest detector
         terms = w.take(detector, axis=1).reshape(2, width, rows * count)
         step = np.empty((2, labels, rows * count), dtype=complex)
-        block = max(1, 2 * labels // width)
-        for first in range(0, labels, block):
-            gathered = level[first:first + block].take(src, axis=1).reshape(
+        for start in range(0, labels, block):
+            gathered = level[start:start + block].take(src, axis=1).reshape(
                 -1, width, rows * count)
-            np.einsum("bpr,lpr->blr", terms, gathered, out=step[:, first:first + block])
+            np.einsum("bpr,lpr->blr", terms, gathered, out=step[:, start:start + block])
             del gathered  # before the next block's is allocated
         del terms
         level = step.reshape(-1, rows, count)
@@ -502,11 +495,9 @@ def _cascade_outputs(components: np.ndarray, phases: np.ndarray) -> np.ndarray:
     Emitters ``0..h-1`` and ``h..n-1`` (``h = n // 2``) run their own half
     cascades over all ``n`` detectors.  The halves are joined by one matrix
     product per sample: each set of ``h`` detectors the low half used meets
-    the high half's row of the other ``n - h``.  ``combinations`` lists the
-    complements of the ``h``-sets in reverse order, so the high half builds
-    its last level with its rows reversed, and row ``r`` of each half meets
-    row ``r`` of the other.  The join sums the same ``n!`` products per
-    amplitude as a single cascade, in another order, and subtracts nothing.
+    the high half's row of the other ``n - h``, which :func:`_level_tables`
+    lists in the row of the same number.  The join sums the same ``n!``
+    products per amplitude as a single cascade, and subtracts nothing.
     """
     count, n, _ = phases.shape
     h = n // 2
@@ -520,8 +511,9 @@ def _cascade_outputs(components: np.ndarray, phases: np.ndarray) -> np.ndarray:
     del unit
     # the larger half first, so that the smaller one's working set, not the
     # larger one's, sits on top of a finished level
-    high = _half_cascade(weights[h:], reverse=True)
-    low = _half_cascade(weights[:h])
+    high_run, low_run = _level_tables(n)
+    high = _half_cascade(weights[h:], *high_run)
+    low = _half_cascade(weights[:h], *low_run)
     # (count, 2**(n - h), C(n, h)) @ (count, C(n, h), 2**h): the high half's
     # labels are the top bits
     joined = high.transpose(2, 0, 1) @ low.transpose(2, 1, 0)

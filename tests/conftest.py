@@ -7,6 +7,7 @@ of detector-to-emitter assignments.
 """
 
 import itertools
+from math import comb
 from operator import itemgetter
 
 import numpy as np
@@ -268,6 +269,72 @@ def dense_estimate_fidelity(config, geometry, target=None, samples=1000, seed=0)
     values = np.array(fidelities)
     stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     return ds.FidelityEstimate(float(values.mean()), stderr, len(values), excluded)
+
+
+def quadrature_fidelity(config, geometry, q, chunk=4096):
+    """Window integral of ``config`` on ``geometry`` by a tensor Gauss rule, ``q`` nodes per axis.
+
+    The ``2n`` transverse normals get probabilists' Gauss-Hermite nodes
+    (``hermegauss``, weights over ``sqrt(2 pi)``) and the ``n`` window
+    deviates Gauss-Legendre nodes (``leggauss``, weights over 2), so the
+    ``q**(3n)`` grid points with their product weights integrate against the
+    sampling densities of ``estimate_fidelity``.  The points go through the
+    library's ``_sample_phases`` and ``_cascade_outputs`` ``chunk`` at a time.
+    Returns the mean per-sample fidelity against ``dicke_coefficients(config)``
+    and the heralded ratio ``E|<t|psi>|^2 / E||psi||^2``.
+    """
+    from numpy.polynomial.hermite_e import hermegauss
+    from numpy.polynomial.legendre import leggauss
+
+    from dickesim.window import _cascade_outputs, _sample_phases
+
+    n = len(config)
+    hermite, legendre = hermegauss(q), leggauss(q)
+    nodes = [hermite[0]] * (2 * n) + [legendre[0]] * n
+    weights = [hermite[1] / np.sqrt(2.0 * np.pi)] * (2 * n) + [legendre[1] / 2.0] * n
+    components = np.array([[p.alpha, p.beta] for p in config])
+    bra = ds.dicke_coefficients(config).to_qubit_amplitudes().conj()
+    fidelity = overlap = norm = 0.0
+    size = q ** (3 * n)
+    for start in range(0, size, chunk):
+        # digit k of a flat grid index picks the node of axis k
+        index = np.arange(start, min(start + chunk, size))
+        digits = index[:, None] // q ** np.arange(3 * n) % q
+        points = np.column_stack([x[d] for x, d in zip(nodes, digits.T)])
+        weight = np.prod([w[d] for w, d in zip(weights, digits.T)], axis=0)
+        psi = _cascade_outputs(components, _sample_phases(geometry, points[:, :2 * n],
+                                                          points[:, 2 * n:]))
+        overlaps = np.abs(psi @ bra) ** 2
+        norms = np.linalg.norm(psi, axis=1) ** 2
+        fidelity += weight @ (overlaps / norms)
+        overlap += weight @ overlaps
+        norm += weight @ norms
+    return float(fidelity), float(overlap / norm)
+
+
+# --- SLOCC maps ---------------------------------------------------------------
+
+def slocc_config(config, a):
+    """Every polarizer ``(alpha, beta)`` mapped to ``a @ (alpha, beta)``."""
+    return ds.PolarizerConfig(tuple(ds.Polarizer(*(a @ [p.alpha, p.beta])) for p in config))
+
+
+def slocc_qubit(psi, a):
+    """``a`` applied to every qubit of the ``2**n`` amplitudes ``psi``."""
+    n = int(np.log2(len(psi)))
+    tensor = np.asarray(psi, dtype=complex).reshape((2,) * n)
+    for axis in range(n):
+        tensor = np.moveaxis(np.tensordot(a, tensor, axes=([1], [axis])), 0, axis)
+    return tensor.reshape(-1)
+
+
+def slocc_state(state, a):
+    """The symmetric state ``a^{(x)n} |state>``, renormalized."""
+    psi = slocc_qubit(state.to_qubit_amplitudes(), a)
+    n = state.n
+    # a symmetric state puts d_k / sqrt(C(n, k)) on each index with k bits set
+    raw = [psi[(1 << k) - 1] * np.sqrt(float(comb(n, k))) for k in range(n + 1)]
+    return ds.SymmetricState.from_raw(n, raw)
 
 
 # --- string-slicing reference for the pyramid -------------------------------

@@ -1,4 +1,7 @@
 import cmath
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
@@ -24,6 +27,8 @@ from conftest import (
     reference_pyramid,
     reference_pyramid_edges,
     register_amps,
+    slocc_config,
+    slocc_qubit,
 )
 
 
@@ -358,3 +363,53 @@ def test_config_validation():
         ds.PolarizerConfig(())
     with pytest.raises(ds.ConfigError):
         ds.PolarizerConfig((1.0,))
+
+
+def _signed_zero_config(zero):
+    return ds.PolarizerConfig((ds.Polarizer(zero, 1.0), ds.Polarizer(complex(1.0, zero), zero),
+                               ds.Polarizer.linear(0.4)))
+
+
+def test_a_cached_hash_is_the_hash_of_an_equal_fresh_configuration():
+    config = _signed_zero_config(-0.0)
+    cached = hash(config)
+    assert hash(config) == cached  # now from the cache
+    for other in (_signed_zero_config(0.0), _signed_zero_config(-0.0), copy.copy(config),
+                  pickle.loads(pickle.dumps(config))):
+        assert other == config and hash(other) == cached
+    # a copy or a pickle of a configuration never hashed computes its own
+    fresh = _signed_zero_config(-0.0)
+    assert hash(copy.copy(fresh)) == hash(pickle.loads(pickle.dumps(fresh))) == cached
+
+
+def test_caching_the_hash_leaves_equality_repr_and_fields_alone():
+    config, twin = _signed_zero_config(0.0), _signed_zero_config(0.0)
+    before = repr(config)
+    hash(config)
+    assert repr(config) == repr(twin) == before
+    assert [f.name for f in dataclasses.fields(config)] == ["polarizers"]
+    assert config == twin and not config != twin
+    assert config != ds.PolarizerConfig(config.polarizers[::-1])
+    rebuilt = dataclasses.replace(config)
+    assert rebuilt == config and hash(rebuilt) == hash(twin)
+
+
+@st.composite
+def _invertible_maps(draw):
+    """``U diag(1, s) V``, ``U`` and ``V`` unitary, ``s`` in [0.1, 1]: condition number <= 10."""
+    def unitary(theta, phi, lam):
+        c, s = np.cos(theta), np.sin(theta)
+        return np.array([[c, -np.exp(1j * lam) * s],
+                         [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]])
+    angles = [draw(st.floats(-np.pi, np.pi)) for _ in range(6)]
+    return unitary(*angles[:3]) @ np.diag([1.0, draw(st.floats(0.1, 1.0))]) @ unitary(*angles[3:])
+
+
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), a=_invertible_maps())
+def test_an_invertible_map_of_every_polarizer_maps_the_output_by_its_tensor_power(n, seed, a):
+    # SLOCC covariance: c_i -> A c_i for every polarizer gives A^{(x)n} psi
+    assert np.linalg.cond(a) <= 10.0 + 1e-9
+    config = random_config(np.random.default_rng(seed), n)
+    mapped = ds.dicke_coefficients(slocc_config(config, a)).to_qubit_amplitudes()
+    want = slocc_qubit(ds.dicke_coefficients(config).to_qubit_amplitudes(), a)
+    assert 1.0 - abs(np.vdot(want, mapped)) ** 2 / np.vdot(want, want).real <= 1e-12

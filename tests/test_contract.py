@@ -305,6 +305,74 @@ def test_every_source_file_parses_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
+#: Standard-library names that Python 3.11 added, by module; ``None`` is the
+#: module itself.  Builtins are under ``"builtins"``, and ``add_note`` is a
+#: method of every exception.
+PY311_NAMES = {
+    "tomllib": {None},
+    "typing": {"Self", "Never", "assert_never", "LiteralString", "Required", "NotRequired",
+               "reveal_type"},
+    "enum": {"StrEnum"},
+    "datetime": {"UTC"},
+    "math": {"cbrt", "exp2"},
+    "asyncio": {"TaskGroup", "timeout"},
+    "contextlib": {"chdir"},
+    "hashlib": {"file_digest"},
+    "operator": {"call"},
+    "builtins": {"ExceptionGroup"},
+}
+
+
+def _py311_uses(tree):
+    """``(line, name)`` of every use of a :data:`PY311_NAMES` entry in ``tree``."""
+    modules = {}  # local name -> module
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in PY311_NAMES:
+                    modules[alias.asname or alias.name] = alias.name
+                    if None in PY311_NAMES[alias.name]:
+                        uses.append((node.lineno, alias.name))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module in PY311_NAMES:
+            new = PY311_NAMES[node.module]
+            uses += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names
+                     if None in new or alias.name in new]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.attr in PY311_NAMES.get(modules.get(node.value.id), ())):
+            uses.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+        elif isinstance(node, ast.Attribute) and node.attr == "add_note":
+            uses.append((node.lineno, "add_note"))
+        elif isinstance(node, ast.Name) and node.id in PY311_NAMES["builtins"]:
+            uses.append((node.lineno, node.id))
+    return uses
+
+
+def test_the_python_3_11_name_check_finds_every_listed_name():
+    source = "\n".join(
+        [f"import {module}\n{module}.{name}" if name else f"import {module}"
+         for module, names in PY311_NAMES.items() if module != "builtins" for name in names]
+        + [f"from {module} import {name}" for module, names in PY311_NAMES.items()
+           if module not in ("builtins", "tomllib") for name in names]
+        + ["import typing as t", "t.Self", "ExceptionGroup", "error.add_note('x')"])
+    found = {name for _, name in _py311_uses(ast.parse(source))}
+    listed = {f"{module}.{name}" if name else module
+              for module, names in PY311_NAMES.items() if module != "builtins"
+              for name in names}
+    assert found == listed | {"ExceptionGroup", "add_note"}
+    assert _py311_uses(ast.parse("import math\nmath.cbrt_like\nfrom typing import Any")) == []
+
+
+def test_no_source_file_names_a_python_3_11_library_api():
+    # the 3.10 grammar check above cannot see a call of an API that 3.10 lacks
+    root = Path(__file__).resolve().parents[1]
+    uses = [f"{path.relative_to(root)}:{line} {name}"
+            for folder in ("src", "tests", "benchmarks") for path in (root / folder).rglob("*.py")
+            for line, name in _py311_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert uses == []
+
+
 def _benchmark_lib(monkeypatch):
     """The benchmark's view of the library, loaded without writing there."""
     path = BENCHMARKS / "workloads.py"

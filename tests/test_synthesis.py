@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from itertools import permutations
 from math import comb
 
 import numpy as np
@@ -11,10 +12,13 @@ import dickesim as ds
 from dickesim.synthesis import _polynomial_roots, _synthesis_polynomial
 from conftest import (
     ghz_qubit,
+    orientation_distance,
     qubit_fidelity,
     random_config,
     roots_oracle,
     s_qubit,
+    slocc_config,
+    slocc_state,
     w_qubit,
 )
 
@@ -270,3 +274,27 @@ def test_synthesis_roots_are_np_roots_bit_for_bit(target):
     # bytes, so that the signs of zeros count too
     assert _polynomial_roots(coeffs).tobytes() == want.tobytes()
     assert ds.synthesize(target)[:len(want)] == tuple(ds.Polarizer(r, 1.0) for r in want)
+
+
+# ---------------------------------------------------------------------------
+# SLOCC covariance of inverse design
+# ---------------------------------------------------------------------------
+
+#: An invertible map of condition number about 3.
+_SLOCC_MAP = np.array([[1.2, 0.4 - 0.3j], [0.5j, 0.7]])
+_DEGENERATE = ("eigvals splits a multiple root by about eps**(1/m), so the design of "
+               "the mapped state misses the mapped design")
+
+
+@pytest.mark.parametrize("recipe", [
+    ds.ghz_config,
+    pytest.param(ds.w_config, marks=pytest.mark.xfail(strict=True, reason=_DEGENERATE)),
+    pytest.param(ds.s_config, marks=pytest.mark.xfail(strict=True, reason=_DEGENERATE)),
+], ids=["ghz3", "w3", "s3"])
+def test_designing_a_mapped_state_maps_the_design(recipe):
+    # synthesize(A^{(x)n} psi) is A synthesize(psi), as a multiset of orientations
+    psi = ds.dicke_coefficients(recipe(3, 0.3))
+    got = ds.synthesize(slocc_state(psi, _SLOCC_MAP))
+    want = slocc_config(ds.synthesize(psi), _SLOCC_MAP)
+    miss = min(max(map(orientation_distance, got, order)) for order in permutations(want))
+    assert miss <= 1e-12

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import tracemalloc
 import warnings
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dickesim as ds
-from conftest import dense_estimate_fidelity, dense_sample_output, random_config
+from conftest import (dense_estimate_fidelity, dense_sample_output, quadrature_fidelity,
+                      random_config)
 from dickesim import window
 from dickesim.core import REGISTER_SIZE_LIMIT
 from dickesim.window import _cascade_outputs, _sample_phases
@@ -100,6 +102,43 @@ def test_complements_of_the_half_sets_come_in_reverse_order():
         rest = [tuple(sorted(set(range(n)) - set(s)))
                 for s in itertools.combinations(range(n), n // 2)]
         assert rest == list(itertools.combinations(range(n), n - n // 2))[::-1]
+
+
+def _lexicographic_tables(n, top):
+    """``(src, detector)`` of levels 2..top with the sets in ``combinations`` order."""
+    tables, row_of = [], {(i,): i for i in range(n)}
+    for m in range(2, top + 1):
+        sets = list(itertools.combinations(range(n), m))
+        tables.append((np.array([[row_of[s[:p] + s[p + 1:]] for s in sets] for p in range(m)]),
+                       np.array(sets).T))
+        row_of = {s: row for row, s in enumerate(sets)}
+    return tables
+
+
+def test_the_larger_half_reads_the_lexicographic_tables_backwards():
+    # its level m >= 2 lists the sets in reverse order, so a source row r of
+    # level m - 1 >= 2 becomes row C(n, m - 1) - 1 - r; level 1 is reversed
+    # only when it is the half's last
+    for n in range(1, REGISTER_SIZE_LIMIT + 1):
+        (high_first, high), (low_first, low) = window._level_tables(n)
+        tables = _lexicographic_tables(n, n - n // 2)
+        rows = list(range(n))
+        assert rows[high_first] == (rows[::-1] if n <= 2 else rows)
+        assert rows[low_first] == rows
+        assert (len(high), len(low)) == (len(tables), max(0, n // 2 - 1))
+        for m, (src, detector) in enumerate(tables, start=2):
+            np.testing.assert_array_equal(high[m - 2][1], detector[:, ::-1])
+            moved = src if m == 2 else comb(n, m - 1) - 1 - src
+            np.testing.assert_array_equal(high[m - 2][0], moved[:, ::-1])
+            if m - 2 < len(low):
+                np.testing.assert_array_equal(low[m - 2][0], src)
+                np.testing.assert_array_equal(low[m - 2][1], detector)
+        for half in (high, low):
+            for m, (src, detector, block) in enumerate(half, start=2):
+                assert src.dtype == detector.dtype == np.intp
+                assert not (src.flags.writeable or detector.flags.writeable)
+                # a block's gathered rows are no larger than the level it builds
+                assert 1 <= block and block * m <= 2 ** m < (block + 1) * m
 
 
 @st.composite
@@ -505,6 +544,50 @@ def test_configurations_equal_but_for_signed_zeros_share_one_entry():
     shared = _hex(ds.estimate_fidelity(plus, geo, samples=50, seed=8))  # minus's entry
     assert window._config_arrays.cache_info()[:2] == (1, 1)
     assert own["plus"] == own["minus"] == shared
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 96,
+                                  2 ** 128 + 5, 10 ** 400])
+def test_the_seeded_streams_are_the_spawned_children(seed):
+    # seeds of one to more than four 32-bit words: the padding changes at four
+    want = [np.random.default_rng(child).bit_generator.state
+            for child in np.random.SeedSequence(seed).spawn(2)]
+    assert [rng.bit_generator.state for rng in window._seeded_streams(seed)] == want
+
+
+def test_repeated_calls_at_one_size_build_its_steps_once():
+    window._level_tables.cache_clear()
+    for n in (5, 5, 5):
+        for config in (ds.ghz_config(n, 0.1), ds.w_config(n, 0.7)):
+            for half in (0.0, 1.0):
+                geo = ds.DetectionGeometry.linear_chain(n, window_halfangle=np.deg2rad(half))
+                ds.estimate_fidelity(config, geo, samples=250, seed=n)  # three chunks
+    assert window._level_tables.cache_info()[:2] == (35, 1)  # hits, misses
+
+
+@lru_cache(maxsize=None)
+def _quadrature(state, halfangle):
+    """GHZ3 or W3 at phi = 0.3, the default chain at ``halfangle`` degrees, q = 4."""
+    config = (ds.ghz_config if state == "ghz" else ds.w_config)(3, 0.3)
+    geo = ds.DetectionGeometry.linear_chain(3, window_halfangle=np.deg2rad(halfangle))
+    return config, geo, quadrature_fidelity(config, geo, 4)
+
+
+def test_the_quadrature_reference_keeps_its_values():
+    # the q = 4 rule's own values: q = 5 moves the first by 9e-8, the second by 7e-6
+    _, _, (ghz, _) = _quadrature("ghz", 0.5)
+    _, _, (_, heralded_w) = _quadrature("w", 1.0)
+    assert ghz == pytest.approx(0.91612699, abs=1e-6)
+    assert heralded_w == pytest.approx(0.838836, abs=1e-6)
+
+
+@pytest.mark.parametrize("state", ["ghz", "w"])
+@pytest.mark.parametrize("halfangle", [0.5, 1.0])
+def test_seeded_estimates_agree_with_the_quadrature_reference(state, halfangle):
+    config, geo, (reference, _) = _quadrature(state, halfangle)
+    est = ds.estimate_fidelity(config, geo, samples=20_000, seed=7)
+    assert est.excluded_count == 0
+    assert abs(est.mean_fidelity - reference) <= 5 * est.standard_error
 
 
 # the chain defaults stand in for any scale a case leaves out
