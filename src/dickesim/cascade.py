@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, cycle, product, repeat
-from math import factorial
+from math import factorial, frexp, ldexp
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -83,27 +83,42 @@ def _as_config(config) -> PolarizerConfig:
 
 
 def _partial_products(config: PolarizerConfig) -> Iterator[list[complex]]:
-    """Coefficients of ``prod_{i <= m} (alpha_i + beta_i z)`` for m = 1..n.
+    """Coefficients of ``prod_{i <= m} (alpha_i + beta_i z)`` for m = 1..n, up to a power of two.
 
     Yields one shared list of ``n + 1`` Python complexes, updated in place
     by the descending recurrence ``q_k <- alpha_m q_k + beta_m q_{k-1}``;
     after step ``m`` its entries above ``m`` are zero.  Python complex
     arithmetic rounds exactly as numpy's complex scalars do, at a third of
     their per-operation cost.
+
+    A long product's coefficients decay towards the subnormal range, and
+    :func:`dicke_coefficients` still divides them by up to ``2**1020``.  So
+    after every 256th step the list is scaled by the power of two that lifts
+    its peak to ``2**(960 - ceil((n - m) / 2))``, if it is lower: a step grows
+    the peak by at most ``|alpha| + |beta| <= sqrt(2)``, so it stays below
+    ``2**960``.  The scaling is exact, and until step 256 there is none,
+    which :func:`build_pyramid` and the three-qubit tangle rely on.
     """
     n = len(config)
     q = [0j] * (n + 1)
     q[0] = 1.0 + 0.0j
-    for degree, p in enumerate(config, start=1):
-        alpha, beta = p.alpha, p.beta
-        for k in range(degree, 0, -1):
-            q[k] = alpha * q[k] + beta * q[k - 1]
-        q[0] *= alpha
-        yield q
+    for start in range(0, n, 256):
+        if start:
+            # the power of two that lifts the peak to its target
+            shift = 960 - (n - start + 1) // 2 - frexp(max(map(abs, q[:start + 1])))[1]
+            if shift > 0:
+                q[:start + 1] = [complex(ldexp(c.real, shift), ldexp(c.imag, shift))
+                                 for c in q[:start + 1]]
+        for degree, p in enumerate(config.polarizers[start:start + 256], start=start + 1):
+            alpha, beta = p.alpha, p.beta
+            for k in range(degree, 0, -1):
+                q[k] = alpha * q[k] + beta * q[k - 1]
+            q[0] *= alpha
+            yield q
 
 
 def _product_polynomial(config: PolarizerConfig) -> np.ndarray:
-    """Coefficients q_0..q_n of ``prod_i (alpha_i + beta_i z)``."""
+    """Coefficients q_0..q_n of ``prod_i (alpha_i + beta_i z)``, up to a power of two."""
     for q in _partial_products(config):
         pass
     return np.array(q)
@@ -121,6 +136,7 @@ def dicke_coefficients(config) -> SymmetricState:
         If ``sqrt(C(n, k))`` leaves the float range (from n = 2054 on).
     ZeroStateError
         If every coefficient vanishes (cannot happen for valid polarizers,
+        whose products :func:`_partial_products` keeps in the float range;
         kept as a guard for degenerate inputs).
     """
     config = _as_config(config)

@@ -34,15 +34,17 @@ cascade of ``np.einsum`` contractions over all samples of a chunk
 qubit order (``_cascade_outputs``).  The cascade reads only the polarizers
 and a chunk's phases ``k r_j . nhat_i``, one ``(count, n, n)`` array built
 from the geometry's ``phase_table`` (``_sample_phases``).  A chunk holds at
-most ``_CHUNK_ENTRIES`` samples times the widest half level, and its
-fidelities are pooled into a running mean and variance, so memory does not
-grow with the sample count.  Two seeded streams, drawn one block per chunk
-and read in sample order, give the transverse normals and the window
-deviates, so a seeded estimate does not depend on the chunking and agrees
-to round-off with the dense detection kernel applied one sample at a time.
-What does not depend on the samples is built once: each half's steps per
-size (``_level_tables``), the phase table per geometry, the polarizer
-components and the default target's bra per configuration
+most ``_CHUNK_ENTRIES`` samples times the widest half level, and only
+``_chunk_terms`` turns it into each surviving sample's ``|<t|psi>|**2`` and
+``||psi||**2``: ``estimate_fidelity`` pools their ratios into a running mean
+and variance, so memory does not grow with the sample count, and the test
+suite's quadrature reference weights them by its grid.  Two seeded streams,
+drawn one block per chunk and read in sample order, give the transverse
+normals and the window deviates, so a seeded estimate does not depend on the
+chunking and agrees to round-off with the dense detection kernel applied one
+sample at a time.  What does not depend on the samples is built once: each
+half's steps per size (``_level_tables``), the phase table per geometry, the
+polarizer components and the default target's bra per configuration
 (``_config_arrays`` keeps the last 16), the seeded streams and an explicit
 target's bra per call.
 """
@@ -323,18 +325,12 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     kept, mean, m2 = 0, 0.0, 0.0
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        psi = _cascade_outputs(components, _sample_phases(
-            geometry, normal_rng.standard_normal((count, 2 * n)),
-            window_rng.uniform(-1.0, 1.0, (count, n))))
-        flat = psi.view(float)
-        norms = np.einsum("sx,sx->s", flat, flat)  # squared
-        if norms.min() < ANNIHILATION_TOL ** 2:
-            alive = norms >= ANNIHILATION_TOL ** 2
-            psi, norms = psi[alive], norms[alive]
-            if len(psi) == 0:
-                continue
-        overlap = psi @ bra
-        values = (overlap.real ** 2 + overlap.imag ** 2) / norms
+        values, norms = _chunk_terms(components, bra, geometry,
+                                     normal_rng.standard_normal((count, 2 * n)),
+                                     window_rng.uniform(-1.0, 1.0, (count, n)))
+        if values.size == 0:
+            continue
+        values /= norms
         count = kept + values.size
         chunk_mean = float(values.sum()) / values.size
         delta = chunk_mean - mean
@@ -348,6 +344,19 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
         raise ZeroStateError("every sample was annihilated")
     stderr = sqrt(m2 / (kept - 1)) / sqrt(kept) if kept > 1 else 0.0
     return FidelityEstimate(mean, stderr, kept, samples - kept)
+
+
+def _chunk_terms(components: np.ndarray, bra: np.ndarray, geometry: DetectionGeometry,
+                 normals: np.ndarray, deviates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|<t|psi_s>|**2`` and ``||psi_s||**2`` of the chunk's unannihilated samples, in order."""
+    psi = _cascade_outputs(components, _sample_phases(geometry, normals, deviates))
+    flat = psi.view(float)
+    norms = np.einsum("sx,sx->s", flat, flat)  # squared
+    if norms.min() < ANNIHILATION_TOL ** 2:
+        alive = norms >= ANNIHILATION_TOL ** 2
+        psi, norms = psi[alive], norms[alive]
+    overlap = psi @ bra
+    return overlap.real ** 2 + overlap.imag ** 2, norms
 
 
 def _seeded_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:

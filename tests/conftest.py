@@ -203,6 +203,61 @@ def product_polynomial_oracle(config):
     return q
 
 
+def _two_sum(a, b):
+    """``a + b`` as the unevaluated sum ``s + e``, exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a):
+    """``a`` as ``hi + lo``, each with at most 26 significant bits (Dekker)."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """``a * b`` as ``p + e``, exactly, with no fused multiply-add (Dekker)."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def product_polynomial_double_double(config):
+    """``prod_i (alpha_i + beta_i z)`` up to a power of two, rounded from double-double.
+
+    The descending recurrence on arrays whose every number is an unevaluated
+    sum ``hi + lo`` of two floats, about 106 bits, with the peak scaled into
+    ``[1/2, 1)`` after each step: neither its rounding nor underflow comes
+    near the closed form's own at any size.
+    """
+    n = len(config)
+    # q[part, c, k]: the high (part 0) and low (part 1) float of the real
+    # (c = 0) and imaginary (c = 1) part of q_k
+    q = np.zeros((2, 2, n + 1))
+    q[0, 0, 0] = 1.0
+    for degree, p in enumerate(config, start=1):
+        x = q[:, :, :degree + 1]
+        shifted = np.zeros_like(x)  # q_{k-1}
+        shifted[:, :, 1:] = x[:, :, :-1]
+        # alpha q_k + beta q_{k-1}, each w y as w.real y + w.imag (i y)
+        terms = []
+        for y, w in ((x, p.alpha), (shifted, p.beta)):
+            for part, c in ((y, w.real), (np.stack([-y[:, 1], y[:, 0]], axis=1), w.imag)):
+                high, low = _two_product(part[0], c)
+                terms.append((high, low + part[1] * c))
+        high, low = terms[0]
+        for th, tl in terms[1:]:
+            high, e = _two_sum(high, th)
+            low = low + e + tl
+        high, low = _two_sum(high, low)
+        shift = -np.frexp(np.abs(high).max())[1]
+        q[0, :, :degree + 1] = np.ldexp(high, shift)
+        q[1, :, :degree + 1] = np.ldexp(low, shift)
+    return (q[0, 0] + q[1, 0]) + 1j * (q[0, 1] + q[1, 1])
+
+
 def roots_oracle(coeffs):
     """Roots of ``sum_k coeffs[k] z**k`` by ``np.roots``."""
     return np.roots(coeffs[::-1])
@@ -278,22 +333,23 @@ def quadrature_fidelity(config, geometry, q, chunk=4096):
     (``hermegauss``, weights over ``sqrt(2 pi)``) and the ``n`` window
     deviates Gauss-Legendre nodes (``leggauss``, weights over 2), so the
     ``q**(3n)`` grid points with their product weights integrate against the
-    sampling densities of ``estimate_fidelity``.  The points go through the
-    library's ``_sample_phases`` and ``_cascade_outputs`` ``chunk`` at a time.
-    Returns the mean per-sample fidelity against ``dicke_coefficients(config)``
-    and the heralded ratio ``E|<t|psi>|^2 / E||psi||^2``.
+    sampling densities of ``estimate_fidelity``.  The points go ``chunk`` at a
+    time through the library's ``_chunk_terms``, with the components and the
+    bra of ``dicke_coefficients(config)`` that ``_config_arrays`` builds, so
+    only the grid, its weights and the sums are this function's own.  Returns
+    the mean per-sample fidelity and the heralded ratio
+    ``E|<t|psi>|^2 / E||psi||^2``.
     """
     from numpy.polynomial.hermite_e import hermegauss
     from numpy.polynomial.legendre import leggauss
 
-    from dickesim.window import _cascade_outputs, _sample_phases
+    from dickesim.window import _chunk_terms, _config_arrays
 
     n = len(config)
     hermite, legendre = hermegauss(q), leggauss(q)
     nodes = [hermite[0]] * (2 * n) + [legendre[0]] * n
     weights = [hermite[1] / np.sqrt(2.0 * np.pi)] * (2 * n) + [legendre[1] / 2.0] * n
-    components = np.array([[p.alpha, p.beta] for p in config])
-    bra = ds.dicke_coefficients(config).to_qubit_amplitudes().conj()
+    components, bra = _config_arrays(config)
     fidelity = overlap = norm = 0.0
     size = q ** (3 * n)
     for start in range(0, size, chunk):
@@ -302,10 +358,9 @@ def quadrature_fidelity(config, geometry, q, chunk=4096):
         digits = index[:, None] // q ** np.arange(3 * n) % q
         points = np.column_stack([x[d] for x, d in zip(nodes, digits.T)])
         weight = np.prod([w[d] for w, d in zip(weights, digits.T)], axis=0)
-        psi = _cascade_outputs(components, _sample_phases(geometry, points[:, :2 * n],
-                                                          points[:, 2 * n:]))
-        overlaps = np.abs(psi @ bra) ** 2
-        norms = np.linalg.norm(psi, axis=1) ** 2
+        overlaps, norms = _chunk_terms(components, bra, geometry, points[:, :2 * n],
+                                       points[:, 2 * n:])
+        assert len(norms) == len(weight), "a grid point was annihilated"
         fidelity += weight @ (overlaps / norms)
         overlap += weight @ overlaps
         norm += weight @ norms

@@ -20,6 +20,7 @@ from conftest import (
     PLUS,
     enumerate_paths,
     oracle_forward,
+    product_polynomial_double_double,
     product_polynomial_oracle,
     random_config,
     random_polarizer,
@@ -111,6 +112,21 @@ def test_identical_polarizers_give_binomial_product_state_at_large_n(n):
     expected /= np.linalg.norm(expected)
     state = ds.dicke_coefficients(ds.PolarizerConfig((p,) * n))
     np.testing.assert_allclose(state.coeffs, expected, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("n, seed", [
+    (1600, 0), (1600, 1), (2053, 0),
+    pytest.param(2053, 1, marks=pytest.mark.xfail(
+        strict=True, reason="the float recurrence's rounding errors grow to 3.7e-6 here")),
+])
+def test_long_products_keep_their_coefficients_in_the_float_range(n, seed):
+    # unscaled, their coefficients decay into the subnormal range, and every
+    # q_k / sqrt(C(n, k)) of these configurations underflows to zero
+    config = random_config(np.random.default_rng(seed), n)
+    q = product_polynomial_double_double(config)  # peak in [1/2, 1)
+    want = ds.SymmetricState.from_raw(n, q * 2.0 ** 1000 / _sqrt_binomials(n))
+    got = ds.dicke_coefficients(config)
+    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-8
 
 
 @pytest.mark.parametrize("n", [2, 67, 500, 1029])

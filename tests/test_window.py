@@ -96,8 +96,9 @@ def test_phases_that_factor_give_a_global_phase_times_the_ideal_output(n):
 
 
 def test_complements_of_the_half_sets_come_in_reverse_order():
-    # the join of the two half cascades pairs row r of the low half with row
-    # -1 - r of the high half, at every size the kernel accepts
+    # at every size the kernel accepts: this is why the larger half lists its
+    # sets in reverse order, so that the join pairs row r of each half with
+    # row r of the other
     for n in range(1, REGISTER_SIZE_LIMIT + 1):
         rest = [tuple(sorted(set(range(n)) - set(s)))
                 for s in itertools.combinations(range(n), n // 2)]
@@ -546,13 +547,20 @@ def test_configurations_equal_but_for_signed_zeros_share_one_entry():
     assert own["plus"] == own["minus"] == shared
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 96,
-                                  2 ** 128 + 5, 10 ** 400])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40, 2 ** 63,
+                                  2 ** 64 + 3, 2 ** 96, 2 ** 128 + 5, 2 ** 200, 10 ** 400])
 def test_the_seeded_streams_are_the_spawned_children(seed):
     # seeds of one to more than four 32-bit words: the padding changes at four
     want = [np.random.default_rng(child).bit_generator.state
             for child in np.random.SeedSequence(seed).spawn(2)]
     assert [rng.bit_generator.state for rng in window._seeded_streams(seed)] == want
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2 ** 64 - 1)], ids=["int64", "uint64"])
+def test_a_numpy_integer_seed_gives_the_estimate_of_the_equal_int(seed):
+    config, geo = ds.ghz_config(3, 0.3), ds.DetectionGeometry.linear_chain(3)
+    assert ds.estimate_fidelity(config, geo, samples=20, seed=seed) == ds.estimate_fidelity(
+        config, geo, samples=20, seed=int(seed))
 
 
 def test_repeated_calls_at_one_size_build_its_steps_once():
@@ -660,16 +668,15 @@ def test_positions_too_large_to_average_are_a_config_error():
         ds.DetectionGeometry(pos, 0.0, 493e-9, np.tile([0.0, 1.0, 0.0], (2, 1)), 0.0)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 40, 2 ** 63, 2 ** 200,
-                                  np.int64(5), np.uint64(2 ** 64 - 1)])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1])
 def test_streams_are_the_children_that_spawn_gives(seed):
-    # estimate_fidelity builds SeedSequence(seed).spawn(2)'s children directly
+    # _seeded_streams mixes the words of SeedSequence(seed, spawn_key=(i,)),
+    # which are the words of SeedSequence(seed).spawn(2)'s child i
     spawned = np.random.SeedSequence(seed).spawn(2)
-    for i, child in enumerate(spawned):
+    for i, (child, stream) in enumerate(zip(spawned, window._seeded_streams(seed))):
         direct = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         assert direct.bit_generator.state == np.random.default_rng(child).bit_generator.state
-        np.testing.assert_array_equal(direct.standard_normal(6),
-                                      np.random.default_rng(child).standard_normal(6))
+        np.testing.assert_array_equal(direct.standard_normal(6), stream.standard_normal(6))
 
 
 @pytest.mark.parametrize("cap", [1, 1 << 16], ids=["one-sample-chunks", "one-chunk"])
