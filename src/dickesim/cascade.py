@@ -28,12 +28,13 @@ import numpy as np
 from .core import (
     Polarizer,
     SymmetricState,
+    _SIZE_LIMIT,
     _check_register_size,
     _sequence,
     _sqrt_binomials,
     _store,
 )
-from .errors import ConfigError
+from .errors import ConfigError, TooLargeError
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,8 @@ class PolarizerConfig:
     """Ordered polarizer settings for one run of the cascade.
 
     Anything but a non-empty sequence of :class:`Polarizer` is ``ConfigError``.
+    More than ``_SIZE_LIMIT`` (2053) polarizers, past which ``sqrt(C(n, k))``
+    leaves the float range, is ``TooLargeError``.
     """
 
     polarizers: tuple[Polarizer, ...]
@@ -49,6 +52,8 @@ class PolarizerConfig:
         pols = _sequence(self.polarizers, "a configuration")
         if len(pols) < 1:
             raise ConfigError("a configuration needs at least one polarizer")
+        if len(pols) > _SIZE_LIMIT:
+            raise TooLargeError(f"a configuration is limited to {_SIZE_LIMIT} polarizers")
         for p in pols:
             if not isinstance(p, Polarizer):
                 raise ConfigError(f"expected Polarizer, got {type(p).__name__}")
@@ -132,8 +137,6 @@ def dicke_coefficients(config) -> SymmetricState:
 
     Raises
     ------
-    TooLargeError
-        If ``sqrt(C(n, k))`` leaves the float range (from n = 2054 on).
     ZeroStateError
         If every coefficient vanishes (cannot happen for valid polarizers,
         whose products :func:`_partial_products` keeps in the float range;
@@ -141,8 +144,7 @@ def dicke_coefficients(config) -> SymmetricState:
     """
     config = _as_config(config)
     n = len(config)
-    roots = _sqrt_binomials(n)  # raises before the polynomial can overflow
-    return SymmetricState.from_raw(n, _product_polynomial(config) / roots)
+    return SymmetricState.from_raw(n, _product_polynomial(config) / _sqrt_binomials(n))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from .core import Polarizer, SymmetricState, _number, _system_size, fidelity
 from .entanglement import classify_from_config, entanglement_report
 from .errors import ConfigError, DickesimError, DimensionMismatchError, TooLargeError
 from .synthesis import synthesize
-from .window import (_CHAIN_SIGMA, _CHAIN_SPACING, _CHAIN_WAVELENGTH, _CHAIN_WINDOW,
-                     DetectionGeometry, _at_window, _chain_arrays, estimate_fidelity)
+from .window import DetectionGeometry, _at_window, _chain, estimate_fidelity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,28 +103,17 @@ def _parse_target(cfg: dict, n: int) -> SymmetricState:
 
 
 def _parse_geometry(cfg: dict, n: int, degrees: bool) -> DetectionGeometry:
-    """``DetectionGeometry.linear_chain`` with the given keys replacing its defaults.
+    """The window module's chain of ``n`` emitters with the given keys replacing its defaults.
 
-    The chain's arrays stand in for any the config leaves out, and the
-    geometry is built once.
+    Only ``--degrees`` is the CLI's own: it converts ``window_halfangle``.
     """
     geo = cfg.get("geometry")
     if not isinstance(geo, dict):
         raise ConfigError("'geometry' section is required for this command")
-    known = {"spacing", "emitter_positions", "transverse_sigma", "wavelength",
-             "detector_directions", "window_halfangle"}
-    unknown = set(geo) - known
-    if unknown:
-        raise ConfigError(f"unknown geometry keys: {sorted(unknown)}")
-
-    window = (_angle(geo["window_halfangle"], "window_halfangle", degrees)
-              if "window_halfangle" in geo else _CHAIN_WINDOW)
-    positions, directions = _chain_arrays(n, geo.get("spacing", _CHAIN_SPACING))
-    # the geometry itself checks that both arrays are (m, 3)
-    geometry = DetectionGeometry(
-        geo.get("emitter_positions", positions), geo.get("transverse_sigma", _CHAIN_SIGMA),
-        geo.get("wavelength", _CHAIN_WAVELENGTH), geo.get("detector_directions", directions),
-        window)
+    if degrees and "window_halfangle" in geo:
+        geo = {**geo, "window_halfangle": _angle(geo["window_halfangle"], "window_halfangle",
+                                                 degrees)}
+    geometry = _chain(n, geo)  # which checks that both arrays are (m, 3)
     if geometry.n != n:
         raise ConfigError(f"geometry arrays must be {n} [x,y,z] triples")
     return geometry

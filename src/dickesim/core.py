@@ -327,17 +327,14 @@ def _sqrt_binomials(n: int) -> np.ndarray:
     exceed int64, and numpy would otherwise fall back to an object array.
     From n = 1030 on, binomials above ``2**1023`` are shifted right by
     ``2 s`` bits first and the root scaled back by ``2**s``; smaller ones
-    keep their plain float root.  From n = 2054 on the largest root leaves
-    the float range, and ``TooLargeError`` is raised.
+    keep their plain float root.  From n = 2054 on the largest root would
+    leave the float range, which ``_SIZE_LIMIT`` keeps every caller below.
     """
     def root(c: int) -> float:
         s = max(0, c.bit_length() - 1022) // 2
         return ldexp(sqrt(c >> 2 * s), s)
 
-    try:
-        roots = np.array([root(comb(n, k)) for k in range(n + 1)])
-    except OverflowError:
-        raise TooLargeError(f"sqrt(C({n}, k)) exceeds the float range") from None
+    roots = np.array([root(comb(n, k)) for k in range(n + 1)])
     roots.setflags(write=False)
     return roots
 

@@ -20,7 +20,9 @@ Sampling model (all of it overridable through :class:`DetectionGeometry`):
 * the default arrangement puts the emitter line along x and the detectors
   on a ring of directions perpendicular to it, which makes the nominal path
   differences vanish exactly (the zero-window, zero-jitter limit reproduces
-  the ideal cascade to round-off).
+  the ideal cascade to round-off).  One builder, ``_chain``, holds its
+  defaults: :meth:`DetectionGeometry.linear_chain` and the CLI's
+  ``geometry`` section both fill in theirs through it.
 
 The wavelength and detector arrangement are free parameters of the model;
 defaults use a 493 nm dipole transition typical of trapped ions.
@@ -67,12 +69,17 @@ from .errors import (
     ZeroStateError,
 )
 
-#: The defaults of :meth:`DetectionGeometry.linear_chain`, which the CLI also
-#: fills in around the arrays a config gives.
+#: The defaults of :func:`_chain`, the one builder of the default chain.
 _CHAIN_WAVELENGTH = 493e-9
 _CHAIN_SPACING = 5e-6
 _CHAIN_SIGMA = 5e-9
 _CHAIN_WINDOW = np.deg2rad(0.5)
+#: The keys :func:`_chain` accepts: the chain's spacing and the constructor's fields.
+_CHAIN_KEYS = frozenset({"spacing", "emitter_positions", "transverse_sigma", "wavelength",
+                         "detector_directions", "window_halfangle"})
+
+#: Distance from 1 within which a direction's norm counts as unit, 4 ulps of 1.
+_UNIT_TOL = 4 * np.finfo(float).eps
 
 #: Register norm below which a sample counts as annihilated by cancellation.
 ANNIHILATION_TOL = 1e-12
@@ -111,7 +118,8 @@ class DetectionGeometry:
     wavelength : float
         Emission wavelength in meters.
     detector_directions : (n, 3) array
-        Nominal unit direction of each detector (normalized on construction).
+        Nominal unit direction of each detector (normalized on construction,
+        except a row already unit to 4 ulps, which is kept as given).
     window_halfangle : float
         Angular half-width (radians) of each detector's azimuthal window.
 
@@ -125,8 +133,8 @@ class DetectionGeometry:
     z component; a window rotation weights the first two with the cosine and
     sine of its angle.  The positions and directions are copies, and those
     four arrays are read-only, so a later edit of the caller's arrays cannot
-    change the geometry.  ``dataclasses.replace`` builds them anew and
-    normalizes the stored unit directions again, which can move their last bit.
+    change the geometry.  A geometry rebuilt from its own fields, as by
+    ``dataclasses.replace``, holds the same directions bit for bit.
     Invalid values raise ``ConfigError``, and so do positions too large to
     average and a phase table with an entry above ``2**1000`` (about 1e301
     rad), past which a sample's phases could overflow the float range.
@@ -159,10 +167,17 @@ class DetectionGeometry:
         # squares overflow above about 1e154 and lose bits below about 1e-154,
         # so each row is first scaled by the power of two of its largest entry;
         # the scaling is exact, so the unit direction keeps its bits
-        dirs = np.ldexp(dirs, -np.frexp(peaks)[1][:, None])
-        norms = np.linalg.norm(dirs, axis=1)
+        exponents = np.frexp(peaks)[1]
+        scaled = np.ldexp(dirs, -exponents[:, None])
+        norms = np.linalg.norm(scaled, axis=1)
+        # a row already unit to 4 ulps is kept as given: normalizing it again
+        # can move its last bit, even back and forth, so a geometry rebuilt
+        # from its own fields would not be itself.  Only a peak in [1/2, 2)
+        # can belong to a unit row, and only there is its norm safe to rescale
+        candidate = (exponents == 0) | (exponents == 1)
+        unit = candidate & (np.abs(np.ldexp(norms, exponents * candidate) - 1.0) <= _UNIT_TOL)
         pos = np.copy(pos)  # the caller's array may change later; this may not
-        dirs = dirs / norms[:, None]
+        dirs = np.where(unit[:, None], dirs, scaled / norms[:, None])
         basis = _transverse_basis(pos)
         vx, vy, vz = dirs.T
         zero = np.zeros(len(pos))
@@ -198,9 +213,33 @@ class DetectionGeometry:
         transverse confinement, 493 nm light, a 0.5° halfangle (a 1° window).
         An ``n`` that is not an integer >= 1 is ``ConfigError``.
         """
-        positions, directions = _chain_arrays(_system_size(n), spacing)
-        return cls(positions, transverse_sigma, wavelength, directions,
-                   window_halfangle)
+        return _chain(_system_size(n), {
+            "spacing": spacing, "transverse_sigma": transverse_sigma,
+            "wavelength": wavelength, "window_halfangle": window_halfangle})
+
+
+def _chain(n: int, fields: dict) -> DetectionGeometry:
+    """The default chain of ``n`` emitters, built once with ``fields`` in place of its defaults.
+
+    A key not in ``_CHAIN_KEYS`` is ``ConfigError``.  The chain's positions
+    and ring of directions, from the spacing, stand in for either array
+    ``fields`` leaves out; the ring divided by its own norms is the
+    constructor's normalization bit for bit, so the constructor keeps it.
+    """
+    unknown = fields.keys() - _CHAIN_KEYS
+    if unknown:
+        raise ConfigError(f"unknown geometry keys: {sorted(unknown)}")
+    spacing = _number(fields.get("spacing", _CHAIN_SPACING), "spacing")
+    xs = (np.arange(n) - (n - 1) / 2.0) * spacing
+    positions = np.column_stack([xs, np.zeros(n), np.zeros(n)])
+    ring = 2.0 * np.pi * np.arange(n) / n
+    directions = np.column_stack([np.zeros(n), np.cos(ring), np.sin(ring)])
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    return DetectionGeometry(
+        fields.get("emitter_positions", positions), fields.get("transverse_sigma", _CHAIN_SIGMA),
+        fields.get("wavelength", _CHAIN_WAVELENGTH),
+        fields.get("detector_directions", directions),
+        fields.get("window_halfangle", _CHAIN_WINDOW))
 
 
 def _at_window(geometry: DetectionGeometry, window_halfangle) -> DetectionGeometry:
@@ -220,16 +259,6 @@ class FidelityEstimate:
     standard_error: float
     sample_count: int
     excluded_count: int = 0
-
-
-def _chain_arrays(n: int, spacing) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and detector directions of :meth:`DetectionGeometry.linear_chain`."""
-    spacing = _number(spacing, "spacing")
-    xs = (np.arange(n) - (n - 1) / 2.0) * spacing
-    positions = np.column_stack([xs, np.zeros(n), np.zeros(n)])
-    ring = 2.0 * np.pi * np.arange(n) / n
-    directions = np.column_stack([np.zeros(n), np.cos(ring), np.sin(ring)])
-    return positions, directions
 
 
 def _cross(a, b) -> list[float]:

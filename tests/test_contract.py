@@ -421,3 +421,11 @@ def test_every_public_member_of_an_exported_class_has_a_caller():
                 and (inspect.isfunction(member)
                      or isinstance(member, (staticmethod, classmethod, property)))}
     assert uncalled == set()
+
+
+def test_only_the_window_module_names_the_chain_defaults():
+    # the default chain and the CLI's geometry section are both filled in by
+    # window._chain, so no other module needs a _CHAIN_* constant
+    others = [path for path in PACKAGE.glob("*.py") if path.name != "window.py"]
+    assert {name for name in _named(others) if name.startswith("_CHAIN_")} == set()
+    assert {name for name in _named([PACKAGE / "window.py"]) if name.startswith("_CHAIN_")}

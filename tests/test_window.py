@@ -370,10 +370,9 @@ def test_replace_builds_the_phase_table_anew():
     np.testing.assert_array_equal(wider.phase_table, geo.phase_table)
 
 
-@pytest.mark.xfail(strict=True, reason="replace normalizes the stored unit directions again")
 def test_replace_at_the_same_window_keeps_every_direction_bit():
     # a second normalization of a unit vector can move its last bit; it did
-    # for 136 of 200 such geometries
+    # for 136 of 200 such geometries while every row was normalized
     rng = np.random.default_rng(27)
     for _ in range(20):
         geo = ds.DetectionGeometry(rng.standard_normal((3, 3)) * 1e-6, 5e-9, 493e-9,
@@ -574,25 +573,40 @@ def test_repeated_calls_at_one_size_build_its_steps_once():
 
 
 @lru_cache(maxsize=None)
-def _quadrature(state, halfangle):
-    """GHZ3 or W3 at phi = 0.3, the default chain at ``halfangle`` degrees, q = 4."""
+def _quadrature(state, halfangle, line="chain"):
+    """GHZ3 or W3 at phi = 0.3 at a ``halfangle`` in degrees, q = 4.
+
+    ``line`` is the default chain, or an oblique one: three emitters 5 um
+    apart along (1, 2, 3), so the transverse basis comes from the SVD, 20 nm
+    jitter, and detectors perpendicular to the line with a z part.
+    """
     config = (ds.ghz_config if state == "ghz" else ds.w_config)(3, 0.3)
-    geo = ds.DetectionGeometry.linear_chain(3, window_halfangle=np.deg2rad(halfangle))
+    if line == "chain":
+        geo = ds.DetectionGeometry.linear_chain(3, window_halfangle=np.deg2rad(halfangle))
+    else:
+        axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        geo = ds.DetectionGeometry(np.outer([-5e-6, 0.0, 5e-6], axis), 20e-9, 493e-9,
+                                   [[3.0, 0.0, -1.0], [0.0, 3.0, -2.0], [1.0, 1.0, -1.0]],
+                                   np.deg2rad(halfangle))
     return config, geo, quadrature_fidelity(config, geo, 4)
 
 
 def test_the_quadrature_reference_keeps_its_values():
-    # the q = 4 rule's own values: q = 5 moves the first by 9e-8, the second by 7e-6
+    # the q = 4 rule's own values: q = 5 moves them by 9e-8, 7e-6 and 1.5e-7
     _, _, (ghz, _) = _quadrature("ghz", 0.5)
     _, _, (_, heralded_w) = _quadrature("w", 1.0)
+    _, oblique, (ghz_oblique, _) = _quadrature("ghz", 1.0, "oblique")
     assert ghz == pytest.approx(0.91612699, abs=1e-6)
     assert heralded_w == pytest.approx(0.838836, abs=1e-6)
+    assert ghz_oblique == pytest.approx(0.89470472, abs=1e-6)
+    assert oblique.phase_table[2].any()  # the directions' z part enters the phases
 
 
-@pytest.mark.parametrize("state", ["ghz", "w"])
-@pytest.mark.parametrize("halfangle", [0.5, 1.0])
-def test_seeded_estimates_agree_with_the_quadrature_reference(state, halfangle):
-    config, geo, (reference, _) = _quadrature(state, halfangle)
+@pytest.mark.parametrize("state, halfangle, line", [
+    ("ghz", 0.5, "chain"), ("w", 0.5, "chain"), ("ghz", 1.0, "chain"), ("w", 1.0, "chain"),
+    ("ghz", 1.0, "oblique")], ids=["0.5-ghz", "0.5-w", "1.0-ghz", "1.0-w", "1.0-ghz-oblique"])
+def test_seeded_estimates_agree_with_the_quadrature_reference(state, halfangle, line):
+    config, geo, (reference, _) = _quadrature(state, halfangle, line)
     est = ds.estimate_fidelity(config, geo, samples=20_000, seed=7)
     assert est.excluded_count == 0
     assert abs(est.mean_fidelity - reference) <= 5 * est.standard_error
@@ -658,6 +672,30 @@ def test_any_direction_scale_gives_the_same_direction_and_phases(scale, directio
                                rtol=0, atol=1e-15)
     np.testing.assert_allclose(scaled.phase_table, plain.phase_table, rtol=0,
                                atol=1e-15 * np.abs(plain.phase_table).max())
+
+
+_ANY_DIRECTION = hnp.arrays(float, 3, elements=st.floats(-1.7e308, 1.7e308)).filter(
+    lambda v: v.any())
+
+
+@given(direction=_ANY_DIRECTION)
+@settings(max_examples=200, deadline=None)
+@example(direction=np.array([1.7e308, 1.7e308, 0.0]))  # its unscaled norm overflows
+@example(direction=np.array([2.0, 0.0, 0.0]))  # stored as (1, 0, 0), not kept
+@example(direction=np.array([0.0, 1e-200, 1e-200]))  # its squares underflow
+def test_a_geometry_rebuilt_from_its_own_fields_keeps_every_direction_bit(direction):
+    # a row already unit to 4 ulps is stored as given, every other one
+    # normalized; either way the stored row is unit and rebuilds to itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geo = ds.DetectionGeometry(_chain_positions(1, 5e-6), 5e-9, 493e-9, [direction],
+                                   0.01)
+        rebuilt = dataclasses.replace(geo)
+    assert rebuilt.detector_directions.tobytes() == geo.detector_directions.tobytes()
+    stored = geo.detector_directions[0]
+    assert abs(np.linalg.norm(stored) - 1.0) <= 4 * np.finfo(float).eps
+    peak = direction / np.abs(direction).max()
+    np.testing.assert_allclose(stored, peak / np.linalg.norm(peak), rtol=0, atol=1e-15)
 
 
 def test_positions_too_large_to_average_are_a_config_error():
