@@ -37,8 +37,8 @@ qubit order (``_cascade_outputs``).  The cascade reads only the polarizers
 and a chunk's phases ``k r_j . nhat_i``, one ``(count, n, n)`` array built
 from the geometry's ``phase_table`` (``_sample_phases``).  A chunk holds at
 most ``_CHUNK_ENTRIES`` samples times the widest half level, and only
-``_chunk_terms`` turns it into each surviving sample's ``|<t|psi>|**2`` and
-``||psi||**2``: ``estimate_fidelity`` pools their ratios into a running mean
+``_chunk_terms`` turns it into each surviving sample's ``|<ideal|psi>|**2``
+and ``||psi||**2``: ``estimate_fidelity`` pools their ratios into a running mean
 and variance, so memory does not grow with the sample count, and the test
 suite's quadrature reference weights them by its grid.  Two seeded streams,
 drawn one block per chunk and read in sample order, give the transverse
@@ -46,9 +46,9 @@ normals and the window deviates, so a seeded estimate does not depend on the
 chunking and agrees to round-off with the dense detection kernel applied one
 sample at a time.  What does not depend on the samples is built once: each
 half's steps per size (``_level_tables``), the phase table per geometry, the
-polarizer components and the default target's bra per configuration
-(``_config_arrays`` keeps the last 16), the seeded streams and an explicit
-target's bra per call.
+polarizer components, the ideal output and its bra per configuration
+(``_config_arrays`` keeps the last 16), the seeded streams per call; an
+explicit target only scales the result by one ratio (``estimate_fidelity``).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import numpy as np
 
 from .cascade import PolarizerConfig, _as_config, dicke_coefficients
 from .core import (SymmetricState, _built, _check_register_size, _integer, _number, _numbers,
-                   _store, _system_size)
+                   _store, _system_size, fidelity)
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -297,17 +297,20 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     order: one of the ``2n`` emitter displacements, one of the per-detector
     window deviates that the halfangle scales.  So sweeps over the window
     with a shared seed are paired sample by sample, whatever the chunking.
-    The position-dependent detections are then applied and the squared
-    overlap with the target taken in the full qubit space: the positional
-    phases break permutation symmetry, so a symmetric projection cannot be
-    used here.
+    The position-dependent detections are then applied in the full qubit
+    space and the squared overlap taken with the ideal (zero window, zero
+    jitter) output of ``config``, whose bra and polarizer components are
+    built once per configuration and kept read-only for later calls with an
+    equal one, so repeated calls (a sweep, a rerun) pay only for the samples.
 
-    ``target`` defaults to the ideal (zero window, zero jitter) output of
-    ``config``.  That target's bra and the polarizer components are built
-    once per configuration and kept read-only for later calls with an equal
-    one, so repeated calls (a sweep, a rerun) pay only for the samples.
-    Samples whose register norm falls below ``ANNIHILATION_TOL`` are
-    excluded as annihilated and counted separately.
+    ``target`` defaults to that ideal output.  A sample's phases ``E_s[i, j]``
+    (detector ``i``, emitter ``j``) break permutation symmetry, but every
+    target is symmetric, so ``<t|psi_s> = <t|psi_0> perm(E_s) / n!``: another
+    target scales the mean and standard error by the one ratio
+    ``fidelity(target, ideal) / fidelity(ideal, ideal)``, exactly 1 for the
+    ideal, and leaves the counts, set by the norms, as they are.  Samples
+    whose register norm falls below ``ANNIHILATION_TOL`` are excluded as
+    annihilated and counted separately.
 
     Raises
     ------
@@ -336,12 +339,13 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
             f"geometry has {geometry.n} emitters, configuration has {n}")
     samples = _integer(samples, "samples", 1)
     seed = _integer(seed, "seed", 0)
-    components, bra = _config_arrays(config)
+    components, bra, ideal = _config_arrays(config)
+    scale = 1.0  # a sample's overlap with any target is the ideal's times one ratio
     if target is not None:
         if target.n != n:
             raise DimensionMismatchError(
                 f"target has {target.n} qubits, configuration has {n}")
-        bra = target.to_qubit_amplitudes().conj()
+        scale = fidelity(target, ideal) / fidelity(ideal, ideal)
 
     normal_rng, window_rng = _seeded_streams(seed)
     # level m holds C(n, m) 2**m entries per sample, and each level up to
@@ -372,12 +376,12 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     if kept == 0:
         raise ZeroStateError("every sample was annihilated")
     stderr = sqrt(m2 / (kept - 1)) / sqrt(kept) if kept > 1 else 0.0
-    return FidelityEstimate(mean, stderr, kept, samples - kept)
+    return FidelityEstimate(mean * scale, stderr * scale, kept, samples - kept)
 
 
 def _chunk_terms(components: np.ndarray, bra: np.ndarray, geometry: DetectionGeometry,
                  normals: np.ndarray, deviates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``|<t|psi_s>|**2`` and ``||psi_s||**2`` of the chunk's unannihilated samples, in order."""
+    """Each unannihilated sample's ``|<ideal|psi_s>|**2`` and ``||psi_s||**2``, in chunk order."""
     psi = _cascade_outputs(components, _sample_phases(geometry, normals, deviates))
     flat = psi.view(float)
     norms = np.einsum("sx,sx->s", flat, flat)  # squared
@@ -402,17 +406,18 @@ def _seeded_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator
 # 16 configurations: a sweep reuses one and a batch of mixed runs a few; an
 # entry holds 2n + 2**n complexes, 4.4 KB at n = 8 and 64 KB at n = 12
 @lru_cache(maxsize=16)
-def _config_arrays(config: PolarizerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The polarizer components ``(n, 2)`` and the default target's bra, read-only.
+def _config_arrays(config: PolarizerConfig) -> tuple[np.ndarray, np.ndarray, SymmetricState]:
+    """The read-only polarizer components ``(n, 2)`` and ideal bra, and the ideal output.
 
-    Equal configurations share an entry, even where a component differs
-    only in the sign of a zero.
+    The ideal output is ``dicke_coefficients(config)``.  Equal configurations
+    share an entry, even where a component differs only in the sign of a zero.
     """
-    bra = dicke_coefficients(config).to_qubit_amplitudes().conj()
+    ideal = dicke_coefficients(config)
+    bra = ideal.to_qubit_amplitudes().conj()
     components = np.array([[p.alpha, p.beta] for p in config])
     for a in (components, bra):
         a.setflags(write=False)
-    return components, bra
+    return components, bra, ideal
 
 
 @lru_cache(maxsize=None)

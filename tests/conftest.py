@@ -326,6 +326,20 @@ def dense_estimate_fidelity(config, geometry, target=None, samples=1000, seed=0)
     return ds.FidelityEstimate(float(values.mean()), stderr, len(values), excluded)
 
 
+def permanent(a):
+    """Permanent of the square matrix ``a``, of size 1 to 10, by Glynn's formula.
+
+    ``perm(a) = 2**(1 - n) sum_d (prod_k d_k) prod_j (sum_i d_i a[i, j])``
+    over the ``2**(n - 1)`` sign vectors ``d`` with ``d_0 = +1`` (Glynn, Eur.
+    J. Combin. 31 (2010) 1887), against the ``n!`` terms of the definition.
+    """
+    a = np.asarray(a)
+    n = len(a)
+    assert a.shape == (n, n) and 1 <= n <= 10
+    signs = np.array([(1,) + d for d in itertools.product((1, -1), repeat=n - 1)])
+    return (signs.prod(axis=1) * (signs @ a).prod(axis=1)).sum() / 2 ** (n - 1)
+
+
 def quadrature_fidelity(config, geometry, q, chunk=4096):
     """Window integral of ``config`` on ``geometry`` by a tensor Gauss rule, ``q`` nodes per axis.
 
@@ -349,7 +363,7 @@ def quadrature_fidelity(config, geometry, q, chunk=4096):
     hermite, legendre = hermegauss(q), leggauss(q)
     nodes = [hermite[0]] * (2 * n) + [legendre[0]] * n
     weights = [hermite[1] / np.sqrt(2.0 * np.pi)] * (2 * n) + [legendre[1] / 2.0] * n
-    components, bra = _config_arrays(config)
+    components, bra, _ = _config_arrays(config)
     fidelity = overlap = norm = 0.0
     size = q ** (3 * n)
     for start in range(0, size, chunk):

@@ -16,6 +16,7 @@ benchmark's view of the library still builds.
 import ast
 import importlib.util
 import inspect
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -30,7 +31,8 @@ import dickesim as ds
 PACKAGE = Path(ds.__file__).parent
 #: The package modules that can call an export: all but ``__init__.py``.
 MODULES = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
 
 #: ``str()`` of an int of more than 4300 digits raises ``ValueError``, so
 #: an error message must not format ``-(10 ** 5000)``.
@@ -429,3 +431,21 @@ def test_only_the_window_module_names_the_chain_defaults():
     others = [path for path in PACKAGE.glob("*.py") if path.name != "window.py"]
     assert {name for name in _named(others) if name.startswith("_CHAIN_")} == set()
     assert {name for name in _named([PACKAGE / "window.py"]) if name.startswith("_CHAIN_")}
+
+
+def test_a_failing_property_example_is_a_test_failure_not_the_end_of_the_session(tmp_path):
+    # under this repository's warnings filters, in its own directory, since
+    # Hypothesis keeps its example database in the working directory
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_a_property_that_fails(x):\n"
+        "    assert x < 10\n\n\n"
+        "def test_a_later_test():\n"
+        "    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout.splitlines()[-1]

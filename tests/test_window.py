@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dickesim as ds
-from conftest import (dense_estimate_fidelity, dense_sample_output, quadrature_fidelity,
-                      random_config)
+from conftest import (dense_estimate_fidelity, dense_sample_output, permanent,
+                      quadrature_fidelity, random_config)
 from dickesim import window
 from dickesim.core import REGISTER_SIZE_LIMIT
 from dickesim.window import _cascade_outputs, _sample_phases
@@ -93,6 +93,31 @@ def test_phases_that_factor_give_a_global_phase_times_the_ideal_output(n):
     for s in range(3):
         want = np.exp(1j * (a[s].sum() + b[s].sum())) * ideal
         assert np.abs(got[s] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_the_permanent_oracle_sums_every_assignment():
+    rng = np.random.default_rng(55)
+    for n in range(1, 7):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        want = sum(np.prod(a[range(n), sigma]) for sigma in itertools.permutations(range(n)))
+        assert permanent(a) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_each_overlap_is_the_ideal_one_times_a_permanent(n):
+    # every target is symmetric, so a sample's overlap factors as
+    # <t|psi_s> = <t|psi_0> perm(E_s) / n!, E_s = exp(i phases[s])
+    rng = np.random.default_rng(170 + n)
+    config = random_config(rng, n)
+    geo = ds.DetectionGeometry.linear_chain(n, transverse_sigma=50e-9,
+                                            window_halfangle=np.deg2rad(3.0))
+    components, bra, _ = window._config_arrays(config)
+    normals, deviates = rng.standard_normal((5, 2 * n)), rng.uniform(-1.0, 1.0, (5, n))
+    overlaps, _ = window._chunk_terms(components, bra, geo, normals, deviates)
+    ideal = _cascade_outputs(components, np.zeros((1, n, n)))[0] @ bra
+    want = [abs(ideal * permanent(np.exp(1j * phases)) / factorial(n)) ** 2
+            for phases in _sample_phases(geo, normals, deviates)]
+    np.testing.assert_allclose(overlaps, want, rtol=1e-12, atol=0)
 
 
 def test_complements_of_the_half_sets_come_in_reverse_order():
@@ -501,7 +526,7 @@ def test_cached_configuration_arrays_leave_every_estimate_bit_for_bit(
         geo = ds.DetectionGeometry.linear_chain(n, transverse_sigma=sigma,
                                                 window_halfangle=np.deg2rad(half))
         for seed in (0, 1, 12345, 2 ** 31 - 1):
-            # the explicit target's bra is built in the call, never cached
+            # the explicit target scales the cached ideal's estimate by exactly 1
             want = _hex(ds.estimate_fidelity(config, geo, target=ds.dicke_coefficients(config),
                                              samples=samples, seed=seed))
             window._config_arrays.cache_clear()
@@ -516,13 +541,37 @@ def test_cached_configuration_arrays_are_read_only():
     config = ds.w_config(3, 0.2)
     geo = ds.DetectionGeometry.linear_chain(3)
     want = ds.estimate_fidelity(config, geo, samples=40, seed=5)
-    for array in window._config_arrays(config):
+    components, bra, ideal = window._config_arrays(config)
+    for array in (components, bra, ideal.coeffs):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
         with pytest.raises(ValueError):
             array *= 2.0
     assert _hex(ds.estimate_fidelity(config, geo, samples=40, seed=5)) == _hex(want)
+
+
+def test_an_explicit_target_scales_the_cached_estimate_and_builds_no_qubit_vector(
+        monkeypatch):
+    config, equal = ds.w_config(5, 0.2), ds.w_config(5, 0.2)
+    geo = ds.DetectionGeometry.linear_chain(5, transverse_sigma=20e-9,
+                                            window_halfangle=np.deg2rad(2.0))
+    rng = np.random.default_rng(31)
+    target = ds.SymmetricState.from_raw(5, rng.normal(size=6) + 1j * rng.normal(size=6))
+    ideal = ds.dicke_coefficients(config)
+    scale = ds.fidelity(target, ideal) / ds.fidelity(ideal, ideal)
+    window._config_arrays.cache_clear()
+    default = ds.estimate_fidelity(config, geo, samples=40, seed=9)
+
+    def refuse(state):
+        raise AssertionError("a 2**n qubit vector was built")
+
+    monkeypatch.setattr(ds.SymmetricState, "to_qubit_amplitudes", refuse)
+    got = ds.estimate_fidelity(equal, geo, target=target, samples=40, seed=9)
+    assert window._config_arrays.cache_info()[:2] == (1, 1)  # hits, misses
+    assert _hex(got) == _hex(ds.FidelityEstimate(
+        default.mean_fidelity * scale, default.standard_error * scale,
+        default.sample_count, default.excluded_count))
 
 
 def test_configurations_equal_but_for_signed_zeros_share_one_entry():
@@ -829,6 +878,12 @@ def _window_cases():
             yield pytest.param(ds.ghz_config(n, 0.0),
                                ds.dicke_coefficients(ds.w_config(n, 0.3)),
                                id=f"ghz{n}-vs-w")
+    # generic explicit targets, drawn apart so the cases above keep their draws
+    rng = np.random.default_rng(61)
+    for n in range(1, 9):
+        target = ds.SymmetricState.from_raw(n, rng.normal(size=n + 1)
+                                            + 1j * rng.normal(size=n + 1))
+        yield pytest.param(random_config(rng, n), target, id=f"random{n}-vs-random")
 
 
 @pytest.mark.parametrize("config, target", _window_cases())
