@@ -49,14 +49,23 @@ half's steps per size (``_level_tables``), the phase table per geometry, the
 polarizer components, the ideal output and its bra per configuration
 (``_config_arrays`` keeps the last 16), the seeded streams per call; an
 explicit target only scales the result by one ratio (``estimate_fidelity``).
+And what a chunk works in is allocated once per thread: each working array
+is a view of the thread's buffer of its name, kept at the largest size any
+chunk has asked of it, and the views of the last 16 chunk shapes ``(n,
+count)`` are kept ready (``_workspace``), so after a thread's first chunk of
+a shape the draws, phases and both half cascades write into memory they
+already own, and only the chunk's outputs and its pooled terms are new.  A
+thread keeps at most 5.0 MB of buffers (full chunks at n = 12; 2.0 MB up to
+n = 10) and up to 0.3 MB of views.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import comb, sqrt
+from math import comb, prod, sqrt
 
 import numpy as np
 
@@ -85,13 +94,21 @@ _UNIT_TOL = 4 * np.finfo(float).eps
 ANNIHILATION_TOL = 1e-12
 
 #: Samples times widest half level propagated together, whatever the sample
-#: count.  A full chunk's tracemalloc peak is 44-97 B per such entry at
-#: every n = 1..10 (highest at n = 2..4, where the weights and the join of
+#: count.  In a new thread a full chunk at n = 1..10 grows the buffers
+#: (:func:`_array`) to 61-181 B per such entry, 0.5-1.5 MB, its tracemalloc
+#: peak (the most at n = 2..4, where the phases, the weights and the join of
 #: many samples dominate; the half levels and one block of gathered rows
-#: otherwise), so 0.36-0.8 MB here.  A chunk holds 7 samples at n = 8 and 2
-#: at n = 9; from n = 10 on it is a single sample and memory no longer
-#: depends on this budget.
+#: otherwise); a later chunk peaks at 4-41 B per entry, its outputs and pooled
+#: terms (the most at n = 1, 2, where an output is as wide as a level).  A
+#: chunk holds 7 samples at n = 8 and 2 at n = 9; from n = 10 on it is a
+#: single sample and memory no longer depends on this budget.
 _CHUNK_ENTRIES = 8192
+
+#: Chunk shapes whose views (:class:`_Workspace`) each thread keeps, 3-20 KB
+#: each: a sweep or a CLI call uses one or two (a full chunk and the rest),
+#: and a batch of mixed runs a few, as with ``_config_arrays``' 16.  The
+#: buffers they view do not grow with their number.
+_WORKSPACES = 16
 
 #: Largest phase-table entry a geometry may hold, so that no sample's phase
 #: overflows.  A sample phase is ``along[j] + z1 along[n] + z2 along[n + 1]``
@@ -358,9 +375,12 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
     kept, mean, m2 = 0, 0.0, 0.0
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        values, norms = _chunk_terms(components, bra, geometry,
-                                     normal_rng.standard_normal((count, 2 * n)),
-                                     window_rng.uniform(-1.0, 1.0, (count, n)))
+        work = _workspace(n, count)
+        normals = normal_rng.standard_normal(out=work.normals)
+        deviates = window_rng.random(out=work.deviates)
+        deviates += deviates  # uniform(-1.0, 1.0)'s -1 + 2 u, bit for bit
+        deviates -= 1.0
+        values, norms = _chunk_terms(components, bra, geometry, normals, deviates)
         if values.size == 0:
             continue
         values /= norms
@@ -372,6 +392,7 @@ def estimate_fidelity(config, geometry: DetectionGeometry,
         values *= values
         m2 += float(values.sum()) + delta * delta * kept * values.size / count
         kept = count
+        del values, norms  # before the next chunk's are allocated
 
     if kept == 0:
         raise ZeroStateError("every sample was annihilated")
@@ -475,57 +496,53 @@ def _sample_phases(geometry: DetectionGeometry, normals: np.ndarray,
     enters as one batched product of the table with ``(cos, sin, 1)`` of
     each detector's angle, the displacement as two multiply-adds.  The result
     is a view of an ``(n, n, count)`` array, samples last, which is the
-    layout :func:`_cascade_outputs` works in.
+    layout :func:`_cascade_outputs` works in; the array is this thread's
+    workspace (:func:`_workspace`), which its next chunk overwrites.
     """
     n = geometry.n
-    # trig[i, :, s]: cos and sin of sample s's rotation of detector i, and 1
-    trig = np.empty((n, 3, len(deviates)))
-    delta = np.multiply(deviates.T, geometry.window_halfangle, out=trig[:, 2])
-    np.cos(delta, out=trig[:, 0])
-    np.sin(delta, out=trig[:, 1])
-    trig[:, 2] = 1.0
+    work = _workspace(n, len(deviates))
+    # trig[:, i, s]: cos and sin of sample s's rotation of detector i, and 1
+    trig = work.trig
+    trig[2] = 1.0
+    np.copyto(trig[1], deviates.T)
+    trig[1] *= geometry.window_halfangle
+    np.cos(trig[1], out=trig[0])
+    np.sin(trig[1], out=trig[1])
     # along[e, i, s]: k times point e along sample s's rotated direction i,
-    # the table's three parts weighted by trig[i] in one product per detector
-    along = (geometry.phase_table.T @ trig).transpose(1, 0, 2)
-    del trig, delta
-    jitter = np.ascontiguousarray(normals.T)[:, None, :]
-    phases = jitter[:n] * along[n]
+    # the table's three parts weighted by trig[:, i] in one product per detector
+    along = work.along
+    np.matmul(geometry.phase_table.T, trig.transpose(1, 0, 2), out=along.transpose(1, 0, 2))
+    # numpy buffers a product with a broadcast operand in new arrays, so the
+    # displacement's factors are spelled out in full: jitter[a, j, i, s] is
+    # sample s's normal of emitter j along axis a, for every detector i
+    jitter, phases, shift = work.jitter, work.phases, work.shift
+    np.copyto(jitter, normals.T.reshape(2, n, 1, -1))
+    np.copyto(phases, along[n])
+    phases *= jitter[0]
     phases += along[:n]
-    phases += jitter[n:] * along[n + 1]
+    np.copyto(shift, along[n + 1])
+    shift *= jitter[1]
+    phases += shift
     return phases.transpose(2, 0, 1)
 
 
-def _half_cascade(weights: np.ndarray, first: slice, steps) -> np.ndarray:
-    """Last level of the cascade of the emitters in ``weights``, run by ``steps``.
+def _half_cascade(steps) -> None:
+    """Run the cascade of one half's emitters, planned by :meth:`_Workspace.plan`.
 
-    ``weights[j, b, i, s]`` is detector ``i``'s term for the half's emitter
-    ``j``'s photon in label ``b``, in sample ``s``; ``first`` and ``steps``
-    are the half's entry of :func:`_level_tables`.  Each step hands the next
-    emitter's photon to each detector not yet used, and its label becomes
-    the new top bit of the first index.  Per block of labels of the level it
-    reads, a step gathers the source rows for every position ``p`` at once,
-    and ``np.einsum`` sums their products with the new emitter's terms over
-    ``p`` straight into the level being built, over all rows and samples.
-    With no emitters the result is level 0: the empty set, with weight 1.
+    Each step hands the next emitter's photon to each detector not yet used,
+    and its label becomes the new top bit of the first index.  It gathers
+    that emitter's terms ``w[b, i, s]`` (label ``b``, detector ``i``, sample
+    ``s``) for each row's detectors; then, per block of labels of the level it
+    reads, the source rows for every position ``p`` at once, and
+    ``np.einsum`` sums their products with the terms over ``p`` straight into
+    the level being built, over all rows and samples.
     """
-    count = weights.shape[-1]
-    if len(weights) == 0:
-        return np.ones((1, 1, count), dtype=complex)
-    level = weights[0][:, first]
-    for w, (src, detector, block) in zip(weights[1:], steps):
-        width, rows = src.shape
-        labels = len(level)
-        # terms[b, p, r * count + s]: w's term for row r's p-th smallest detector
-        terms = w.take(detector, axis=1).reshape(2, width, rows * count)
-        step = np.empty((2, labels, rows * count), dtype=complex)
-        for start in range(0, labels, block):
-            gathered = level[start:start + block].take(src, axis=1).reshape(
-                -1, width, rows * count)
-            np.einsum("bpr,lpr->blr", terms, gathered, out=step[:, start:start + block])
-            del gathered  # before the next block's is allocated
-        del terms
-        level = step.reshape(-1, rows, count)
-    return level
+    for w, detector, terms, flat_terms, src, blocks in steps:
+        # terms[b, p, r, s]: w's term for row r's p-th smallest detector
+        w.take(detector, axis=1, out=terms, mode="clip")
+        for rows, gathered, flat, out in blocks:
+            rows.take(src, axis=1, out=gathered, mode="clip")
+            np.einsum("bpr,lpr->blr", flat_terms, flat, out=out)
 
 
 def _cascade_outputs(components: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -540,24 +557,151 @@ def _cascade_outputs(components: np.ndarray, phases: np.ndarray) -> np.ndarray:
     product per sample: each set of ``h`` detectors the low half used meets
     the high half's row of the other ``n - h``, which :func:`_level_tables`
     lists in the row of the same number.  The join sums the same ``n!``
-    products per amplitude as a single cascade, and subtracts nothing.
+    products per amplitude as a single cascade, and subtracts nothing.  Every
+    step writes into this thread's workspace for the chunk's shape
+    (:func:`_workspace`), and the outputs are a new array.
     """
     count, n, _ = phases.shape
-    h = n // 2
-    # weights[j, b, i, s]: detector i's term for emitter j's photon in label b;
-    # cos and sin of a real array cost a fraction of a complex exp
+    tables = _level_tables(n)
+    work = _workspace(n, count)
+    # weights[j, b, i, s]: detector i's term for emitter j's photon in label b,
+    # the phase factor times components[i, b]; cos and sin of a real array
+    # cost a fraction of a complex exp.  numpy buffers a product with a
+    # broadcast operand in new arrays, so both factors are spelled out in full
     phases = phases.transpose(1, 2, 0)
-    unit = np.empty(phases.shape, dtype=complex)
-    np.cos(phases, out=unit.real)
-    np.sin(phases, out=unit.imag)
-    weights = unit[:, None] * components.T[:, :, None]
-    del unit
-    # the larger half first, so that the smaller one's working set, not the
-    # larger one's, sits on top of a finished level
-    high_run, low_run = _level_tables(n)
-    high = _half_cascade(weights[h:], *high_run)
-    low = _half_cascade(weights[:h], *low_run)
+    np.cos(phases, out=work.unit.real)
+    np.sin(phases, out=work.unit.imag)
+    np.copyto(work.weights, work.unit[:, None])
+    np.copyto(work.polarizers, components.T[:, :, None])
+    np.multiply(work.weights, work.polarizers, out=work.weights)
+    (high_steps, high), (low_steps, low) = work.halves or work.plan(tables)
+    _half_cascade(high_steps)
+    _half_cascade(low_steps)
     # (count, 2**(n - h), C(n, h)) @ (count, C(n, h), 2**h): the high half's
     # labels are the top bits
     joined = high.transpose(2, 0, 1) @ low.transpose(2, 1, 0)
     return joined.reshape(count, -1)
+
+
+class _Workspace:
+    """The working arrays of one chunk shape ``(n, count)``, each with the views that use it.
+
+    Every array is a view of this thread's buffer of its name (:func:`_array`).
+    :func:`estimate_fidelity` draws the chunk into ``normals`` and
+    ``deviates``; :func:`_sample_phases` writes ``trig``, ``along``,
+    ``jitter``, ``shift`` and the ``phases`` it returns;
+    :func:`_cascade_outputs` writes ``unit``, ``weights`` and ``polarizers``,
+    then runs each half's steps in ``halves``.  The halves are planned on the
+    kernel's first chunk of the shape, from its lookup of
+    :func:`_level_tables`: each half fills its two level buffers in turn, and
+    both share one buffer of terms and one of gathered rows.
+    """
+
+    __slots__ = ("normals", "deviates", "trig", "along", "jitter", "phases", "shift",
+                 "unit", "weights", "polarizers", "halves")
+
+    def __init__(self, n: int, count: int) -> None:
+        self.normals = _array("normals", (count, 2 * n))
+        self.deviates = _array("deviates", (count, n))
+        self.trig = _array("trig", (3, n, count))
+        self.along = _array("along", (n + 2, n, count))
+        self.jitter = _array("jitter", (2, n, n, count))
+        self.phases = _array("phases", (n, n, count))
+        self.shift = _array("shift", (n, n, count))
+        self.unit = _array("unit", (n, n, count), complex)
+        self.weights = _array("weights", (n, 2, n, count), complex)
+        self.polarizers = _array("polarizers", (n, 2, n, count), complex)
+        self.halves = None
+
+    def plan(self, tables) -> tuple:
+        """Each half's steps over this thread's buffers, and the view of its last level.
+
+        A step is ``(w, detector, terms, flat terms, src, blocks)`` and a block
+        ``(level rows, gathered, flat gathered, out)``, the arguments of
+        :func:`_half_cascade`'s ``take`` and ``einsum`` calls.
+        """
+        n, _, _, count = self.weights.shape
+        h = n // 2
+        every = [step for _, steps in tables for step in steps]
+        terms_buffer = _array(
+            "terms", (count * max((2 * src.size for src, _, _ in every), default=0),), complex)
+        gathered_buffer = _array(
+            "gathered", (count * max((block * src.size for src, _, block in every), default=0),),
+            complex)
+        halves = []
+        for half, weights, (first, steps) in zip(("high", "low"),
+                                                 (self.weights[h:], self.weights[:h]), tables):
+            # step k builds level k + 2 into buffer k % 2
+            sizes = [count * src.shape[1] << k + 2 for k, (src, _, _) in enumerate(steps)]
+            buffers = [_array(f"{half} levels {parity}", (max(sizes[parity::2], default=0),),
+                              complex) for parity in (0, 1)]
+            level = (weights[0][:, first] if len(weights)
+                     else np.broadcast_to(np.ones(1, complex), (1, 1, count)))
+            planned = []
+            for k, (w, (src, detector, block)) in enumerate(zip(weights[1:], steps)):
+                width, rows = src.shape
+                labels = len(level)
+                terms = _prefix(terms_buffer, 2, width, rows, count)
+                out = _prefix(buffers[k % 2], 2, labels, rows * count)
+                blocks = []
+                for start in range(0, labels, block):
+                    part = level[start:start + block]
+                    gathered = _prefix(gathered_buffer, len(part), width, rows, count)
+                    blocks.append((part, gathered, gathered.reshape(len(part), width, -1),
+                                   out[:, start:start + block]))
+                planned.append((w, detector, terms, terms.reshape(2, width, -1), src,
+                                tuple(blocks)))
+                level = out.reshape(-1, rows, count)
+            halves.append((tuple(planned), level))
+        self.halves = tuple(halves)
+        return self.halves
+
+
+def _prefix(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The first entries of a flat ``buffer``, as a C-contiguous array of ``shape``."""
+    return buffer[:prod(shape)].reshape(shape)
+
+
+class _Workspaces(threading.local):
+    """This thread's flat buffers by name, and its workspaces by chunk shape.
+
+    The workspaces are kept least recently used first, and all view the
+    same buffers, so a thread holds each buffer once, at the largest size any
+    shape has asked of it.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+        self.shapes: dict[tuple[int, int], _Workspace] = {}
+
+
+_workspaces = _Workspaces()
+
+
+def _array(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """A C-contiguous ``shape`` view of this thread's buffer ``name``.
+
+    A buffer too small for ``shape`` is replaced by one just large enough,
+    and every kept workspace is dropped with the views of the old one.
+    """
+    buffer = _workspaces.buffers.get(name)
+    if buffer is None or len(buffer) < prod(shape):
+        buffer = _workspaces.buffers[name] = np.empty(prod(shape), dtype)
+        _workspaces.shapes.clear()
+    return _prefix(buffer, *shape)
+
+
+def _workspace(n: int, count: int) -> _Workspace:
+    """This thread's workspace for chunks of ``count`` samples of ``n`` emitters.
+
+    The last ``_WORKSPACES`` shapes used are kept; a new one evicts the least
+    recently used.
+    """
+    shapes = _workspaces.shapes
+    work = shapes.pop((n, count), None)
+    if work is None:
+        work = _Workspace(n, count)
+        if len(shapes) >= _WORKSPACES:
+            del shapes[next(iter(shapes))]
+    shapes[n, count] = work
+    return work

@@ -249,7 +249,9 @@ def test_every_exported_error_is_raised_somewhere():
 
 def test_no_package_module_imports_gc():
     # switching the collector off inside a call moves its work into the
-    # benchmark's calibration kernel, which then scales the op's time down
+    # benchmark's calibration kernel, which then scales the op's time down;
+    # and tuning the process's allocator (mallopt through ctypes) is not a
+    # library's business: the window kernel keeps its own buffers instead
     imported = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -257,7 +259,7 @@ def test_no_package_module_imports_gc():
                 imported.update(alias.name.partition(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.partition(".")[0])
-    assert "numpy" in imported and "gc" not in imported
+    assert "numpy" in imported and not imported & {"gc", "ctypes"}
 
 
 def test_only_core_store_writes_past_a_frozen_setattr():

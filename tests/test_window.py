@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from math import comb, factorial
 
@@ -923,8 +925,9 @@ def test_memory_does_not_grow_with_the_sample_count():
 @pytest.mark.parametrize("n, samples, bound", [(8, 64, 1_600_000), (10, 8, 1_200_000)],
                          ids=["n8", "n10"])
 def test_memory_per_chunk_stays_bounded_at_large_n(n, samples, bound):
-    # a chunk of 7 samples peaks at about 0.52 MB at n = 8, and of one sample
-    # at about 0.5 MB at n = 10; a budget that packed many more samples
+    # a thread's first chunk of 7 samples grows its buffers to about 0.6 MB at
+    # n = 8, and its first of one sample to about 0.54 MB at n = 10, which
+    # later chunks reuse; a budget that packed many more samples
     # together would pass 1.6 MB at n = 8, and a single cascade over the
     # full levels (15360 entries at n = 10) would reach about 1.4 MB
     config = ds.ghz_config(n, 0.0)
@@ -938,6 +941,128 @@ def test_memory_per_chunk_stays_bounded_at_large_n(n, samples, bound):
         tracemalloc.stop()
     assert est.sample_count + est.excluded_count == samples
     assert peak < bound
+
+
+def _bits(est):
+    return (est.mean_fidelity.hex(), est.standard_error.hex(), est.sample_count,
+            est.excluded_count)
+
+
+def test_threads_give_the_serial_estimates_bit_for_bit():
+    # each thread works in its own buffers; shared ones would mix the chunks
+    # of concurrent calls
+    inputs = [(ds.ghz_config(n, 0.2), ds.DetectionGeometry.linear_chain(
+        n, transverse_sigma=20e-9, window_halfangle=np.deg2rad(2.0)), samples)
+        for n, samples in [(3, 1500), (4, 40), (5, 230), (8, 16), (2, 900), (6, 60)]]
+    jobs = [(config, geo, samples, seed) for seed in range(3)
+            for config, geo, samples in inputs]
+
+    def run(job):
+        config, geo, samples, seed = job
+        return _bits(ds.estimate_fidelity(config, geo, samples=samples, seed=seed))
+
+    want = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside chunks, not only between calls
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(run, jobs * 5, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 5
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_a_call_keeps_its_bits_with_the_workspaces_cleared_or_reused(n):
+    # two full chunks and a partial one, from new buffers, from the call's
+    # own, and from buffers another size has just written in its own layout
+    m = n - n // 2
+    samples = 2 * max(1, window._CHUNK_ENTRIES // (comb(n, m) << m)) + 1
+    config = random_config(np.random.default_rng(70 + n), n)
+    geo = ds.DetectionGeometry.linear_chain(n, transverse_sigma=20e-9,
+                                            window_halfangle=np.deg2rad(2.0))
+    other = ds.w_config(3, 0.4), ds.DetectionGeometry.linear_chain(3)
+    runs = []
+    for step in ("cleared", "reused", "overwritten", "cleared"):
+        if step == "cleared":
+            window._workspaces.buffers.clear()
+            window._workspaces.shapes.clear()
+        elif step == "overwritten":
+            ds.estimate_fidelity(*other, samples=700, seed=1)
+        runs.append(_bits(ds.estimate_fidelity(config, geo, samples=samples, seed=n)))
+    assert runs == runs[:1] * 4
+
+
+@pytest.mark.parametrize("n, samples", [(8, 16), (3, 2000)], ids=["ghz8x16", "ghz3x2000"])
+def test_a_repeated_call_allocates_less_than_one_level_array(n, samples):
+    # page faults depend on the allocator, so the reuse is pinned by what is
+    # allocated: once a call has grown the buffers, a chunk allocates only
+    # its outputs (2**n entries per sample, against C(n, m) 2**m in a level
+    # array of the larger half) and its pooled terms
+    config = ds.ghz_config(n, 0.0)
+    geo = ds.DetectionGeometry.linear_chain(n)
+    m = n - n // 2
+    count = min(samples, max(1, window._CHUNK_ENTRIES // (comb(n, m) << m)))
+    ds.estimate_fidelity(config, geo, samples=samples, seed=1)
+    tracemalloc.start()
+    try:
+        est = ds.estimate_fidelity(config, geo, samples=samples, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.sample_count + est.excluded_count == samples
+    assert peak < 16 * count * (comb(n, m) << m)
+
+
+def test_shapes_past_the_bound_are_evicted_and_share_the_buffers():
+    n, bound = 4, window._WORKSPACES
+    components, _, _ = window._config_arrays(ds.ghz_config(n, 0.3))
+    phases = np.random.default_rng(5).uniform(-3.0, 3.0, (3 * bound, n, n))
+    _cascade_outputs(components, phases)  # buffers for the largest shape
+    buffers = {name: b.nbytes for name, b in window._workspaces.buffers.items()}
+    window._workspaces.shapes.clear()
+    retained = []
+    tracemalloc.start()
+    try:
+        for count in range(1, 3 * bound + 1):
+            _cascade_outputs(components, phases[:count])
+            if count in (bound, 3 * bound):
+                retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert list(window._workspaces.shapes) == [(n, count)
+                                               for count in range(2 * bound + 1, 3 * bound + 1)]
+    assert {name: b.nbytes for name, b in window._workspaces.buffers.items()} == buffers
+    # the views of the kept shapes only: without eviction they would triple
+    assert retained[1] < 1.5 * retained[0]
+
+
+def test_growing_a_buffer_drops_the_views_of_the_old_one():
+    # a kept view of a replaced buffer would keep that buffer alive
+    components, _, _ = window._config_arrays(ds.ghz_config(4, 0.3))
+    phases = np.random.default_rng(6).uniform(-3.0, 3.0, (40, 4, 4))
+    window._workspaces.buffers.clear()
+    window._workspaces.shapes.clear()
+    for count in (3, 40, 40):  # the second call grows every buffer
+        _cascade_outputs(components, phases[:count])
+    (shape, work), = window._workspaces.shapes.items()
+    assert shape == (4, 40)
+    for name, buffer in window._workspaces.buffers.items():
+        if name in work.__slots__:
+            assert np.shares_memory(getattr(work, name), buffer), name
+
+
+def test_the_kernel_returns_new_outputs_each_call():
+    # the working arrays are reused, but a caller may keep the outputs
+    n = 5
+    components, _, _ = window._config_arrays(ds.w_config(n, 0.3))
+    phases = np.random.default_rng(8).uniform(-3.0, 3.0, (2, 4, n, n))
+    first = _cascade_outputs(components, phases[0])
+    kept = first.copy()
+    second = _cascade_outputs(components, phases[1])
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(_cascade_outputs(components, phases[0]), kept)
 
 
 def test_size_guard_rejects_systems_above_the_limit():
