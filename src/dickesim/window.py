@@ -31,7 +31,7 @@ Computation: every emitter gives up exactly one photon, so a sample's
 amplitude on ``|x_0 ... x_{n-1}>`` is a sum over which detector took which
 emitter's photon, never the dense ``3**n`` register.  The sum meets in the
 middle: emitters ``0..h-1`` and ``h..n-1`` (``h = n // 2``) each run a half
-cascade of ``np.einsum`` contractions over all samples of a chunk
+cascade, one ``np.einsum`` contraction per step over all samples of a chunk
 (``_half_cascade``), and one matrix product per sample joins the halves in
 qubit order (``_cascade_outputs``).  The cascade reads only the polarizers
 and a chunk's phases ``k r_j . nhat_i``, one ``(count, n, n)`` array built
@@ -55,8 +55,9 @@ chunk has asked of it, and the views of the last 16 chunk shapes ``(n,
 count)`` are kept ready (``_workspace``), so after a thread's first chunk of
 a shape the draws, phases and both half cascades write into memory they
 already own, and only the chunk's outputs and its pooled terms are new.  A
-thread keeps at most 5.0 MB of buffers (full chunks at n = 12; 2.0 MB up to
-n = 10) and up to 0.3 MB of views.
+workspace plans both half cascades when it is built.  A thread keeps at most
+7.0 MB of buffers (full chunks at n = 12; 2.23 MB up to n = 10) and up to
+0.2 MB of views.
 """
 
 from __future__ import annotations
@@ -95,16 +96,16 @@ ANNIHILATION_TOL = 1e-12
 
 #: Samples times widest half level propagated together, whatever the sample
 #: count.  In a new thread a full chunk at n = 1..10 grows the buffers
-#: (:func:`_array`) to 61-181 B per such entry, 0.5-1.5 MB, its tracemalloc
+#: (:func:`_array`) to 86-181 B per such entry, 0.7-1.5 MB, its tracemalloc
 #: peak (the most at n = 2..4, where the phases, the weights and the join of
-#: many samples dominate; the half levels and one block of gathered rows
-#: otherwise); a later chunk peaks at 4-41 B per entry, its outputs and pooled
-#: terms (the most at n = 1, 2, where an output is as wide as a level).  A
-#: chunk holds 7 samples at n = 8 and 2 at n = 9; from n = 10 on it is a
-#: single sample and memory no longer depends on this budget.
+#: many samples dominate; the half levels and the gathered rows of a whole
+#: level otherwise); a later chunk peaks at 2.5-41 B per entry, its outputs
+#: and pooled terms (the most at n = 1, 2, where an output is as wide as a
+#: level).  A chunk holds 7 samples at n = 8 and 2 at n = 9; from n = 10 on
+#: it is a single sample and memory no longer depends on this budget.
 _CHUNK_ENTRIES = 8192
 
-#: Chunk shapes whose views (:class:`_Workspace`) each thread keeps, 3-20 KB
+#: Chunk shapes whose views (:class:`_Workspace`) each thread keeps, 2-13 KB
 #: each: a sweep or a CLI call uses one or two (a full chunk and the rest),
 #: and a batch of mixed runs a few, as with ``_config_arrays``' 16.  The
 #: buffers they view do not grow with their number.
@@ -459,11 +460,9 @@ def _level_tables(n: int) -> tuple[tuple[slice, tuple], tuple[slice, tuple]]:
     weights, its detectors sliced by ``first``, reversed only for a
     one-emitter half: ``take`` copies a reversed view, a temporary that cost
     the n = 8 kernel 173 page faults a call.  Entry ``m - 2`` of ``steps``
-    leads to level ``m`` and is ``(src, detector, block)``: for each set and
+    leads to level ``m`` and is ``(src, detector)``: for each set and
     position ``p``, ``detector[p]`` is the set's ``p``-th smallest detector
-    and ``src[p]`` the level-``m - 1`` row of the set without it.  ``block =
-    2**m // m`` labels of level ``m - 1`` are contracted at once, so a
-    block's gathered rows are never larger than the level being built.
+    and ``src[p]`` the level-``m - 1`` row of the set without it.
     """
     halves = []
     for order, size in ((-1, n - n // 2), (1, n // 2)):
@@ -477,7 +476,7 @@ def _level_tables(n: int) -> tuple[tuple[slice, tuple], tuple[slice, tuple]]:
                            dtype=np.intp)
             row_of = {s: row for row, s in enumerate(sets)}
             src.flags.writeable = detector.flags.writeable = False
-            steps.append((src, detector, 2 ** m // m))
+            steps.append((src, detector))
         halves.append((first, tuple(steps)))
     return tuple(halves)
 
@@ -527,22 +526,20 @@ def _sample_phases(geometry: DetectionGeometry, normals: np.ndarray,
 
 
 def _half_cascade(steps) -> None:
-    """Run the cascade of one half's emitters, planned by :meth:`_Workspace.plan`.
+    """Run the cascade of one half's emitters, as :class:`_Workspace` planned it.
 
     Each step hands the next emitter's photon to each detector not yet used,
     and its label becomes the new top bit of the first index.  It gathers
     that emitter's terms ``w[b, i, s]`` (label ``b``, detector ``i``, sample
-    ``s``) for each row's detectors; then, per block of labels of the level it
-    reads, the source rows for every position ``p`` at once, and
-    ``np.einsum`` sums their products with the terms over ``p`` straight into
-    the level being built, over all rows and samples.
+    ``s``) for each row's detectors and the source level's rows for every
+    position ``p``; then one ``np.einsum`` sums their products over ``p``
+    straight into the level being built, over all labels, rows and samples.
     """
-    for w, detector, terms, flat_terms, src, blocks in steps:
+    for w, detector, terms, flat_terms, level, src, gathered, flat, out in steps:
         # terms[b, p, r, s]: w's term for row r's p-th smallest detector
         w.take(detector, axis=1, out=terms, mode="clip")
-        for rows, gathered, flat, out in blocks:
-            rows.take(src, axis=1, out=gathered, mode="clip")
-            np.einsum("bpr,lpr->blr", flat_terms, flat, out=out)
+        level.take(src, axis=1, out=gathered, mode="clip")
+        np.einsum("bpr,lpr->blr", flat_terms, flat, out=out)
 
 
 def _cascade_outputs(components: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -562,7 +559,6 @@ def _cascade_outputs(components: np.ndarray, phases: np.ndarray) -> np.ndarray:
     (:func:`_workspace`), and the outputs are a new array.
     """
     count, n, _ = phases.shape
-    tables = _level_tables(n)
     work = _workspace(n, count)
     # weights[j, b, i, s]: detector i's term for emitter j's photon in label b,
     # the phase factor times components[i, b]; cos and sin of a real array
@@ -574,7 +570,7 @@ def _cascade_outputs(components: np.ndarray, phases: np.ndarray) -> np.ndarray:
     np.copyto(work.weights, work.unit[:, None])
     np.copyto(work.polarizers, components.T[:, :, None])
     np.multiply(work.weights, work.polarizers, out=work.weights)
-    (high_steps, high), (low_steps, low) = work.halves or work.plan(tables)
+    (high_steps, high), (low_steps, low) = work.halves
     _half_cascade(high_steps)
     _half_cascade(low_steps)
     # (count, 2**(n - h), C(n, h)) @ (count, C(n, h), 2**h): the high half's
@@ -591,10 +587,13 @@ class _Workspace:
     ``deviates``; :func:`_sample_phases` writes ``trig``, ``along``,
     ``jitter``, ``shift`` and the ``phases`` it returns;
     :func:`_cascade_outputs` writes ``unit``, ``weights`` and ``polarizers``,
-    then runs each half's steps in ``halves``.  The halves are planned on the
-    kernel's first chunk of the shape, from its lookup of
+    then runs each half's steps in ``halves``, planned here from
     :func:`_level_tables`: each half fills its two level buffers in turn, and
-    both share one buffer of terms and one of gathered rows.
+    both share one buffer of terms and one of gathered rows, sized for the
+    widest step.  ``halves`` holds each half's steps and the view of its last
+    level; a step is ``(w, detector, terms, flat terms, level, src, gathered,
+    flat gathered, out)``, the arguments of :func:`_half_cascade`'s ``take``
+    and ``einsum`` calls.
     """
 
     __slots__ = ("normals", "deviates", "trig", "along", "jitter", "phases", "shift",
@@ -611,50 +610,35 @@ class _Workspace:
         self.unit = _array("unit", (n, n, count), complex)
         self.weights = _array("weights", (n, 2, n, count), complex)
         self.polarizers = _array("polarizers", (n, 2, n, count), complex)
-        self.halves = None
-
-    def plan(self, tables) -> tuple:
-        """Each half's steps over this thread's buffers, and the view of its last level.
-
-        A step is ``(w, detector, terms, flat terms, src, blocks)`` and a block
-        ``(level rows, gathered, flat gathered, out)``, the arguments of
-        :func:`_half_cascade`'s ``take`` and ``einsum`` calls.
-        """
-        n, _, _, count = self.weights.shape
+        tables = _level_tables(n)
+        # step k reads level k + 1, of 2**(k + 1) labels, and builds level k + 2
+        terms_buffer = _array("terms", (count * max(
+            (2 * src.size for _, steps in tables for src, _ in steps), default=0),), complex)
+        gathered_buffer = _array("gathered", (count * max(
+            (src.size << k + 1 for _, steps in tables for k, (src, _) in enumerate(steps)),
+            default=0),), complex)
         h = n // 2
-        every = [step for _, steps in tables for step in steps]
-        terms_buffer = _array(
-            "terms", (count * max((2 * src.size for src, _, _ in every), default=0),), complex)
-        gathered_buffer = _array(
-            "gathered", (count * max((block * src.size for src, _, block in every), default=0),),
-            complex)
         halves = []
         for half, weights, (first, steps) in zip(("high", "low"),
                                                  (self.weights[h:], self.weights[:h]), tables):
             # step k builds level k + 2 into buffer k % 2
-            sizes = [count * src.shape[1] << k + 2 for k, (src, _, _) in enumerate(steps)]
+            sizes = [count * src.shape[1] << k + 2 for k, (src, _) in enumerate(steps)]
             buffers = [_array(f"{half} levels {parity}", (max(sizes[parity::2], default=0),),
                               complex) for parity in (0, 1)]
             level = (weights[0][:, first] if len(weights)
                      else np.broadcast_to(np.ones(1, complex), (1, 1, count)))
             planned = []
-            for k, (w, (src, detector, block)) in enumerate(zip(weights[1:], steps)):
+            for k, (w, (src, detector)) in enumerate(zip(weights[1:], steps)):
                 width, rows = src.shape
                 labels = len(level)
                 terms = _prefix(terms_buffer, 2, width, rows, count)
+                gathered = _prefix(gathered_buffer, labels, width, rows, count)
                 out = _prefix(buffers[k % 2], 2, labels, rows * count)
-                blocks = []
-                for start in range(0, labels, block):
-                    part = level[start:start + block]
-                    gathered = _prefix(gathered_buffer, len(part), width, rows, count)
-                    blocks.append((part, gathered, gathered.reshape(len(part), width, -1),
-                                   out[:, start:start + block]))
-                planned.append((w, detector, terms, terms.reshape(2, width, -1), src,
-                                tuple(blocks)))
+                planned.append((w, detector, terms, terms.reshape(2, width, -1), level, src,
+                                gathered, gathered.reshape(labels, width, -1), out))
                 level = out.reshape(-1, rows, count)
             halves.append((tuple(planned), level))
         self.halves = tuple(halves)
-        return self.halves
 
 
 def _prefix(buffer: np.ndarray, *shape: int) -> np.ndarray:

@@ -162,11 +162,9 @@ def test_the_larger_half_reads_the_lexicographic_tables_backwards():
                 np.testing.assert_array_equal(low[m - 2][0], src)
                 np.testing.assert_array_equal(low[m - 2][1], detector)
         for half in (high, low):
-            for m, (src, detector, block) in enumerate(half, start=2):
+            for src, detector in half:
                 assert src.dtype == detector.dtype == np.intp
                 assert not (src.flags.writeable or detector.flags.writeable)
-                # a block's gathered rows are no larger than the level it builds
-                assert 1 <= block and block * m <= 2 ** m < (block + 1) * m
 
 
 @st.composite
@@ -201,9 +199,10 @@ def test_sample_outputs_match_the_dense_kernel_sample_by_sample(case):
         np.testing.assert_allclose(got[s], want, rtol=0, atol=1e-13 * factorial(len(config)))
 
 
-@pytest.mark.parametrize("n", range(7, 11))
-def test_blocked_steps_match_the_dense_kernel_at_larger_n(monkeypatch, n):
-    # past the Hypothesis test's sizes, with steps whose labels split into blocks
+@pytest.mark.parametrize("n", range(7, 13))
+def test_one_contraction_per_step_matches_the_dense_kernel_at_larger_n(monkeypatch, n):
+    # past the Hypothesis test's sizes, up to the widest steps, whose gathered
+    # rows hold a whole source level
     rng = np.random.default_rng(80 + n)
     config = random_config(rng, n)
     positions = rng.uniform(-2e-6, 2e-6, (n, 3))
@@ -225,7 +224,7 @@ def test_blocked_steps_match_the_dense_kernel_at_larger_n(monkeypatch, n):
     got = _cascade_outputs(components, _sample_phases(geo, normals, deviates))
     monkeypatch.undo()
     steps = (n // 2 - 1) + (n - n // 2 - 1)
-    assert len(contractions) > steps  # some step took two or more blocks
+    assert len(contractions) == steps  # exactly one einsum per step
     for s in range(count):
         want = dense_sample_output(config, geo, normals[s], deviates[s])
         np.testing.assert_allclose(got[s], want, rtol=0, atol=1e-13 * factorial(n))
@@ -615,12 +614,14 @@ def test_a_numpy_integer_seed_gives_the_estimate_of_the_equal_int(seed):
 
 def test_repeated_calls_at_one_size_build_its_steps_once():
     window._level_tables.cache_clear()
+    window._workspaces.shapes.clear()
     for n in (5, 5, 5):
         for config in (ds.ghz_config(n, 0.1), ds.w_config(n, 0.7)):
             for half in (0.0, 1.0):
                 geo = ds.DetectionGeometry.linear_chain(n, window_halfangle=np.deg2rad(half))
                 ds.estimate_fidelity(config, geo, samples=250, seed=n)  # three chunks
-    assert window._level_tables.cache_info()[:2] == (35, 1)  # hits, misses
+    # one lookup per chunk shape's workspace: 102 samples, then the last 46
+    assert window._level_tables.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 @lru_cache(maxsize=None)
@@ -993,6 +994,58 @@ def test_a_call_keeps_its_bits_with_the_workspaces_cleared_or_reused(n):
     assert runs == runs[:1] * 4
 
 
+#: Seeded estimates recorded from a kernel that split the labels of a cascade
+#: step into blocks at every n >= 5, which one contraction per step must keep
+#: bit for bit: n -> the sample count (two full chunks and one more), then the
+#: estimate at a 0.5 degree halfangle with 5 nm jitter and at 3 degrees with 50 nm
+_RECORDED_BITS = {
+    1: (8193, ("0x1.0000000000000p+0", "0x1.c86917e6fff9dp-60", 8193, 0),
+        ("0x1.0000000000000p+0", "0x1.ca128cb43f6a6p-60", 8193, 0)),
+    2: (4097, ("0x1.fd31dc566a486p-1", "0x1.e976374b26939p-14", 4097, 0),
+        ("0x1.9197057fe58dcp-1", "0x1.26e680e27524ep-8", 4097, 0)),
+    3: (1365, ("0x1.dccfb221bac59p-1", "0x1.9911483513c27p-10", 1365, 0),
+        ("0x1.3c1b7a0ffe3f7p-2", "0x1.7eab00c84acabp-8", 1365, 0)),
+    4: (683, ("0x1.be86abe993feep-1", "0x1.1785ea6440e60p-8", 683, 0),
+        ("0x1.3cade378f0c80p-3", "0x1.6d611857a7c13p-8", 683, 0)),
+    5: (205, ("0x1.8d73a27ce8b26p-1", "0x1.93ff1442fca51p-7", 205, 0),
+        ("0x1.0f854569a0b05p-3", "0x1.fdfc191198347p-8", 205, 0)),
+    6: (103, ("0x1.7d29f883a0136p-1", "0x1.e2bbd4767e5f8p-7", 103, 0),
+        ("0x1.ff342f02e3a0dp-5", "0x1.97d640a4ac3acp-8", 103, 0)),
+    7: (29, ("0x1.f6a93f189fc05p-2", "0x1.53672af4faf71p-5", 29, 0),
+        ("0x1.27352ab13a785p-6", "0x1.57b31e6320356p-9", 29, 0)),
+    8: (15, ("0x1.5d59e3b794a25p-1", "0x1.3f503eb20e743p-5", 15, 0),
+        ("0x1.d2fea46e8856ap-5", "0x1.1d26141dbad36p-6", 15, 0)),
+    9: (5, ("0x1.1fb33d9d7e1b4p-1", "0x1.b9491fcf09b81p-5", 5, 0),
+        ("0x1.044571d0f1431p-7", "0x1.704fcef0e0eaap-9", 5, 0)),
+    10: (3, ("0x1.aeb68137c2a71p-5", "0x1.d316e5523c1f7p-6", 3, 0),
+         ("0x1.333c0fe7e9d8ap-8", "0x1.f777b0b04a14cp-10", 3, 0)),
+    11: (3, ("0x1.c7541103d9cd1p-6", "0x1.b14841be4530ep-6", 3, 0),
+         ("0x1.5d5e37b92e699p-10", "0x1.7b1284b258f53p-11", 3, 0)),
+    12: (3, ("0x1.9463c2dffdd3cp-7", "0x1.ee5944baa55d6p-8", 3, 0),
+         ("0x1.b67186afd1322p-12", "0x1.872690d6c2692p-13", 3, 0)),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_seeded_estimates_keep_their_recorded_bits(n):
+    samples, *want = _RECORDED_BITS[n]
+    config = random_config(np.random.default_rng(90 + n), n)
+    got = [_bits(ds.estimate_fidelity(config, ds.DetectionGeometry.linear_chain(
+        n, transverse_sigma=sigma, window_halfangle=np.deg2rad(halfangle)),
+        samples=samples, seed=n)) for halfangle, sigma in ((0.5, 5e-9), (3.0, 50e-9))]
+    assert got == want
+
+
+def test_an_explicit_target_keeps_its_recorded_bits():
+    rng = np.random.default_rng(96)
+    config = random_config(rng, 6)
+    target = ds.SymmetricState.from_raw(6, rng.normal(size=7) + 1j * rng.normal(size=7))
+    geo = ds.DetectionGeometry.linear_chain(6, transverse_sigma=50e-9,
+                                            window_halfangle=np.deg2rad(3.0))
+    assert _bits(ds.estimate_fidelity(config, geo, target=target, samples=37, seed=6)) == (
+        "0x1.7366ea830b433p-7", "0x1.ef006f85ff488p-10", 37, 0)
+
+
 @pytest.mark.parametrize("n, samples", [(8, 16), (3, 2000)], ids=["ghz8x16", "ghz3x2000"])
 def test_a_repeated_call_allocates_less_than_one_level_array(n, samples):
     # page faults depend on the allocator, so the reuse is pinned by what is
@@ -1050,6 +1103,36 @@ def test_growing_a_buffer_drops_the_views_of_the_old_one():
     for name, buffer in window._workspaces.buffers.items():
         if name in work.__slots__:
             assert np.shares_memory(getattr(work, name), buffer), name
+
+
+def test_a_shape_that_grows_the_buffers_keeps_its_workspace():
+    # window-mc's order: ghz3's chunk, then ghz8's first, which grows every
+    # buffer, the level and gathered-row buffers of its steps included
+    window._workspaces.buffers.clear()
+    window._workspaces.shapes.clear()
+    for n, samples in ((3, 48), (8, 7)):
+        ds.estimate_fidelity(ds.ghz_config(n, 0.0), ds.DetectionGeometry.linear_chain(n),
+                             samples=samples)
+    assert list(window._workspaces.shapes) == [(8, 7)]
+
+
+def test_a_threads_buffers_stay_within_the_documented_bound():
+    # a new thread's buffers start empty; full chunks at every n grow them to
+    # the worst case the module docstring states: 7.0 MB, and 2.23 MB up to n = 10
+    def run():
+        retained = {}
+        for n in range(1, 13):
+            m = n - n // 2
+            chunk = max(1, window._CHUNK_ENTRIES // (comb(n, m) << m))
+            config = random_config(np.random.default_rng(n), n)
+            ds.estimate_fidelity(config, ds.DetectionGeometry.linear_chain(n), samples=chunk)
+            retained[n] = sum(b.nbytes for b in window._workspaces.buffers.values())
+        return retained
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        retained = pool.submit(run).result(timeout=120)
+    assert retained[10] <= 2.23e6
+    assert retained[12] <= 7.0e6
 
 
 def test_the_kernel_returns_new_outputs_each_call():
