@@ -299,7 +299,10 @@ def _unit_vector(v: np.ndarray) -> np.ndarray:
         raise ZeroStateError("state vector vanishes")
     # clamped: for a subnormal peak the scale 2**-e itself would overflow
     v = v * 2.0 ** -max(frexp(peak)[1], -1022)
-    return v * (1.0 / np.linalg.norm(v))
+    # np.linalg.norm's own arithmetic for a complex array, without its wrapper;
+    # flat, as it reads the matrix from_raw makes of nested lists (and then rejects)
+    w = v.ravel()
+    return v * (1.0 / sqrt(w.real.dot(w.real) + w.imag.dot(w.imag)))
 
 
 def fidelity(a: SymmetricState, b: SymmetricState) -> float:

@@ -36,7 +36,10 @@ def _synthesis_polynomial(target: SymmetricState) -> np.ndarray:
     target has some ``|d_k|`` of at least ``1/sqrt(n + 1)``).
     """
     d = target.coeffs
-    k_max = int(np.nonzero(np.abs(d) > DEGREE_TOL)[0][-1])
+    # numpy's modulus: Python's abs (libm's hypot) differs from its vectorized
+    # loop in the last bit on some machines, which moves the degree at the tolerance
+    moduli = np.abs(d).tolist()
+    k_max = next(k for k in range(target.n, -1, -1) if moduli[k] > DEGREE_TOL)
     roots = _sqrt_binomials(target.n)[:k_max + 1]
     ratios = roots / roots[k_max]
     ratios[1 - k_max % 2::2] *= -1.0  # the sign (-1)**(k_max - k)
@@ -51,21 +54,26 @@ def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     ``k`` exact zero roots, appended last, and the remaining polynomial
     goes to one ``np.linalg.eigvals`` call without ``np.roots``' wrapper.
     """
-    zeros = int(np.flatnonzero(coeffs)[0])
+    zeros = next(k for k, c in enumerate(coeffs.tolist()) if c)
     top_first = coeffs[zeros:][::-1]
-    roots = np.zeros(len(coeffs) - 1, dtype=complex)
-    if len(top_first) > 1:
-        companion = np.eye(len(top_first) - 1, k=-1, dtype=complex)
+    size = len(top_first) - 1
+    if size:
+        companion = np.zeros((size, size), dtype=complex)
+        companion.reshape(-1)[size::size + 1] = 1.0  # the subdiagonal
         try:
             with np.errstate(over="raise"):
                 companion[0] = -top_first[1:] / top_first[0]
         except FloatingPointError:
             raise RootFindingError("companion matrix leaves the float range") from None
         try:
-            roots[:len(companion)] = np.linalg.eigvals(companion)
+            roots = np.linalg.eigvals(companion)
         except np.linalg.LinAlgError as exc:
             raise RootFindingError(
                 f"companion eigensolver failed: {exc}") from exc
+        if zeros:
+            roots = np.concatenate((roots, np.zeros(zeros, dtype=complex)))
+    else:
+        roots = np.zeros(zeros, dtype=complex)
     if not np.isfinite(roots).all():
         raise RootFindingError("non-finite root encountered")
     return roots

@@ -7,13 +7,14 @@ of detector-to-emitter assignments.
 """
 
 import itertools
-from math import comb
+from math import comb, frexp
 from operator import itemgetter
 
 import numpy as np
 from hypothesis import settings
 
 import dickesim as ds
+from dickesim.core import _sqrt_binomials
 
 # reproducible property tests: the same examples on every run, no example
 # database, and no per-example deadline (the first call of a size fills caches)
@@ -261,6 +262,27 @@ def product_polynomial_double_double(config):
 def roots_oracle(coeffs):
     """Roots of ``sum_k coeffs[k] z**k`` by ``np.roots``."""
     return np.roots(coeffs[::-1])
+
+
+def synthesis_polynomial_reference(target):
+    """The root-finding polynomial of ``target`` by whole-array steps.
+
+    The degree is the last index whose ``np.abs`` is above ``DEGREE_TOL``
+    (``nonzero``), and the coefficients are the ``sqrt(C(n, k))`` ratios,
+    signed by a slice, times the target's.
+    """
+    d = target.coeffs
+    k_max = int(np.nonzero(np.abs(d) > ds.DEGREE_TOL)[0][-1])
+    roots = _sqrt_binomials(target.n)[:k_max + 1]
+    ratios = roots / roots[k_max]
+    ratios[1 - k_max % 2::2] *= -1.0
+    return ratios * d[:k_max + 1]
+
+
+def unit_vector_reference(v):
+    """``v`` scaled by the power of two of its peak, then times ``1 / np.linalg.norm``."""
+    w = v * 2.0 ** -max(frexp(float(np.abs(v).max()))[1], -1022)
+    return w * (1.0 / np.linalg.norm(w))
 
 
 # --- dense reference for the window Monte Carlo ----------------------------

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dickesim as ds
-from dickesim.core import REGISTER_SIZE_LIMIT
+from dickesim.core import REGISTER_SIZE_LIMIT, _unit_vector
 from dickesim.synthesis import _polynomial_roots, _synthesis_polynomial
 from conftest import (
     MINUS,
@@ -23,6 +23,7 @@ from conftest import (
     random_polarizer,
     register_amps,
     s_qubit,
+    unit_vector_reference,
 )
 
 
@@ -509,6 +510,33 @@ def test_from_raw_normalizes_any_finite_magnitude():
     np.testing.assert_allclose(state.coeffs, [1.0, 1e-30], rtol=1e-15, atol=0.0)
     with pytest.raises(ds.ZeroStateError):
         ds.SymmetricState.from_raw(2, [0.0, 0.0, 0.0])
+
+
+_PEAKS = (5e-324, 1e-310, 2.0 ** -1022, 1e-300, 1e-150, 1e-20, 1.0, 3.0, 1e20, 1e150, 1e300)
+
+
+def test_unit_vector_is_the_norm_formula_bit_for_bit():
+    rng = np.random.default_rng(36)
+    for size in [*range(2, 66), 2054]:
+        for peak in _PEAKS:
+            z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            for v in (z, z.real + 0j, 1j * z.imag):
+                v = v / np.abs(v).max() * peak
+                assert _unit_vector(v).tobytes() == unit_vector_reference(v).tobytes()
+    # from_raw reads a nested list as a matrix and rejects its shape only afterwards
+    v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    assert _unit_vector(v).tobytes() == unit_vector_reference(v).tobytes()
+
+
+@pytest.mark.parametrize("v, error, message", [
+    ([1.0, np.nan], ds.ConfigError, "state coefficients must be finite"),
+    ([complex(0.0, np.inf), 1.0], ds.ConfigError, "state coefficients must be finite"),
+    ([0.0, 0.0, 0.0], ds.ZeroStateError, "state vector vanishes"),
+], ids=["nan", "inf", "zero"])
+def test_unit_vector_rejects_what_has_no_direction(v, error, message):
+    with pytest.raises(error) as info:
+        _unit_vector(np.array(v, dtype=complex))
+    assert str(info.value) == message
 
 
 def test_canonicalization_is_explicit_and_phase_only():

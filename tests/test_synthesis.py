@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dickesim as ds
@@ -19,6 +19,7 @@ from conftest import (
     s_qubit,
     slocc_config,
     slocc_state,
+    synthesis_polynomial_reference,
     w_qubit,
 )
 
@@ -219,11 +220,16 @@ def _recorded_target(case):
     """``(n, raw coefficients)`` of a target of ``test_synthesized_polarizers_keep_their_bits``."""
     if case == "ghz3":
         return 3, [1.0, 0.0, 0.0, 1.0]
-    n, seed = {"random3": (3, 31), "trailing8": (8, 32), "random64": (64, 33)}[case]
+    n, seed = {"random3": (3, 31), "trailing8": (8, 32), "random64": (64, 33),
+               "leading12": (12, 34), "tiny20": (20, 35)}[case]
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     if case == "trailing8":
         raw[6:] = 0.0  # five roots, then three pure-+ polarizers
+    if case == "leading12":
+        raw[:4] = 0.0  # four exact zero roots, appended after the companion's
+    if case == "tiny20":
+        raw *= 1e-200  # from_raw lifts it by a power of two
     return n, raw
 
 
@@ -232,6 +238,8 @@ def _recorded_target(case):
     ("random3", "24d772acfced81a1c5d63352e4fea55dc01e137e6f2451f8bdd88961f28f576e"),
     ("trailing8", "39b67fd8e75a4deba89a752b28d0c768dc925ff251607055dbf917a1d2d8b288"),
     ("random64", "f05047cb9ee1b938cc55427091c4740fea7a3983c02e55ead8514d4c6c164184"),
+    ("leading12", "242714e30bf39f2ae44d00230d532da451a7cbc2393b414cc9e9c7f0c34a1076"),
+    ("tiny20", "c144b16c6a696f16c55d61dfa21a5339d3bc6ad3f3deb296c5079348bd096ef8"),
 ])
 def test_synthesized_polarizers_keep_their_bits(case, digest):
     # sha256 of every component's float.hex, recorded once from the library
@@ -264,6 +272,45 @@ def _targets(draw):
     raw[:draw(st.integers(0, n))] = 0.0
     raw[draw(st.integers(0, n))] += 1.0  # never the zero vector
     return ds.SymmetricState.from_raw(n, raw)
+
+
+@st.composite
+def _truncated_targets(draw):
+    """Targets whose top coefficients vanish, so the polynomial's degree is below n."""
+    n = draw(st.integers(1, 64))
+    top = draw(st.integers(0, n - 1))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * top + 2,
+                          max_size=2 * top + 2))
+    raw = np.zeros(n + 1, dtype=complex)
+    raw[:top + 1] = np.array(parts[:top + 1]) + 1j * np.array(parts[top + 1:])
+    raw[top] += 1.0  # never the zero vector
+    return ds.SymmetricState.from_raw(n, raw)
+
+
+def _at_the_degree_tolerance(n, k, tail):
+    """A normalized state whose last coefficient, at index ``k``, is ``tail``."""
+    coeffs = np.zeros(n + 1, dtype=complex)
+    coeffs[0], coeffs[k] = np.sqrt(1.0 - abs(tail) ** 2), tail
+    return ds.SymmetricState(n, coeffs)
+
+
+_JUST_ABOVE = np.nextafter(ds.DEGREE_TOL, 1.0)
+#: Above DEGREE_TOL by numpy's vectorized modulus, not by Python's abs (libm's
+#: hypot), on machines where the two differ in the last bit.
+_SPLIT_MODULUS = complex(float.fromhex("0x1.f6275c6dc43adp-41"),
+                         float.fromhex("0x1.fcefe97be0732p-42"))
+
+
+@settings(max_examples=200)
+@given(target=st.one_of(_targets(), _truncated_targets()))
+@example(target=_at_the_degree_tolerance(3, 2, _JUST_ABOVE))
+@example(target=_at_the_degree_tolerance(5, 3, 1j * _JUST_ABOVE))
+@example(target=_at_the_degree_tolerance(4, 4, _JUST_ABOVE))
+@example(target=_at_the_degree_tolerance(4, 2, ds.DEGREE_TOL))
+@example(target=_at_the_degree_tolerance(6, 5, _SPLIT_MODULUS))
+def test_synthesis_polynomial_is_the_array_formula_bit_for_bit(target):
+    got = _synthesis_polynomial(target)
+    assert got.tobytes() == synthesis_polynomial_reference(target).tobytes()
 
 
 @settings(max_examples=200)
